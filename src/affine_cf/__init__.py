@@ -66,6 +66,7 @@ from .series_eval import (
 )
 from .symalg import (
     AtomKey,
+    SeriesOutOfReach,
     SymPoly,
     cardinality_bound,
     coefficient_recursion,

@@ -1,22 +1,26 @@
 """Numeric evaluation of the characteristic-function power series.
 
 Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k) from the exact
-series terms; globalized mode first maps t to tau through the tangent-log
-time transform and evaluates the tau-series of the transformed problem,
-whose coefficients couple the series operator with the Taylor jet of
-rho(tau) = (pi beta / 4) / cos(pi tau / 2).
+series terms, or, at orders whose exact series would exceed
+EXACT_TERM_BUDGET, from d_k = L^k 1 / k! with L the symbol operator acting
+on numeric polynomials in x.  Globalized mode maps t to tau through the
+tangent-log time transform t(tau); the transformed solution is the local one
+read at t(tau), so its coefficients are the composition e_k = sum_j C[k, j] d_j
+with C[k, j] = [tau^k] t(tau)^j, a lower-triangular matrix of numbers built
+from the Taylor jet of t'(tau) = 2 rho(tau), rho(tau) = (pi beta / 4) /
+cos(pi tau / 2).  Long horizons restep the same composition, carrying the
+solution as a numeric polynomial in x.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
 from .kernels import atom_vector, compile_series, evaluate_compiled
-from .symalg import SymPoly, apply_symbol_operator, d_series
+from .symalg import SeriesOutOfReach, d_series
 from .symbols import (
     AffineModel,
     BOUNDED,
@@ -117,6 +121,20 @@ class TimeTransform:
         )
         return Jet(cos_jet).reciprocal().scaled(math.pi * self.beta / 4.0)
 
+    def composition_matrix(self, tau0: float, order: int) -> np.ndarray:
+        """C[k, j] = [s^k] T(s)^j for k, j <= order, T(s) = t(tau0 + s) - t(tau0).
+
+        T' = 2 rho, so T_k = 2 r_{k-1} / k from the rho jet; column j is the
+        j-th power of T.  T_0 = 0 makes C lower triangular."""
+        r = self.rho_jet(tau0, order).coefficients
+        shift = Jet(np.concatenate(([0.0], 2.0 * r[:-1] / np.arange(1, order + 1))))
+        out = np.zeros((order + 1, order + 1))
+        column = Jet(np.eye(order + 1)[0])
+        for j in range(order + 1):
+            out[:, j] = column.coefficients
+            column = column * shift
+        return out
+
 
 def time_forward(tt: TimeTransform, tau: float) -> float:
     return tt.forward(tau)
@@ -164,10 +182,35 @@ def _tail_estimate(contributions) -> float:
 # ---------------------------------------------------------------------------
 
 
+# Largest predicted term count of an order of the exact series that numeric
+# evaluation builds.  On one CPython core d_series(1, 20) (22k terms in d_20)
+# builds in about 14 s and d_series(2, 9) (17k terms) in about 3 s; the next
+# orders would predict 32k and 50k terms.  Past the budget the d_k come from
+# the numeric operator, which gives the same values to rounding (1e-18
+# relative at d=1 K=20 and d=2 K=10) in a few milliseconds per point.
+EXACT_TERM_BUDGET = 25_000
+
+
 @lru_cache(maxsize=None)
 def _compiled_d_series(d: int, k_max: int):
-    polys = d_series(d, k_max)[1:]
+    polys = d_series(d, k_max, term_budget=EXACT_TERM_BUDGET)[1:]
     return compile_series(polys)
+
+
+def _d_values(model: AffineModel, x, u, truncation: int) -> np.ndarray:
+    """d_1 .. d_K at (x, iu), from the compiled exact series when its order
+    is within EXACT_TERM_BUDGET, else as L^k 1 / k! with the numeric
+    x-polynomial operator."""
+    try:
+        cs = _compiled_d_series(model.dimension, truncation)
+    except SeriesOutOfReach:
+        d = model.dimension
+        table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
+        L = _poly_step_operator(table.base, table.slope, d)
+        powers = _operator_powers(L, {(0,) * d: 1.0 + 0.0j}, truncation)
+        return np.array([_eval_xpoly(p, x) for p in powers[1:]])
+    table = eval_symbol_table(model, x, u, max(truncation - 1, 0))
+    return evaluate_compiled(cs, atom_vector(cs, table.atom_values()))
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
@@ -176,12 +219,9 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
         raise ValueError("truncation order must be >= 1")
     if t < 0:
         raise ValueError("t must be >= 0")
-    d = model.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    cs = _compiled_d_series(d, truncation)
-    table = eval_symbol_table(model, x, u, max(truncation - 1, 0))
-    dk = evaluate_compiled(cs, atom_vector(cs, table.atom_values()))
+    dk = _d_values(model, x, u, truncation)
     contributions = [dk[k - 1] * t ** k for k in range(1, truncation + 1)]
     series = 0.0 + 0.0j
     for c in reversed(contributions):  # Horner-like summation, small terms first
@@ -199,30 +239,6 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
 # ---------------------------------------------------------------------------
 # Globalized evaluation
 # ---------------------------------------------------------------------------
-
-
-def _tau_series(d: int, k_max: int, rho: Jet) -> list:
-    """Coefficients e_0..e_K of the transformed problem as atom polynomials:
-    (k+1) e_{k+1} = sum_{m+j=k} r_m L[e_j] with L the series operator and
-    r the jet of the transform derivative t'(tau) = 2 rho(tau)."""
-    r = 2.0 * rho.coefficients
-    e = [SymPoly.constant(Fraction(1))]
-    for k in range(k_max):
-        nxt = SymPoly()
-        for m in range(k + 1):
-            j = k - m
-            if m >= r.size or r[m] == 0.0:
-                continue
-            nxt.add_into(apply_symbol_operator(e[j], d, j), r[m])
-        e.append(nxt.scaled(Fraction(1, k + 1)))
-    return e
-
-
-@lru_cache(maxsize=None)
-def _compiled_tau_series(d: int, k_max: int, beta: float):
-    rho = TimeTransform(beta).rho_jet(0.0, k_max)
-    polys = _tau_series(d, k_max, rho)[1:]
-    return compile_series(polys)
 
 
 @dataclass
@@ -261,10 +277,20 @@ def _default_boxes(model: AffineModel, x, u):
 # -- numeric x-polynomial stepping (iterated globalized mode) ---------------
 
 
+# Largest tau step of one expansion.  The Taylor radius of rho at tau0 is
+# 1 - tau0 (pole of 1/cos at tau = 1), so a step never exceeds half of it,
+# nor this cap.  The unstepped expansion obeys the same cap: at K = 16 it is
+# off by up to 2e-6 on CIR short horizons that land at tau near 0.65, where
+# steps of at most 0.3 stay below 1e-9.
+MAX_STEP = 0.3
+
+
 def _poly_step_operator(base0, slopes, d: int):
     """L acting on numeric x-polynomials q (dict multi-index -> complex):
-    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q."""
-    from .multiindex import enumerate_indices
+    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q.
+
+    Only the eps at which the x = 0 table has a nonzero base or slope entry
+    are visited; the table's key order fixes the summation order."""
 
     def dx_eps(q, eps):
         out = {}
@@ -286,33 +312,41 @@ def _poly_step_operator(base0, slopes, d: int):
                 out[key] = out.get(key, 0.0) + coef
         return out
 
+    live = []
+    for eps, b in base0.items():
+        s = [slopes[l].get(eps, 0.0) for l in range(d)]
+        if b == 0.0 and not any(s):
+            continue
+        inv_fact = 1.0
+        for e in eps:
+            inv_fact /= math.factorial(e)
+        live.append((eps, b, s, inv_fact))
+
     def apply(q):
-        deg = max((sum(m) for m in q), default=0)
         out = {}
-        for k in range(deg + 1):
-            for eps in enumerate_indices(d, k).indices:
-                dq = dx_eps(q, eps)
-                if not dq:
-                    continue
-                inv_fact = 1.0
-                for e in eps:
-                    inv_fact /= math.factorial(e)
-                b = base0.get(eps, 0.0)
-                for mono, c in dq.items():
-                    w = c * inv_fact
-                    if b != 0.0:
-                        out[mono] = out.get(mono, 0.0) + w * b
-                    for l in range(d):
-                        s = slopes[l].get(eps, 0.0)
-                        if s != 0.0:
-                            key = tuple(
-                                m + (1 if i == l else 0)
-                                for i, m in enumerate(mono)
-                            )
-                            out[key] = out.get(key, 0.0) + w * s
+        for eps, b, s, inv_fact in live:
+            for mono, c in dx_eps(q, eps).items():
+                w = c * inv_fact
+                if b != 0.0:
+                    out[mono] = out.get(mono, 0.0) + w * b
+                for l in range(d):
+                    if s[l] != 0.0:
+                        key = tuple(
+                            m + (1 if i == l else 0)
+                            for i, m in enumerate(mono)
+                        )
+                        out[key] = out.get(key, 0.0) + w * s[l]
         return out
 
     return apply
+
+
+def _operator_powers(L, q, order: int) -> list:
+    """L^j q / j! for j = 0 .. order: one application of L per power."""
+    powers = [q]
+    for j in range(1, order + 1):
+        powers.append({m: c / j for m, c in L(powers[-1]).items()})
+    return powers
 
 
 def _eval_xpoly(q, x) -> complex:
@@ -329,9 +363,13 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
                     beta: float = None, omega_box=None, u_box=None) -> CFResult:
     """Globalized-in-time evaluation through the tangent-log transform.
 
-    The tau-series is expanded at tau0 = 0; when tau(t) > 0.7 the expansion
-    is restepped (step 0.3) with rho re-expanded at each base point, carrying
-    the solution as a numeric polynomial in x.
+    The transformed solution is the local series read at t(tau): with d_k
+    the local coefficients at (x, iu), the tau-series coefficients are
+    e = C d, C the composition matrix of t(tau) at tau0 = 0.  When
+    tau(t) > MAX_STEP the expansion is restepped with C rebuilt at each base
+    point, carrying the solution q as a numeric polynomial in x: the order-k
+    layer of a step is sum_j C[k, j] L^j q / j!.  The order contributions
+    are those of the last step, and so is the tail estimate.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
@@ -361,10 +399,9 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     tau = tt.inverse(t)
     phase = np.exp(1j * float(u @ x))
 
-    if tau <= 0.7:
-        cs = _compiled_tau_series(d, truncation, beta)
-        table = eval_symbol_table(model, x, u, max(truncation - 1, 0))
-        ek = evaluate_compiled(cs, atom_vector(cs, table.atom_values()))
+    if tau <= MAX_STEP:
+        dk = _d_values(model, x, u, truncation)
+        ek = tt.composition_matrix(0.0, truncation)[1:, 1:] @ dk
         contributions = [ek[k - 1] * tau ** k for k in range(1, truncation + 1)]
         series = 0.0 + 0.0j
         for c in reversed(contributions):
@@ -372,14 +409,10 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
         return CFResult(phase * (1.0 + series), contributions, truncation,
                         _tail_estimate(contributions), GLOBALIZED, warnings)
 
-    # Iterated mode: numeric polynomial in x, restepped expansions.  The
-    # Taylor radius of rho at tau0 is 1 - tau0 (pole of 1/cos at tau = 1),
-    # so steps shrink as the base point approaches 1: never beyond half the
-    # remaining radius, capped at 0.3.
+    # Iterated mode: numeric polynomial in x, restepped expansions.  At x = 0
+    # the base table is the constant part of the symbol.
     table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
-    base0 = dict(table.base)  # x = 0: base table is the constant part
-    slopes = [dict(tab) for tab in table.slope]
-    L = _poly_step_operator(base0, slopes, d)
+    L = _poly_step_operator(table.base, table.slope, d)
     zero = tuple(0 for _ in range(d))
     q = {zero: 1.0 + 0.0j}
     tau0 = 0.0
@@ -394,21 +427,19 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
                 f"tau = {tau0:.6f} short of {tau:.6f}"
             )
             break
-        step = min(0.3, 0.5 * (1.0 - tau0), tau - tau0)
-        r = 2.0 * tt.rho_jet(tau0, truncation).coefficients
-        layers = [q]
-        for k in range(truncation):
-            nxt = {}
-            for m in range(min(k + 1, r.size)):
-                if r[m] == 0.0:
-                    continue
-                lq = L(layers[k - m])
-                for mono, c in lq.items():
-                    nxt[mono] = nxt.get(mono, 0.0) + r[m] * c
-            layers.append({m: c / (k + 1) for m, c in nxt.items()})
+        step = min(MAX_STEP, 0.5 * (1.0 - tau0), tau - tau0)
+        comp = tt.composition_matrix(tau0, truncation)
+        powers = _operator_powers(L, q, truncation)
         q = {}
         contributions = []
-        for k, layer in enumerate(layers):
+        for k in range(truncation + 1):
+            layer = {}
+            for j in range(k + 1):  # comp is lower triangular
+                w = comp[k, j]
+                if w == 0.0:
+                    continue
+                for mono, c in powers[j].items():
+                    layer[mono] = layer.get(mono, 0.0) + w * c
             sk = step ** k
             if k > 0:
                 contributions.append(_eval_xpoly(layer, x) * sk)

@@ -18,6 +18,7 @@ spatial order and reproduces the integer triangle with row sums R_n <= n!.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -243,22 +244,48 @@ def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
 
 
 _D_SERIES_CACHE: dict[int, list[SymPoly]] = {}
+_D_SERIES_LOCK = threading.Lock()
 
 
-def d_series(d: int, max_order: int) -> list[SymPoly]:
+class SeriesOutOfReach(ValueError):
+    """d_series was asked for an order beyond its ``term_budget``;
+    ``reachable`` is the highest order within it."""
+
+    def __init__(self, d: int, order: int, reachable: int, predicted: int,
+                 budget: int):
+        super().__init__(
+            f"d_series(d={d}, K={order}) exceeds the term budget {budget}: "
+            f"order {reachable + 1} would hold about {predicted} terms"
+        )
+        self.d = d
+        self.order = order
+        self.reachable = reachable
+
+
+def d_series(d: int, max_order: int, term_budget: int = None) -> list[SymPoly]:
     """Series terms d_0 .. d_K in the atom algebra, exact rationals.
 
     d_0 = 1 and (k+1) d_{k+1} = L[d_k] with the operator of
-    :func:`apply_symbol_operator`.
+    :func:`apply_symbol_operator`.  The shared cache is extended under a
+    lock, so concurrent callers see the single-threaded series.  With a
+    ``term_budget``, raises :class:`SeriesOutOfReach` when some order up to K
+    has a predicted size (the last growth ratio applied once more) above it;
+    the check runs on cached orders too, so the answer depends on (d, K) only.
     """
     if d < 1 or max_order < 0:
         raise ValueError("need d >= 1 and max_order >= 0")
-    cache = _D_SERIES_CACHE.setdefault(d, [SymPoly.constant(Fraction(1))])
-    while len(cache) <= max_order:
-        k = len(cache) - 1
-        nxt = apply_symbol_operator(cache[k], d, k).scaled(Fraction(1, k + 1))
-        cache.append(nxt)
-    return cache[: max_order + 1]
+    with _D_SERIES_LOCK:
+        cache = _D_SERIES_CACHE.setdefault(d, [SymPoly.constant(Fraction(1))])
+        for k in range(max_order):
+            if term_budget is not None and k >= 1:
+                predicted = len(cache[k]) ** 2 // len(cache[k - 1])
+                if predicted > term_budget:
+                    raise SeriesOutOfReach(d, max_order, k, predicted,
+                                           term_budget)
+            if len(cache) == k + 1:
+                nxt = apply_symbol_operator(cache[k], d, k)
+                cache.append(nxt.scaled(Fraction(1, k + 1)))
+        return cache[: max_order + 1]
 
 
 # ---------------------------------------------------------------------------

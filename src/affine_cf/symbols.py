@@ -102,7 +102,9 @@ class GaussianJumps:
         c = np.asarray(self.cov, dtype=float)
         mgf = self.intensity * np.exp(xi @ m + 0.5 * xi @ c @ xi)
         drift = m + c @ xi  # gradient of the exponent
-        # Build T_eps by reducing one coordinate at a time.
+        # Build T_eps by reducing one coordinate at a time, memoized: the
+        # unmemoized recursion revisits indices exponentially often in |eps|.
+        @lru_cache(maxsize=None)
         def t_of(e: tuple) -> complex:
             if sum(e) == 0:
                 return 1.0 + 0.0j

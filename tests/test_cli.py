@@ -1,10 +1,15 @@
 """CLI contract: deterministic machine-readable output and error paths."""
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+from affine_cf import series_eval, symalg
 from affine_cf.cli import main
+from affine_cf.oracle import heston_cf
+
+from helpers import HESTON
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -52,6 +57,43 @@ class TestEval:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    def test_default_order_heston_grid_matches_closed_form(self, capsys):
+        # The grid of test_deterministic_output.  At the default K = 16 the
+        # exact 2-d series is beyond its term budget, so the rows come from
+        # the numeric operator.
+        code, out, _ = run(capsys, "eval", "--model", f"{MODELS}/heston.json",
+                           "--t", "0.2:1:3", "--u", "0.5:2:3;0",
+                           "--x", "0;0.04", "--jobs", "4", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 9
+        for row in rows:
+            assert row["reason"] == ""
+            ref = heston_cf(HESTON, row["x1"], row["x2"], row["u1"], row["t"])
+            err = abs(complex(row["re"], row["im"]) - ref)
+            assert err <= 1e-6 * abs(ref)
+            assert err <= 2.0 * row["tail"] + 1e-15
+
+    def test_cold_global_grid_independent_of_jobs(self, capsys, monkeypatch):
+        args = ("eval", "--model", f"{MODELS}/cir.json", "--mode", "global",
+                "--t=0.05:0.2:4", "--u=-2:2:4", "--x=0.04")
+        outputs = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for jobs in ("4", "1"):
+                monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
+                series_eval._compiled_d_series.cache_clear()
+                code, out, _ = run(capsys, *args, "--jobs", jobs)
+                assert code == 0
+                outputs.append(out)
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[0] == outputs[1]
+        rows = outputs[1].strip().splitlines()[2:]
+        assert len(rows) == 16
+        assert all(r.endswith(",") for r in rows)  # no per-row failure reason
 
     def test_json_format(self, capsys):
         _, out, _ = run(capsys, "eval", "--model", f"{MODELS}/bm.json",

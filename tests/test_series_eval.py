@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_cf.oracle import riccati_cf
+from affine_cf import series_eval
+from affine_cf.oracle import cir_cf, heston_cf, riccati_cf
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
@@ -19,9 +20,11 @@ from affine_cf.series_eval import (
     time_forward,
     time_inverse,
 )
+from affine_cf.symalg import SeriesOutOfReach, d_series
 from affine_cf.symbols import AffineModel, eval_symbol, sup_bound
 
-from helpers import bm_model, cir, gauss_jump_model, vasicek
+from helpers import (CIR, HESTON, bm_model, cir, gauss_jump_model, heston,
+                     vasicek)
 
 
 class TestJet:
@@ -99,6 +102,43 @@ class TestRhoJet:
         assert jet.coefficients[1] == pytest.approx(d1, rel=1e-8)
 
 
+class TestCompositionMatrix:
+    def test_first_column_is_inverse_gudermannian(self):
+        # t(tau) = beta gd^{-1}(a tau), a = pi/2, and
+        # gd^{-1}(z) = z + z^3/6 + z^5/24 + 61 z^7/5040 + 277 z^9/72576 + ...
+        beta, a = 0.8, math.pi / 2
+        gd_inv = [0.0, 1.0, 0.0, 1 / 6, 0.0, 1 / 24, 0.0, 61 / 5040, 0.0,
+                  277 / 72576]
+        comp = TimeTransform(beta).composition_matrix(0.0, 9)
+        for k, c in enumerate(gd_inv):
+            assert comp[k, 1] == pytest.approx(beta * c * a ** k, rel=1e-13,
+                                               abs=1e-15)
+        assert comp[0, 0] == 1.0
+        assert np.all(comp[1:, 0] == 0.0)
+
+    @pytest.mark.parametrize("tau0", [0.0, 0.45])
+    def test_lower_triangular(self, tau0):
+        comp = TimeTransform(1.3).composition_matrix(tau0, 12)
+        assert np.all(np.triu(comp, 1) == 0.0)
+        assert np.all(np.diag(comp)[1:] != 0.0)
+
+    def test_constant_symbol_coefficients_are_exp_of_transform(self):
+        # sigma constant in x: d_k = sigma^k / k!, so e_k = [tau^k] exp(sigma t(tau)),
+        # here from the ODE g' = sigma t'(tau) g with t' = 2 rho.
+        model = bm_model(a0=0.6, drift=0.2)
+        beta, K, x, u = 0.5, 14, 0.3, 1.1
+        tt = TimeTransform(beta)
+        tau = 0.25  # within MAX_STEP: one expansion from the local series
+        res = eval_globalized(model, [x], [u], tt.forward(tau), K, beta=beta)
+        sigma = eval_symbol(model, [x], [u])
+        r = 2.0 * tt.rho_jet(0.0, K).coefficients
+        g = [1.0 + 0.0j]
+        for k in range(K):
+            g.append(sigma * sum(r[m] * g[k - m] for m in range(k + 1)) / (k + 1))
+        for k, contrib in enumerate(res.order_contributions, start=1):
+            assert abs(contrib / tau ** k - g[k]) <= 1e-12 * max(1.0, abs(g[k]))
+
+
 class TestEvalLocal:
     @pytest.mark.parametrize("model_fn", [bm_model, gauss_jump_model, vasicek])
     def test_u0_normalization_exact(self, model_fn):
@@ -159,6 +199,26 @@ class TestEvalLocal:
         assert res.truncation_order == 10
 
 
+class TestNumericOperatorFallback:
+    def test_matches_the_compiled_series_at_a_reachable_order(self, monkeypatch):
+        x, u, K = np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8
+        exact = series_eval._d_values(heston(), x, u, K)
+        monkeypatch.setattr(series_eval, "EXACT_TERM_BUDGET", 0)
+        series_eval._compiled_d_series.cache_clear()
+        numeric = series_eval._d_values(heston(), x, u, K)
+        assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
+    def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
+        with pytest.raises(SeriesOutOfReach):
+            d_series(2, 16, term_budget=series_eval.EXACT_TERM_BUDGET)
+        x, v, u, t = 0.0, 0.04, 1.25, 0.3
+        kwargs = {"beta": 1.0} if evaluate is eval_globalized else {}
+        res = evaluate(heston(), [x, v], [u, 0.0], t, 16, **kwargs)
+        ref = heston_cf(HESTON, x, v, u, t)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+
 class TestEvalGlobalized:
     def test_t0_is_phase(self):
         res = eval_globalized(bm_model(), [0.7], [1.3], 0.0, 10)
@@ -186,6 +246,43 @@ class TestEvalGlobalized:
             res = eval_globalized(model, [0.05], [1.0], 5.0, 16)
             ref = riccati_cf(model, [0.05], [1.0], 5.0).value
             assert abs(res.value - ref) / abs(ref) <= 1e-4
+
+    @pytest.mark.parametrize("tau", [0.29, 0.31, 0.69, 0.71])
+    def test_both_sides_of_the_step_thresholds(self, tau):
+        # MAX_STEP = 0.3 ends the unstepped expansion; around 0.7 an
+        # unstepped K = 16 expansion would be off by about 1e-6.
+        beta, x, u = 0.25, 0.05, 1.0
+        t = TimeTransform(beta).forward(tau)
+        res = eval_globalized(cir(), [x], [u], t, 16, beta=beta)
+        ref = cir_cf(CIR, x, u, t)
+        assert abs(res.value - ref) / abs(ref) <= 1e-8
+
+    def test_each_step_applies_the_operator_k_times(self, monkeypatch):
+        counts = {"apply": 0, "steps": 0}
+        make_operator = series_eval._poly_step_operator
+        composition = TimeTransform.composition_matrix
+
+        def counting_operator(*args):
+            apply = make_operator(*args)
+
+            def wrapped(q):
+                counts["apply"] += 1
+                return apply(q)
+            return wrapped
+
+        def counting_composition(self, tau0, order):
+            counts["steps"] += 1
+            return composition(self, tau0, order)
+
+        monkeypatch.setattr(series_eval, "_poly_step_operator", counting_operator)
+        monkeypatch.setattr(TimeTransform, "composition_matrix",
+                            counting_composition)
+        K = 12
+        res = eval_globalized(cir(), [0.05], [1.0], 4.0, K)
+        assert counts["steps"] >= 2
+        assert counts["apply"] == K * counts["steps"]
+        ref = cir_cf(CIR, 0.05, 1.0, 4.0)
+        assert abs(res.value - ref) / abs(ref) <= 1e-4
 
     def test_unbounded_symbol_warning_attached(self):
         res = eval_globalized(vasicek(), [0.05], [1.0], 5.0, 16)

@@ -1,15 +1,19 @@
 """Exact series algebra: golden d_k, coefficient recursion, cross-checks,
 and the counting triangle."""
+import sys
+import threading
 from fractions import Fraction
 from math import factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from affine_cf import symalg
 from affine_cf.symalg import (
     AtomKey,
     BASE,
     SLOPE,
+    SeriesOutOfReach,
     SymPoly,
     cardinality_bound,
     coefficient_recursion,
@@ -240,3 +244,49 @@ class TestLambdaSumCardinality:
 
     def test_four_slots_sum3(self):
         assert lambda_sum_cardinality(3, 4) == 20
+
+
+class TestDSeriesCache:
+    def test_cold_cache_threads_get_the_serial_series(self, monkeypatch):
+        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
+        expected = d_series(1, 12)
+        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
+        results = [None] * 4
+        errors = []
+
+        def work(i):
+            try:
+                results[i] = d_series(1, 12)
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert all(r == expected for r in results)
+        assert len(symalg._D_SERIES_CACHE[1]) == 13
+
+    def test_term_budget_raises_before_building(self, monkeypatch):
+        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
+        # d = 3 term counts run 1, 1, 4, 19, 107: order 5 predicts 107^2 // 19
+        assert len(d_series(3, 4, term_budget=500)[4]) == 107
+        for _ in range(2):  # deterministic: the same answer on every call
+            with pytest.raises(SeriesOutOfReach, match="602 terms") as info:
+                d_series(3, 9, term_budget=500)
+            assert (info.value.d, info.value.order, info.value.reachable) \
+                == (3, 9, 4)
+        assert len(symalg._D_SERIES_CACHE[3]) == 5
+        # without a budget the order is built; the budget still refuses it
+        # afterwards, so the answer does not depend on the cache
+        assert len(d_series(3, 5)[5]) == 605
+        with pytest.raises(SeriesOutOfReach):
+            d_series(3, 5, term_budget=500)

@@ -1,6 +1,7 @@
 """Symbol evaluation, derivative tables, boundedness, and model I/O."""
 import cmath
 import json
+import math
 
 import numpy as np
 import pytest
@@ -133,6 +134,20 @@ class TestSymbolTable:
         re, _ = integrate.quad(lambda z: integrand(z).real, -3, 3, limit=200)
         im, _ = integrate.quad(lambda z: integrand(z).imag, -3, 3, limit=200)
         assert abs(table.base[(3,)] - (re + 1j * im)) < 1e-10
+
+    def test_gaussian_moment_order_20_closed_form(self):
+        # J(n, xi) = lam mgf(xi) E[Y^n] with Y ~ N(m + var xi, var) by
+        # exponential tilting; E[Y^n] = sum_{j even} C(n, j) mu^(n-j) var^(j/2) (j-1)!!
+        lam, m, var, n = 0.5, 0.1, 0.04, 20
+        xi = 0.9j
+        mu = m + var * xi
+        hermite = sum(math.comb(n, j) * mu ** (n - j) * var ** (j // 2)
+                      * math.prod(range(j - 1, 0, -2))
+                      for j in range(0, n + 1, 2))
+        expected = lam * cmath.exp(xi * m + 0.5 * var * xi ** 2) * hermite
+        jump = GaussianJumps(intensity=lam, mean=[m], cov=[[var]])
+        got = jump.moment((n,), np.array([xi]))
+        assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("model_fn", [gauss_jump_model, vasicek, heston])
     def test_finite_differences(self, model_fn):
