@@ -66,7 +66,6 @@ from .series_eval import (
 )
 from .symalg import (
     AtomKey,
-    SeriesOutOfReach,
     SymPoly,
     cardinality_bound,
     coefficient_recursion,

@@ -2,12 +2,16 @@
 
 Given a baseline affine model A0 whose characteristic function is known in
 closed form exp(phi0(t,u) + psi0(t,u).x), the CF of a target model A is
-represented as exp(phi0 + psi0.x) (1 + sum_k d_k t^k), where the correction
-terms d_k live in an atom algebra over the difference symbol
-Delta sigma = sigma - sigma0 and the baseline symbol, all evaluated along the
-baseline trajectory xi = psi0(t,u).  Two recursions are provided: the
-difference form (primary) and the brute-force form carrying the explicit
-time derivative of the baseline exponent (cross-validation).
+represented as exp(phi0 + psi0.x) (1 + sum_k d_k t^k), with the symbols
+evaluated along the baseline trajectory xi = psi0(t,u).  Two recursions
+give the d_k: the difference form (primary), driven by
+Delta sigma = sigma - sigma0, and the brute-force form carrying the explicit
+time derivative of the baseline exponent (cross-validation).  Evaluation
+runs both through the numeric symbol operator of :mod:`series_eval`, which
+changes only the eps = 0 entries of the target's symbol table.
+:func:`correction_series` and :func:`brute_force_series` build the same
+recursions in the exact atom algebra, for the nilpotency claim and as
+references.
 """
 from __future__ import annotations
 
@@ -20,16 +24,14 @@ from fractions import Fraction
 import numpy as np
 
 from .multiindex import enumerate_indices
-from .series_eval import CFResult, _tail_estimate
+from .series_eval import CFResult, _operator_d_values, _series_result
 from .symalg import (
     BASE,
     BASE0,
     DBASE,
     DSLOPE,
-    SLOPE,
     SLOPE0,
     TDRIFT,
-    TDSLOPE,
     AtomKey,
     SymPoly,
 )
@@ -269,6 +271,13 @@ def _blocks_equal(target: AffineModel, baseline: AffineModel, comp: int) -> bool
     return tj == bj
 
 
+def _check_compatible(target: AffineModel, baseline: BaselineSolution) -> None:
+    if target.dimension != baseline.model.dimension:
+        raise ValueError("target and baseline dimensions differ")
+    if target.truncation != baseline.model.truncation:
+        raise ValueError("target and baseline truncation conventions differ")
+
+
 def _dx_eps(poly: SymPoly, eps) -> SymPoly:
     out = poly
     for direction, times in enumerate(eps, start=1):
@@ -300,10 +309,7 @@ def correction_series(target: AffineModel, baseline: BaselineSolution,
     dropped, which makes the nilpotency statement (target = baseline implies
     d_k = 0 for k >= 1) structural rather than numeric.
     """
-    if target.dimension != baseline.model.dimension:
-        raise ValueError("target and baseline dimensions differ")
-    if target.truncation != baseline.model.truncation:
-        raise ValueError("target and baseline truncation conventions differ")
+    _check_compatible(target, baseline)
     d = target.dimension
     zero_model = AffineModel.from_arrays(dimension=d,
                                          truncation=baseline.model.truncation)
@@ -380,60 +386,46 @@ def brute_force_series(target: AffineModel, max_order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _generalized_atom_values(target: AffineModel, baseline: BaselineSolution,
-                             x, psi: np.ndarray, max_order: int) -> dict:
-    table_t = eval_symbol_table_xi(target, x, psi, max_order)
-    table_b = eval_symbol_table_xi(baseline.model, x, psi, max_order)
-    vals = {}
-    for eps, v in table_t.base.items():
-        vals[AtomKey(DBASE, 0, eps)] = v - table_b.base[eps]
-        vals[AtomKey(BASE0, 0, eps)] = table_b.base[eps]
-        vals[AtomKey(BASE, 0, eps)] = v
-    for l in range(1, target.dimension + 1):
-        for eps, v in table_t.slope[l - 1].items():
-            vals[AtomKey(DSLOPE, l, eps)] = v - table_b.slope[l - 1][eps]
-            vals[AtomKey(SLOPE0, l, eps)] = table_b.slope[l - 1][eps]
-            vals[AtomKey(SLOPE, l, eps)] = v
-    return vals
+def _expand_along_baseline(target: AffineModel, baseline: BaselineSolution,
+                           x, u, t: float, truncation: int, shift,
+                           shift_slopes) -> CFResult:
+    """exp(phi0 + psi0 x) (1 + sum_k d_k t^k) with d_k = L^k 1 / k!, L the
+    operator of the target's symbol table at x = 0 along xi = psi0(t, u)
+    with shift + x . shift_slopes taken off its eps = 0 entry."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    table = eval_symbol_table_xi(target, np.zeros(target.dimension),
+                                 baseline.psi_vec(t, u), max(truncation - 1, 0))
+    zero = tuple(0 for _ in range(target.dimension))
+    table.base[zero] -= shift
+    for slope, s in zip(table.slope, shift_slopes):
+        slope[zero] -= s
+    dk = _operator_d_values(table.base, table.slope, x, truncation)
+    return _series_result(eval_baseline_cf(baseline, x, u, t), dk, t,
+                          GENERALIZED)
 
 
 def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
                      t: float, truncation: int = 10) -> CFResult:
-    """exp(phi0 + psi0 x) (1 + sum_k d_k(x, psi0(t,u)) t^k)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = baseline.psi_vec(t, u)
-    base_val = eval_baseline_cf(baseline, x, u, t)
-    series = correction_series(target, baseline, truncation)
-    vals = _generalized_atom_values(target, baseline, x, psi,
-                                    max(truncation - 1, 0))
-    contributions = [series[k].eval(vals) * t ** k
-                     for k in range(1, truncation + 1)]
-    total = 0.0 + 0.0j
-    for c in reversed(contributions):
-        total += c
-    return CFResult(base_val * (1.0 + total), contributions, truncation,
-                    _tail_estimate(contributions), GENERALIZED)
+    """exp(phi0 + psi0 x) (1 + sum_k d_k(x, psi0(t,u)) t^k).
+
+    The difference recursion: the eps = 0 entry of the operator is
+    Delta sigma = sigma - sigma0, and every other entry is the target's,
+    since d^eps Delta sigma + d^eps sigma0 = d^eps sigma."""
+    _check_compatible(target, baseline)
+    d = target.dimension
+    zero = tuple(0 for _ in range(d))
+    table0 = eval_symbol_table_xi(baseline.model, np.zeros(d),
+                                  baseline.psi_vec(t, u), 0)
+    return _expand_along_baseline(target, baseline, x, u, t, truncation,
+                                  table0.base[zero],
+                                  [slope[zero] for slope in table0.slope])
 
 
 def eval_brute_force(target: AffineModel, baseline: BaselineSolution, x, u,
                      t: float, truncation: int = 10) -> CFResult:
     """Brute-force variant carrying the explicit baseline time derivative;
-    used to cross-validate eval_generalized."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = baseline.psi_vec(t, u)
-    base_val = eval_baseline_cf(baseline, x, u, t)
-    series = brute_force_series(target, truncation)
-    vals = _generalized_atom_values(target, baseline, x, psi,
-                                    max(truncation - 1, 0))
+    used to cross-validate eval_generalized.  The eps = 0 entry of the
+    operator is sigma - d_t phi0 - x . d_t psi0."""
     dphi, dpsi = baseline.time_derivs(t, u)
-    zero_eps = tuple(0 for _ in range(target.dimension))
-    vals[AtomKey(TDRIFT, 0, zero_eps)] = -dphi - complex(dpsi @ x)
-    for l in range(1, target.dimension + 1):
-        vals[AtomKey(TDSLOPE, l, zero_eps)] = -dpsi[l - 1]
-    contributions = [series[k].eval(vals) * t ** k
-                     for k in range(1, truncation + 1)]
-    total = 0.0 + 0.0j
-    for c in reversed(contributions):
-        total += c
-    return CFResult(base_val * (1.0 + total), contributions, truncation,
-                    _tail_estimate(contributions), GENERALIZED)
+    return _expand_along_baseline(target, baseline, x, u, t, truncation,
+                                  dphi, dpsi)

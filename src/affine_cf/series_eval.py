@@ -1,26 +1,26 @@
 """Numeric evaluation of the characteristic-function power series.
 
-Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k) from the exact
-series terms, or, at orders whose exact series would exceed
-EXACT_TERM_BUDGET, from d_k = L^k 1 / k! with L the symbol operator acting
-on numeric polynomials in x.  Globalized mode maps t to tau through the
-tangent-log time transform t(tau); the transformed solution is the local one
-read at t(tau), so its coefficients are the composition e_k = sum_j C[k, j] d_j
-with C[k, j] = [tau^k] t(tau)^j, a lower-triangular matrix of numbers built
-from the Taylor jet of t'(tau) = 2 rho(tau), rho(tau) = (pi beta / 4) /
-cos(pi tau / 2).  Long horizons restep the same composition, carrying the
-solution as a numeric polynomial in x.
+Every mode takes its coefficients from one numeric engine: the symbol
+operator L acting on polynomials in x with complex coefficients, built from
+the symbol table at x = 0, so that d_k = L^k 1 / k! is read at x after K
+applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
+Globalized mode maps t to tau through the tangent-log time transform t(tau);
+the transformed solution is the local one read at t(tau), so its coefficients
+are the composition e_k = sum_j C[k, j] d_j with C[k, j] = [tau^k] t(tau)^j,
+a lower-triangular matrix of numbers built from the Taylor jet of
+t'(tau) = 2 rho(tau), rho(tau) = (pi beta / 4) / cos(pi tau / 2).  Long
+horizons restep the same composition, carrying the solution as a numeric
+polynomial in x.  The generalized modes of :mod:`gensym` use the same
+operator on their own tables.  The exact atom algebra of :mod:`symalg` is
+not used here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .kernels import atom_vector, compile_series, evaluate_compiled
-from .symalg import SeriesOutOfReach, d_series
 from .symbols import (
     AffineModel,
     BOUNDED,
@@ -182,35 +182,27 @@ def _tail_estimate(contributions) -> float:
 # ---------------------------------------------------------------------------
 
 
-# Largest predicted term count of an order of the exact series that numeric
-# evaluation builds.  On one CPython core d_series(1, 20) (22k terms in d_20)
-# builds in about 14 s and d_series(2, 9) (17k terms) in about 3 s; the next
-# orders would predict 32k and 50k terms.  Past the budget the d_k come from
-# the numeric operator, which gives the same values to rounding (1e-18
-# relative at d=1 K=20 and d=2 K=10) in a few milliseconds per point.
-EXACT_TERM_BUDGET = 25_000
-
-
-@lru_cache(maxsize=None)
-def _compiled_d_series(d: int, k_max: int):
-    polys = d_series(d, k_max, term_budget=EXACT_TERM_BUDGET)[1:]
-    return compile_series(polys)
-
-
 def _d_values(model: AffineModel, x, u, truncation: int) -> np.ndarray:
-    """d_1 .. d_K at (x, iu), from the compiled exact series when its order
-    is within EXACT_TERM_BUDGET, else as L^k 1 / k! with the numeric
-    x-polynomial operator."""
-    try:
-        cs = _compiled_d_series(model.dimension, truncation)
-    except SeriesOutOfReach:
-        d = model.dimension
-        table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
-        L = _poly_step_operator(table.base, table.slope, d)
-        powers = _operator_powers(L, {(0,) * d: 1.0 + 0.0j}, truncation)
-        return np.array([_eval_xpoly(p, x) for p in powers[1:]])
-    table = eval_symbol_table(model, x, u, max(truncation - 1, 0))
-    return evaluate_compiled(cs, atom_vector(cs, table.atom_values()))
+    """d_1 .. d_K at (x, iu) as L^k 1 / k!, L the numeric x-polynomial
+    operator of the x = 0 symbol table."""
+    d = model.dimension
+    table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
+    return _operator_d_values(table.base, table.slope, x, truncation)
+
+
+def _series_result(prefactor, coefficients, t: float, mode: str,
+                   warnings=None) -> CFResult:
+    """prefactor (1 + sum_k c_k t^k) with c_1 .. c_K = coefficients, summed
+    from the highest order down (small terms first)."""
+    truncation = len(coefficients)
+    contributions = [coefficients[k - 1] * t ** k
+                     for k in range(1, truncation + 1)]
+    series = 0.0 + 0.0j
+    for c in reversed(contributions):
+        series += c
+    return CFResult(prefactor * (1.0 + series), contributions, truncation,
+                    _tail_estimate(contributions), mode,
+                    [] if warnings is None else warnings)
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
@@ -222,18 +214,7 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
     dk = _d_values(model, x, u, truncation)
-    contributions = [dk[k - 1] * t ** k for k in range(1, truncation + 1)]
-    series = 0.0 + 0.0j
-    for c in reversed(contributions):  # Horner-like summation, small terms first
-        series += c
-    phase = np.exp(1j * float(u @ x))
-    return CFResult(
-        value=phase * (1.0 + series),
-        order_contributions=contributions,
-        truncation_order=truncation,
-        tail_estimate=_tail_estimate(contributions),
-        mode=LOCAL,
-    )
+    return _series_result(np.exp(1j * float(u @ x)), dk, t, LOCAL)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +255,7 @@ def _default_boxes(model: AffineModel, x, u):
     return omega, ubox
 
 
-# -- numeric x-polynomial stepping (iterated globalized mode) ---------------
+# -- numeric x-polynomial operator (every mode) and stepping ----------------
 
 
 # Largest tau step of one expansion.  The Taylor radius of rho at tau0 is
@@ -359,6 +340,15 @@ def _eval_xpoly(q, x) -> complex:
     return total
 
 
+def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
+    """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
+    x = 0 tables base0 and slopes."""
+    d = len(slopes)
+    L = _poly_step_operator(base0, slopes, d)
+    powers = _operator_powers(L, {(0,) * d: 1.0 + 0.0j}, truncation)
+    return np.array([_eval_xpoly(p, x) for p in powers[1:]])
+
+
 def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
                     beta: float = None, omega_box=None, u_box=None) -> CFResult:
     """Globalized-in-time evaluation through the tangent-log transform.
@@ -402,12 +392,7 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     if tau <= MAX_STEP:
         dk = _d_values(model, x, u, truncation)
         ek = tt.composition_matrix(0.0, truncation)[1:, 1:] @ dk
-        contributions = [ek[k - 1] * tau ** k for k in range(1, truncation + 1)]
-        series = 0.0 + 0.0j
-        for c in reversed(contributions):
-            series += c
-        return CFResult(phase * (1.0 + series), contributions, truncation,
-                        _tail_estimate(contributions), GLOBALIZED, warnings)
+        return _series_result(phase, ek, tau, GLOBALIZED, warnings)
 
     # Iterated mode: numeric polynomial in x, restepped expansions.  At x = 0
     # the base table is the constant part of the symbol.

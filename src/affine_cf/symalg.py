@@ -17,19 +17,16 @@ spatial order and reproduces the integer triangle with row sums R_n <= n!.
 """
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
 
 from .multiindex import (
-    ExponentPair,
     MultiIndex,
     enumerate_indices,
     flattened_indices,
     flattened_position,
-    is_member,
 )
 
 # Atom kinds.  BASE-like kinds depend on x affinely and differentiate to the
@@ -66,10 +63,6 @@ class AtomKey:
 
 def base_atom(eps: MultiIndex) -> AtomKey:
     return AtomKey(BASE, 0, tuple(eps))
-
-
-def slope_atom(l: int, eps: MultiIndex) -> AtomKey:
-    return AtomKey(SLOPE, l, tuple(eps))
 
 
 Monomial = tuple  # sorted tuple of (AtomKey, positive int) pairs
@@ -247,44 +240,20 @@ _D_SERIES_CACHE: dict[int, list[SymPoly]] = {}
 _D_SERIES_LOCK = threading.Lock()
 
 
-class SeriesOutOfReach(ValueError):
-    """d_series was asked for an order beyond its ``term_budget``;
-    ``reachable`` is the highest order within it."""
-
-    def __init__(self, d: int, order: int, reachable: int, predicted: int,
-                 budget: int):
-        super().__init__(
-            f"d_series(d={d}, K={order}) exceeds the term budget {budget}: "
-            f"order {reachable + 1} would hold about {predicted} terms"
-        )
-        self.d = d
-        self.order = order
-        self.reachable = reachable
-
-
-def d_series(d: int, max_order: int, term_budget: int = None) -> list[SymPoly]:
+def d_series(d: int, max_order: int) -> list[SymPoly]:
     """Series terms d_0 .. d_K in the atom algebra, exact rationals.
 
     d_0 = 1 and (k+1) d_{k+1} = L[d_k] with the operator of
     :func:`apply_symbol_operator`.  The shared cache is extended under a
-    lock, so concurrent callers see the single-threaded series.  With a
-    ``term_budget``, raises :class:`SeriesOutOfReach` when some order up to K
-    has a predicted size (the last growth ratio applied once more) above it;
-    the check runs on cached orders too, so the answer depends on (d, K) only.
+    lock, so concurrent callers see the single-threaded series.
     """
     if d < 1 or max_order < 0:
         raise ValueError("need d >= 1 and max_order >= 0")
     with _D_SERIES_LOCK:
         cache = _D_SERIES_CACHE.setdefault(d, [SymPoly.constant(Fraction(1))])
-        for k in range(max_order):
-            if term_budget is not None and k >= 1:
-                predicted = len(cache[k]) ** 2 // len(cache[k - 1])
-                if predicted > term_budget:
-                    raise SeriesOutOfReach(d, max_order, k, predicted,
-                                           term_budget)
-            if len(cache) == k + 1:
-                nxt = apply_symbol_operator(cache[k], d, k)
-                cache.append(nxt.scaled(Fraction(1, k + 1)))
+        for k in range(len(cache) - 1, max_order):
+            nxt = apply_symbol_operator(cache[k], d, k)
+            cache.append(nxt.scaled(Fraction(1, k + 1)))
         return cache[: max_order + 1]
 
 
@@ -590,30 +559,8 @@ def lambda_sum_cardinality(j: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Debug dumps
+# JSON export
 # ---------------------------------------------------------------------------
-
-
-def _atom_str(a: AtomKey) -> str:
-    tag = a.kind if a.l == 0 else f"{a.kind}{a.l}"
-    return f"{tag}@{','.join(map(str, a.deriv))}"
-
-
-def poly_to_jsonable(poly: SymPoly) -> dict:
-    """Monomial string -> [numerator, denominator]."""
-    out = {}
-    for mono, c in sorted(poly.terms.items()):
-        key = " * ".join(f"{_atom_str(a)}^{e}" for a, e in mono) or "1"
-        frac = Fraction(c)
-        out[key] = [frac.numerator, frac.denominator]
-    return out
-
-
-def dump_series(d: int, max_order: int, path) -> None:
-    polys = d_series(d, max_order)
-    data = {str(k): poly_to_jsonable(polys[k]) for k in range(max_order + 1)}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=1, sort_keys=True)
 
 
 def coefficients_to_jsonable(rows: dict[int, dict]) -> dict:

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from affine_cf import series_eval, symalg
+from affine_cf import symalg
 from affine_cf.cli import main
 from affine_cf.oracle import heston_cf
 
@@ -84,7 +84,6 @@ class TestEval:
         try:
             for jobs in ("4", "1"):
                 monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
-                series_eval._compiled_d_series.cache_clear()
                 code, out, _ = run(capsys, *args, "--jobs", jobs)
                 assert code == 0
                 outputs.append(out)

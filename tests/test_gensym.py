@@ -18,10 +18,12 @@ from affine_cf.gensym import (
 )
 from affine_cf.oracle import heston_cf, heston_model, riccati_cf, vasicek_model
 from affine_cf.series_eval import eval_local
-from affine_cf.symalg import DBASE, DSLOPE
-from affine_cf.symbols import AffineModel, GaussianJumps, NoJumps
+from affine_cf.symalg import (BASE, BASE0, DBASE, DSLOPE, SLOPE, SLOPE0,
+                              TDRIFT, TDSLOPE, AtomKey, SymPoly)
+from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
+                               eval_symbol_table_xi)
 
-from helpers import HESTON, VASICEK, bm_model, heston, vasicek
+from helpers import HESTON, VASICEK, bm_model, cir, heston, vasicek
 
 
 class TestBaselines:
@@ -149,6 +151,86 @@ class TestBruteForce:
         a = eval_generalized(target, baseline, x, u, t, 10).value
         b = eval_brute_force(target, baseline, x, u, t, 10).value
         assert abs(a - b) <= 1e-7
+
+
+def _heston_with_jumps() -> AffineModel:
+    m = heston()
+    jump = GaussianJumps(intensity=0.05, mean=[0.05, 0.0],
+                         cov=[[0.01, 0.0], [0.0, 0.0]])
+    return AffineModel.from_arrays(
+        a0=m.a0, a_slope=m.a_slope, b0=m.b0, b_slope=m.b_slope,
+        jumps=(jump, NoJumps(), NoJumps()),
+        state_domain=m.state_domain, dimension=2)
+
+
+_EXPANSIONS = {
+    "vasicek-perturbed": (
+        lambda: AffineModel.from_arrays(
+            a0=[[2.0 * VASICEK.a0 + 0.05]], b0=[VASICEK.b0 + 0.01],
+            b_slope=[[VASICEK.b1 - 0.1]]),
+        lambda: vasicek_baseline(VASICEK), [0.1], 1.0, 0.2, 8),
+    "heston-jumps": (_heston_with_jumps, lambda: heston_baseline(HESTON),
+                     [0.0, 0.04], [1.0, 0.0], 0.2, 6),
+    "cir-zero": (cir, lambda: zero_baseline(1), [0.04], 1.5, 0.3, 8),
+}
+
+
+class TestNumericOperatorMatchesExactSeries:
+    """d_k of the numeric evaluation against the exact atom-algebra series
+    read at the atom values of the same point."""
+
+    @staticmethod
+    def _atom_values(target, baseline, x, u, t, K):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        psi = baseline.psi_vec(t, u)
+        tab = eval_symbol_table_xi(target, x, psi, K - 1)
+        tab0 = eval_symbol_table_xi(baseline.model, x, psi, K - 1)
+        vals = {}
+        for eps, v in tab.base.items():
+            vals[AtomKey(DBASE, 0, eps)] = v - tab0.base[eps]
+            vals[AtomKey(BASE0, 0, eps)] = tab0.base[eps]
+            vals[AtomKey(BASE, 0, eps)] = v
+        for l in range(1, target.dimension + 1):
+            for eps, v in tab.slope[l - 1].items():
+                vals[AtomKey(DSLOPE, l, eps)] = v - tab0.slope[l - 1][eps]
+                vals[AtomKey(SLOPE0, l, eps)] = tab0.slope[l - 1][eps]
+                vals[AtomKey(SLOPE, l, eps)] = v
+        dphi, dpsi = baseline.time_derivs(t, u)
+        zero = (0,) * target.dimension
+        vals[AtomKey(TDRIFT, 0, zero)] = -dphi - complex(dpsi @ x)
+        for l in range(1, target.dimension + 1):
+            vals[AtomKey(TDSLOPE, l, zero)] = -dpsi[l - 1]
+        return vals
+
+    @pytest.mark.parametrize("case", sorted(_EXPANSIONS))
+    @pytest.mark.parametrize("evaluate,exact_series", [
+        (eval_generalized,
+         lambda target, baseline, K: correction_series(target, baseline, K)),
+        (eval_brute_force,
+         lambda target, baseline, K: brute_force_series(target, K)),
+    ], ids=["generalized", "brute-force"])
+    def test_d_k(self, case, evaluate, exact_series):
+        target_fn, baseline_fn, x, u, t, K = _EXPANSIONS[case]
+        target, baseline = target_fn(), baseline_fn()
+        res = evaluate(target, baseline, x, u, t, K)
+        vals = self._atom_values(target, baseline, x, u, t, K)
+        abs_vals = {a: abs(v) for a, v in vals.items()}
+        polys = exact_series(target, baseline, K)
+        for k in range(1, K + 1):
+            exact = polys[k].eval(vals) * t ** k
+            # The brute-force terms cancel down to d_k (by 1e11 at Heston
+            # k = 6), so the float reading of the exact series is only good
+            # to rounding of the summed term magnitudes.
+            scale = SymPoly({m: abs(c) for m, c in polys[k].terms.items()}) \
+                .eval(abs_vals).real * t ** k
+            assert abs(res.order_contributions[k - 1] - exact) <= 1e-13 * scale
+
+    def test_heston_around_itself_is_the_baseline_exactly(self):
+        baseline = heston_baseline(HESTON)
+        x, u, t = [0.0, 0.04], [1.0, 0.0], 0.7
+        res = eval_generalized(heston(), baseline, x, u, t, 10)
+        assert all(c == 0.0 for c in res.order_contributions)
+        assert res.value == eval_baseline_cf(baseline, x, u, t)
 
 
 class TestExpressionBaselines:

@@ -20,8 +20,9 @@ from affine_cf.series_eval import (
     time_forward,
     time_inverse,
 )
-from affine_cf.symalg import SeriesOutOfReach, d_series
-from affine_cf.symbols import AffineModel, eval_symbol, sup_bound
+from affine_cf.symalg import d_series
+from affine_cf.symbols import (AffineModel, eval_symbol, eval_symbol_table,
+                                sup_bound)
 
 from helpers import (CIR, HESTON, bm_model, cir, gauss_jump_model, heston,
                      vasicek)
@@ -200,18 +201,24 @@ class TestEvalLocal:
 
 
 class TestNumericOperatorFallback:
-    def test_matches_the_compiled_series_at_a_reachable_order(self, monkeypatch):
-        x, u, K = np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8
-        exact = series_eval._d_values(heston(), x, u, K)
-        monkeypatch.setattr(series_eval, "EXACT_TERM_BUDGET", 0)
-        series_eval._compiled_d_series.cache_clear()
-        numeric = series_eval._d_values(heston(), x, u, K)
-        assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
+    def test_matches_the_compiled_series_at_a_reachable_order(self):
+        # the numeric operator against the exact atom-algebra series, read
+        # at the symbol table of the same point; the jump model is the
+        # models/bm_jumps.json example
+        cases = [
+            (cir(), np.array([0.04]), np.array([1.5]), 12),
+            (gauss_jump_model(intensity=0.3, a0=0.4, drift=0.2),
+             np.array([0.1]), np.array([2.0]), 12),
+            (heston(), np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8),
+        ]
+        for model, x, u, K in cases:
+            numeric = series_eval._d_values(model, x, u, K)
+            values = eval_symbol_table(model, x, u, K - 1).atom_values()
+            exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
+            assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
     def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
-        with pytest.raises(SeriesOutOfReach):
-            d_series(2, 16, term_budget=series_eval.EXACT_TERM_BUDGET)
         x, v, u, t = 0.0, 0.04, 1.25, 0.3
         kwargs = {"beta": 1.0} if evaluate is eval_globalized else {}
         res = evaluate(heston(), [x, v], [u, 0.0], t, 16, **kwargs)

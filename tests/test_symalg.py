@@ -13,7 +13,6 @@ from affine_cf.symalg import (
     AtomKey,
     BASE,
     SLOPE,
-    SeriesOutOfReach,
     SymPoly,
     cardinality_bound,
     coefficient_recursion,
@@ -274,19 +273,3 @@ class TestDSeriesCache:
         assert errors == []
         assert all(r == expected for r in results)
         assert len(symalg._D_SERIES_CACHE[1]) == 13
-
-    def test_term_budget_raises_before_building(self, monkeypatch):
-        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
-        # d = 3 term counts run 1, 1, 4, 19, 107: order 5 predicts 107^2 // 19
-        assert len(d_series(3, 4, term_budget=500)[4]) == 107
-        for _ in range(2):  # deterministic: the same answer on every call
-            with pytest.raises(SeriesOutOfReach, match="602 terms") as info:
-                d_series(3, 9, term_budget=500)
-            assert (info.value.d, info.value.order, info.value.reachable) \
-                == (3, 9, 4)
-        assert len(symalg._D_SERIES_CACHE[3]) == 5
-        # without a budget the order is built; the budget still refuses it
-        # afterwards, so the answer does not depend on the cache
-        assert len(d_series(3, 5)[5]) == 605
-        with pytest.raises(SeriesOutOfReach):
-            d_series(3, 5, term_budget=500)
