@@ -1,0 +1,98 @@
+"""Fresh-process timings of the exact engine, layer by layer.
+
+Run:  python3 benchmarks/bench_exact.py [--series 1:16 2:8] [--triangle 16]
+                                        [--repeats 3]
+
+Each measurement runs in a new interpreter, so every cache starts cold, as
+in a fresh ``affine-cf tables`` or ``triangle`` process.  Per (d, K) it
+reports the CPU seconds of ``d_series``, ``coefficient_recursion`` and
+``cross_check`` at every order 1..K (its inputs are built first, untimed),
+and of ``counting_triangle`` for the requested rows.  The "size" column
+counts, per layer, the terms, the table entries, the orders that agree and
+the rows that sum to n!.  The median over the repeats is printed.  Timings
+are reported, never asserted; the host's speed can swing by 20% between
+runs.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from math import factorial
+
+
+def measure(layer: str, d: int, k: int) -> dict:
+    """One cold measurement, run inside the fresh interpreter."""
+    from affine_cf import symalg
+
+    if layer == "cross_check":
+        polys = symalg.d_series(d, k)
+        rows = symalg.coefficient_recursion(d, k)
+    start = time.process_time()
+    if layer == "d_series":
+        polys = symalg.d_series(d, k)
+        size = sum(len(p) for p in polys)
+    elif layer == "coefficient_recursion":
+        rows = symalg.coefficient_recursion(d, k)
+        size = sum(len(r) for r in rows.values())
+    elif layer == "cross_check":
+        size = sum(symalg.cross_check(polys, rows, order, d).ok
+                   for order in range(1, k + 1))
+    else:
+        sums = symalg.counting_triangle(k).row_sums
+        size = sum(r == factorial(n) for n, r in enumerate(sums, start=1))
+    return {"cpu_s": time.process_time() - start, "size": size}
+
+
+def fresh(layer: str, d: int, k: int) -> dict:
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, __file__, "--one", layer, str(d), str(k)],
+        env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def pair(spec: str) -> tuple[int, int]:
+    d, k = spec.split(":")
+    return int(d), int(k)
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--series", type=pair, nargs="+",
+                    default=[(1, 12), (1, 16), (2, 6), (2, 8)],
+                    help="d:K pairs for d_series, coefficient_recursion and "
+                         "cross_check")
+    ap.add_argument("--triangle", type=int, nargs="+", default=[16],
+                    help="row counts for counting_triangle")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--one", nargs=3, metavar=("LAYER", "D", "K"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args()
+    if args.one:
+        layer, d, k = args.one
+        print(json.dumps(measure(layer, int(d), int(k))))
+        return
+
+    jobs = [(layer, d, k) for d, k in args.series
+            for layer in ("d_series", "coefficient_recursion", "cross_check")]
+    jobs += [("counting_triangle", 1, rows) for rows in args.triangle]
+    print(f"{'layer':<22} {'d':>2} {'K':>3} {'size':>8} {'cpu s (median)':>15}"
+          f"  all runs")
+    for layer, d, k in jobs:
+        runs = [fresh(layer, d, k) for _ in range(args.repeats)]
+        times = [r["cpu_s"] for r in runs]
+        print(f"{layer:<22} {d:>2} {k:>3} {runs[0]['size']:>8} "
+              f"{statistics.median(times):>15.3f}  "
+              + " ".join(f"{t:.3f}" for t in times))
+
+
+if __name__ == "__main__":
+    main()

@@ -165,16 +165,21 @@ class CFResult:
     warnings: list = field(default_factory=list)
 
 
-def _tail_estimate(contributions) -> float:
+# Relative rounding error of a summed value: no tail estimate is below it.
+ROUNDING_FLOOR = 1e-16
+
+
+def _tail_estimate(contributions, value) -> float:
     """|last term| inflated by 1/(1-r), r the last observed term ratio
-    clipped to [0, 0.9]."""
+    clipped to [0, 0.9]; at least ROUNDING_FLOOR * |value|."""
+    floor = ROUNDING_FLOOR * abs(value)
     if not contributions:
-        return 0.0
+        return floor
     last = abs(contributions[-1])
     r = 0.0
     if len(contributions) >= 2 and abs(contributions[-2]) > 0:
         r = min(max(last / abs(contributions[-2]), 0.0), 0.9)
-    return last / (1.0 - r)
+    return max(last / (1.0 - r), floor)
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +205,9 @@ def _series_result(prefactor, coefficients, t: float, mode: str,
     series = 0.0 + 0.0j
     for c in reversed(contributions):
         series += c
-    return CFResult(prefactor * (1.0 + series), contributions, truncation,
-                    _tail_estimate(contributions), mode,
+    value = prefactor * (1.0 + series)
+    return CFResult(value, contributions, truncation,
+                    _tail_estimate(contributions, value), mode,
                     [] if warnings is None else warnings)
 
 
@@ -434,4 +440,4 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
         tau0 += step
     value = phase * _eval_xpoly(q, x)
     return CFResult(value, contributions, truncation,
-                    _tail_estimate(contributions), GLOBALIZED, warnings)
+                    _tail_estimate(contributions, value), GLOBALIZED, warnings)

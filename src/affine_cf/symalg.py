@@ -11,16 +11,25 @@ provided:
 * :func:`coefficient_recursion` builds the rational coefficients
   c_(alpha, beta) by the binomial-weighted tuple recursion.
 
-Both use exact ``Fraction`` arithmetic; they must agree term for term
-(:func:`cross_check`).  The counting triangle groups d_n monomials by
-spatial order and reproduces the integer triangle with row sums R_n <= n!.
+Both are integer recursions.  Over the Taylor-normalized atoms
+d^eps sigma / eps! and d^eps sigma_l / eps!, N_k = k! d_k has integer
+coefficients and N_{k+1} = sum_eps (d^eps sigma / eps!) d^eps_x N_k; the
+coefficient recursion carries k! c_(alpha, beta) with integer weights.
+``Fraction`` appears only at the boundary: each order is divided once into
+``SymPoly`` terms over ``AtomKey`` atoms and ``{(alpha, beta): Fraction}``
+rows, which must agree term for term (:func:`cross_check`).  The counting
+triangle groups d_n monomials by spatial order and reproduces the integer
+triangle with row sums R_n <= n!.
 """
 from __future__ import annotations
 
 import threading
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, factorial
+from itertools import chain, groupby
+from math import comb, factorial, prod
+from operator import add
 
 from .multiindex import (
     MultiIndex,
@@ -61,10 +70,6 @@ class AtomKey:
         return AtomKey(slope_kind, direction, self.deriv)
 
 
-def base_atom(eps: MultiIndex) -> AtomKey:
-    return AtomKey(BASE, 0, tuple(eps))
-
-
 Monomial = tuple  # sorted tuple of (AtomKey, positive int) pairs
 
 
@@ -93,7 +98,8 @@ def monomial_derived_base_count(mono: Monomial) -> int:
 class SymPoly:
     """Sparse polynomial: monomial -> coefficient (Fraction or float).
 
-    Zero coefficients are never stored.
+    Zero coefficients are never stored.  :func:`apply_symbol_operator`
+    also uses it for int-coded monomials with integer coefficients.
     """
 
     __slots__ = ("terms",)
@@ -200,27 +206,63 @@ class SymPoly:
         return f"SymPoly({len(self.terms)} terms)"
 
 
+# The integer engine codes an atom as
+#   l * _RADIX**d + sum_i eps_i * _RADIX**(d-1-i),
+# l = 0 for the base atom d^eps sigma / eps!, l >= 1 for the slope atom
+# d^eps sigma_l / eps!.  For eps_i < _RADIX the integer order is AtomKey
+# order (kind, l, deriv), and d/dx_l maps a base code c to c + l * _RADIX**d.
+# A monomial is the sorted tuple of its atom codes, one entry per factor.
+_RADIX = 1 << 8
+
+
+def _insert(mono: tuple, code: int, lo: int = 0) -> tuple:
+    at = bisect_right(mono, code, lo)
+    return mono[:at] + (code,) + mono[at:]
+
+
+def _dx_codes(terms: dict, d: int, direction: int) -> dict:
+    """d/dx_direction of an int-coded polynomial: each base factor, taken
+    with its multiplicity, turns into its slope atom."""
+    slope = _RADIX ** d
+    shift = direction * slope
+    out: dict = {}
+    for mono, c in terms.items():
+        i = 0
+        for a, run in groupby(mono):
+            if a >= slope:
+                break
+            e = len(list(run))
+            m = _insert(mono[:i] + mono[i + 1:], a + shift, i)
+            out[m] = out.get(m, 0) + c * e
+            i += e
+    return out
+
+
 def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
-    """The generator action in the atom algebra:
+    """One step of the integer recursion N_{k+1} = L[N_k], N_k = k! d_k:
 
-    L[p] = sum_{|eps| <= max_order} (d^eps_xi sigma) (1/eps!) d^eps_x p.
+    L[p] = sum_{|eps| <= max_order} (d^eps_xi sigma / eps!) d^eps_x p.
 
+    ``poly`` and the result hold int-coded monomials with integer
+    coefficients, over Taylor-normalized atoms, so no division occurs.
     Spatial derivatives are generated by repeated single derivatives; the
     eps = 0 term is sigma * p.
     """
-    out = SymPoly()
-    # dmap[eps] = (1/eps!)-unscaled d^eps_x poly, built order by order.
-    dmap: dict[MultiIndex, SymPoly] = {(0,) * d: poly}
+    out: dict = {}
+    # dmap[eps] = d^eps_x poly, built order by order.
+    dmap: dict[MultiIndex, dict] = {(0,) * d: poly.terms}
     for order in range(max_order + 1):
-        next_map: dict[MultiIndex, SymPoly] = {}
+        next_map: dict[MultiIndex, dict] = {}
         for eps in enumerate_indices(d, order).indices:
             dp = dmap.get(eps)
-            if dp is None or not dp.terms:
+            if not dp:
                 continue
-            fact = 1
+            code = 0
             for e in eps:
-                fact *= factorial(e)
-            out.add_into(dp.mul_atom(base_atom(eps)), Fraction(1, fact))
+                code = code * _RADIX + e
+            for mono, c in dp.items():
+                m = _insert(mono, code)
+                out[m] = out.get(m, 0) + c
             if order < max_order:
                 # extend along the first coordinate in which eps can grow,
                 # avoiding duplicate paths: only differentiate in directions
@@ -231,29 +273,70 @@ def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
                     nxt[direction] += 1
                     key = tuple(nxt)
                     if key not in next_map:
-                        next_map[key] = dp.dx(direction + 1)
+                        next_map[key] = _dx_codes(dp, d, direction + 1)
         dmap = next_map
+    result = SymPoly()
+    result.terms = out
+    return result
+
+
+def _decode(code: int, d: int) -> tuple[AtomKey, int]:
+    """(AtomKey, eps!) of an atom code."""
+    l, rest = divmod(code, _RADIX ** d)
+    eps = tuple(rest // _RADIX ** (d - 1 - i) % _RADIX for i in range(d))
+    return AtomKey(SLOPE if l else BASE, l, eps), prod(map(factorial, eps))
+
+
+def _to_sympoly(n_k: SymPoly, k: int, d: int) -> SymPoly:
+    """d_k over AtomKey atoms from N_k = k! d_k over normalized atoms:
+    divide each coefficient by k! prod eps!^e."""
+    atoms: dict[int, tuple[AtomKey, int]] = {}
+    kf = factorial(k)
+    out = SymPoly()
+    for mono, c in n_k.terms.items():
+        key = []
+        den = kf
+        for a, run in groupby(mono):
+            e = len(list(run))
+            atom = atoms.get(a)
+            if atom is None:
+                atom = atoms[a] = _decode(a, d)
+            key.append((atom[0], e))
+            den *= atom[1] ** e
+        out.terms[tuple(key)] = Fraction(c, den)
     return out
 
 
 _D_SERIES_CACHE: dict[int, list[SymPoly]] = {}
 _D_SERIES_LOCK = threading.Lock()
+# (K, N_K) behind the last cached order of each dimension.
+_N_LAST: dict[int, tuple[int, SymPoly]] = {}
 
 
 def d_series(d: int, max_order: int) -> list[SymPoly]:
     """Series terms d_0 .. d_K in the atom algebra, exact rationals.
 
-    d_0 = 1 and (k+1) d_{k+1} = L[d_k] with the operator of
-    :func:`apply_symbol_operator`.  The shared cache is extended under a
-    lock, so concurrent callers see the single-threaded series.
+    d_0 = 1 and (k+1) d_{k+1} = L[d_k]; the integer form N_k = k! d_k of
+    :func:`apply_symbol_operator` is run and each order is converted once.
+    The shared cache is extended under a lock, so concurrent callers see
+    the single-threaded series.
     """
     if d < 1 or max_order < 0:
         raise ValueError("need d >= 1 and max_order >= 0")
+    if max_order >= _RADIX:
+        raise ValueError(f"max_order must be below {_RADIX}")
     with _D_SERIES_LOCK:
         cache = _D_SERIES_CACHE.setdefault(d, [SymPoly.constant(Fraction(1))])
-        for k in range(len(cache) - 1, max_order):
-            nxt = apply_symbol_operator(cache[k], d, k)
-            cache.append(nxt.scaled(Fraction(1, k + 1)))
+        if max_order >= len(cache):
+            last = _N_LAST.get(d)
+            if last is None or last[0] != len(cache) - 1:  # cold or replaced
+                last = (0, SymPoly.constant(1))
+            start, n_k = last
+            for k in range(start, max_order):
+                n_k = apply_symbol_operator(n_k, d, k)
+                if k + 1 == len(cache):
+                    cache.append(_to_sympoly(n_k, k + 1, d))
+            _N_LAST[d] = (max_order, n_k)
         return cache[: max_order + 1]
 
 
@@ -262,58 +345,44 @@ def d_series(d: int, max_order: int) -> list[SymPoly]:
 # ---------------------------------------------------------------------------
 
 
-def _distributions(caps: list[int], total: int):
-    """All tuples lam with 0 <= lam[i] <= caps[i] and sum(lam) = total."""
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    for first in range(min(caps[0], total) + 1):
-        for rest in _distributions(caps[1:], total - first):
-            yield (first,) + rest
+def _distributions(caps: tuple, eps: MultiIndex, memo: dict) -> list:
+    """Every way to distribute the multi-index eps over groups, group i
+    receiving a multi-index lam_i with |lam_i| <= caps[i].
 
-
-def _uni_next_row(row: dict, k: int) -> dict:
-    """Univariate row k -> row k+1 of c_(alpha, beta)."""
-    nxt: dict = {}
-    inv = Fraction(1, k + 1)
-    for (alpha, beta), c in row.items():
-        alpha = alpha + (0,)
-        beta = beta + (0,)
-        positions = [i for i, a in enumerate(alpha) if a > 0]
-        caps = [alpha[i] for i in positions]
-        for j in range(k + 1):
-            for lam in _distributions(caps, j):
-                w = 1
-                na = list(alpha)
-                nb = list(beta)
-                for pos, li in zip(positions, lam):
-                    if li:
-                        w *= comb(alpha[pos], li)
-                        na[pos] -= li
-                        nb[pos] += li
-                na[j] += 1
-                key = (tuple(na), tuple(nb))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * w * inv
-    return {key: c for key, c in nxt.items() if c != 0}
-
-
-def _multi_distributions(alpha_caps: list[int], eps: MultiIndex):
-    """Distribute the multi-index eps over groups.
-
-    Yields (list of per-group multi-indices lam_i); each group i receives
-    |lam_i| <= alpha_caps[i] derivatives in total.
+    Each way is (parts, weight): parts lists the nonzero lam_i as
+    (i - len(caps), lam_i, |lam_i|), indexed from the end so that a suffix
+    of caps shares its entries; the weight is the integer
+    prod_i caps[i]! / ((caps[i] - |lam_i|)! lam_i!).  Memoized in ``memo``
+    on (caps, eps).
     """
-    d = len(eps)
-    if not alpha_caps:
-        if all(e == 0 for e in eps):
-            yield []
-        return
-    cap = alpha_caps[0]
-    for lam0 in _group_choices(eps, cap):
-        rem = tuple(e - g for e, g in zip(eps, lam0))
-        for rest in _multi_distributions(alpha_caps[1:], rem):
-            yield [lam0] + rest
+    key = (caps, eps)
+    out = memo.get(key)
+    if out is not None:
+        return out
+    if not caps:
+        out = [] if any(eps) else [((), 1)]
+    else:
+        out = []
+        a = caps[0]
+        room = sum(caps[1:])
+        for lam0 in _group_choices(eps, a):
+            rem = tuple(e - g for e, g in zip(eps, lam0))
+            if sum(rem) > room:
+                continue
+            rest = _distributions(caps[1:], rem, memo)
+            m = sum(lam0)
+            if m == 0:
+                out.extend(rest)
+                continue
+            # falling factorial over lam0!: a binomial times a multinomial
+            den = factorial(a - m)
+            for li in lam0:
+                den *= factorial(li)
+            w0 = factorial(a) // den
+            head = ((-len(caps), lam0, m),)
+            out.extend((head + parts, w0 * w) for parts, w in rest)
+    memo[key] = out
+    return out
 
 
 def _group_choices(eps: MultiIndex, cap: int):
@@ -331,40 +400,51 @@ def _group_choices(eps: MultiIndex, cap: int):
     yield from rec(0, min(cap, sum(eps)))
 
 
-def _multi_next_row(row: dict, k: int, d: int) -> dict:
-    """Multivariate row k -> row k+1 (flattened enumeration layout)."""
+def _moves(alpha: tuple, flat_next: tuple, memo: dict) -> list:
+    """Every way one step takes a padded alpha to the next row:
+    (new alpha, beta increments [(position, lam)], integer weight)."""
+    groups = [i for i, a in enumerate(alpha) if a > 0]
+    caps = tuple(alpha[i] for i in groups)
+    total = sum(caps)
+    moves = []
+    for pj, eps in enumerate(flat_next):  # new base atom d^eps sigma, |eps| <= k
+        if sum(eps) > total:  # flat_next is sorted by order: nothing follows
+            break
+        for parts, w in _distributions(caps, eps, memo):
+            na = list(alpha)
+            dbeta = []
+            for g, lam, m in parts:
+                gi = groups[g]
+                na[gi] -= m
+                dbeta.append((gi, lam))
+            na[pj] += 1
+            moves.append((tuple(na), dbeta, w))
+    return moves
+
+
+def _next_row(row: dict, k: int, d: int, splits: dict) -> dict:
+    """Row k -> row k+1 of the integers k! c_(alpha, beta), in the
+    flattened layout with beta entries as d-tuples.  ``splits`` is the
+    memo of :func:`_distributions`."""
     flat_next = flattened_indices(d, k + 1)
     n_next = len(flat_next)
-    nxt: dict = {}
-    inv = Fraction(1, k + 1)
     zero_d = (0,) * d
+    by_alpha: dict = {}  # the moves depend on alpha alone
     for (alpha, beta), c in row.items():
+        by_alpha.setdefault(alpha, []).append((beta, c))
+    nxt: dict = {}
+    for alpha, entries in by_alpha.items():
         alpha = alpha + (0,) * (n_next - len(alpha))
-        beta = beta + (zero_d,) * (n_next - len(beta))
-        groups = [i for i, a in enumerate(alpha) if a > 0]
-        caps = [alpha[i] for i in groups]
-        for eps in flat_next:  # new base atom d^eps sigma, |eps| <= k
-            for lams in _multi_distributions(caps, eps):
-                w = Fraction(1)
-                na = list(alpha)
+        moves = _moves(alpha, flat_next, splits)
+        for beta, c in entries:
+            beta = beta + (zero_d,) * (n_next - len(beta))
+            for na, dbeta, w in moves:
                 nb = list(beta)
-                for gi, lam in zip(groups, lams):
-                    m = sum(lam)
-                    if m == 0:
-                        continue
-                    a = alpha[gi]
-                    # falling factorial over lam!: a!/((a-m)! prod lam_l!)
-                    w *= Fraction(factorial(a), factorial(a - m))
-                    for li in lam:
-                        if li > 1:
-                            w /= factorial(li)
-                    na[gi] -= m
-                    nb[gi] = tuple(b + li for b, li in zip(nb[gi], lam))
-                pj = flattened_position(d, eps)
-                na[pj] += 1
-                key = (tuple(na), tuple(nb))
-                nxt[key] = nxt.get(key, Fraction(0)) + c * w * inv
-    return {key: c for key, c in nxt.items() if c != 0}
+                for gi, lam in dbeta:
+                    nb[gi] = tuple(map(add, nb[gi], lam))
+                key = (na, tuple(nb))
+                nxt[key] = nxt.get(key, 0) + c * w
+    return nxt
 
 
 def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
@@ -373,19 +453,22 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     Univariate keys are (alpha, beta) plain tuples; multivariate keys are
     (alpha, beta) with alpha over the flattened enumeration and beta a tuple
     of d-tuples.  All values are exact Fractions; absent keys are zero.
+    The recursion runs on the integers k! c and divides once per row.
     """
     if d < 1 or max_order < 1:
         raise ValueError("need d >= 1 and max_order >= 1")
+    row = {((1,), ((0,) * d,)): 1}
+    splits: dict = {}
     rows: dict[int, dict] = {}
-    if d == 1:
-        rows[1] = {((1,), (0,)): Fraction(1)}
-        for k in range(1, max_order):
-            rows[k + 1] = _uni_next_row(rows[k], k)
-    else:
-        zero_d = (0,) * d
-        rows[1] = {((1,), (zero_d,)): Fraction(1)}
-        for k in range(1, max_order):
-            rows[k + 1] = _multi_next_row(rows[k], k, d)
+    for k in range(1, max_order + 1):
+        if k > 1:
+            row = _next_row(row, k - 1, d, splits)
+        kf = factorial(k)
+        if d == 1:
+            rows[k] = {(alpha, tuple(chain.from_iterable(beta))): Fraction(c, kf)
+                       for (alpha, beta), c in row.items()}
+        else:
+            rows[k] = {key: Fraction(c, kf) for key, c in row.items()}
     return rows
 
 
@@ -409,9 +492,9 @@ def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
             else:
                 raise ValueError(f"atom kind {a.kind!r} has no pair image")
         return (tuple(alpha), tuple(beta))
-    flat = flattened_indices(d, k)
-    alpha = [0] * len(flat)
-    beta = [[0] * d for _ in flat]
+    n = len(flattened_indices(d, k))
+    alpha = [0] * n
+    beta = [(0,) * d] * n
     for a, e in mono:
         if sum(a.deriv) >= k:
             raise ValueError(f"derivative {a.deriv} has no slot at order {k}")
@@ -419,10 +502,15 @@ def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
         if a.kind == BASE:
             alpha[pos] += e
         elif a.kind == SLOPE:
-            beta[pos][a.l - 1] += e
+            row = list(beta[pos])
+            row[a.l - 1] += e
+            beta[pos] = tuple(row)
         else:
             raise ValueError(f"atom kind {a.kind!r} has no pair image")
-    return (tuple(alpha), tuple(tuple(row) for row in beta))
+    return (tuple(alpha), tuple(beta))
+
+
+_ZERO = Fraction(0)
 
 
 @dataclass
@@ -443,12 +531,14 @@ def cross_check(d_polys: list[SymPoly], coeff_rows: dict[int, dict], k: int,
     from_d: dict = {}
     for mono, c in d_polys[k].terms.items():
         key = monomial_to_pair(mono, k, d)
-        from_d[key] = from_d.get(key, Fraction(0)) + c
+        from_d[key] = from_d[key] + c if key in from_d else c
     row = coeff_rows[k]
+    if from_d == row:
+        return CrossCheckReport(ok=True, order=k)
     mismatches = []
     for key in set(from_d) | set(row):
-        a = from_d.get(key, Fraction(0))
-        b = row.get(key, Fraction(0))
+        a = from_d.get(key, _ZERO)
+        b = row.get(key, _ZERO)
         if a != b:
             mismatches.append((key, a, b))
     return CrossCheckReport(ok=not mismatches, order=k, mismatches=mismatches)

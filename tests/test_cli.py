@@ -1,4 +1,5 @@
 """CLI contract: deterministic machine-readable output and error paths."""
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -148,6 +149,17 @@ class TestTables:
         values2 = sorted((e["num"], e["den"]) for e in coeffs["2"])
         assert values2 == [(1, 2), (1, 2)]
 
+    @pytest.mark.parametrize("dimension,k,digest", [
+        (1, 12, "a11211f13da670fece91567467459ddd37651d6d5e2cf3e2fc86da3d16303d68"),
+        (2, 6, "f5a59585e456023f40a4d667b90c3953d36229b1a435f398463afe36e340cdb6"),
+    ])
+    def test_json_is_byte_identical_to_the_golden_tables(self, capsys,
+                                                          dimension, k, digest):
+        code, out, _ = run(capsys, "tables", "--dimension", str(dimension),
+                           "--k", str(k), "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_cap_enforced(self, capsys):
         code, _, err = run(capsys, "tables", "--k", "25")
         assert code != 0
@@ -163,6 +175,12 @@ class TestTriangle:
         assert all(r["within_bound"] for r in payload["rows"])
         assert all(r["R_over_factorial"] <= 1.0 + 1e-15
                    for r in payload["rows"])
+
+    def test_json_is_byte_identical_to_the_golden_triangle(self, capsys):
+        code, out, _ = run(capsys, "triangle", "--k", "16", "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b2e2df753c9006c8db9e4304db1640143732507c3b38d770929371c06c3058df")
 
 
 class TestErrors:

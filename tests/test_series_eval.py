@@ -199,6 +199,23 @@ class TestEvalLocal:
         assert res.tail_estimate >= 0.0
         assert res.truncation_order == 10
 
+    def test_tail_estimate_has_a_rounding_floor(self):
+        x, u = 0.04, 1.0
+        res = eval_local(cir(), [x], [u], 0.05, 16)
+        # converged: the last term lies far below the value's rounding error
+        assert abs(res.order_contributions[-1]) < 1e-20 * abs(res.value)
+        assert res.tail_estimate >= series_eval.ROUNDING_FLOOR * abs(res.value)
+        # the floor changes no value: still the phase times the reverse sum
+        series = 0.0 + 0.0j
+        for c in reversed(res.order_contributions):
+            series += c
+        assert res.value == np.exp(1j * x * u) * (1.0 + series)
+        # unconverged: the last-term estimate stands as it was
+        rough = eval_local(cir(), [x], [u], 0.5, 4)
+        c = [abs(v) for v in rough.order_contributions]
+        assert rough.tail_estimate == c[-1] / (1.0 - min(c[-1] / c[-2], 0.9))
+        assert rough.tail_estimate > series_eval.ROUNDING_FLOOR * abs(rough.value)
+
 
 class TestNumericOperatorFallback:
     def test_matches_the_compiled_series_at_a_reachable_order(self):

@@ -1,5 +1,6 @@
 """Exact series algebra: golden d_k, coefficient recursion, cross-checks,
 and the counting triangle."""
+import hashlib
 import sys
 import threading
 from fractions import Fraction
@@ -27,6 +28,7 @@ from affine_cf.symalg import (
     monomial_degree,
     monomial_derived_base_count,
     monomial_slope_count,
+    monomial_to_pair,
 )
 
 from helpers import HALF, S, S1D, S2D, SIXTH, SL, SL1D, poly
@@ -152,6 +154,63 @@ class TestCrossCheck:
         for k in range(1, 6):
             report = cross_check(polys, rows, k, d=2)
             assert report.ok, report.mismatches
+
+
+def canonical_series_digest(polys) -> str:
+    """sha256 over the sorted lines "k|kind,l,deriv,e;...|num/den"."""
+    lines = []
+    for k, p in enumerate(polys):
+        for mono, c in p.terms.items():
+            atoms = ";".join(f"{a.kind},{a.l},{','.join(map(str, a.deriv))},{e}"
+                             for a, e in mono)
+            lines.append(f"{k}|{atoms}|{c.numerator}/{c.denominator}")
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("d,kmax,digest", [
+        (1, 16, "f013cb35482c855e03df029597780dffee3e552cebc871abe17d27b83e20e0b0"),
+        (2, 8, "d1d5954bde2619324c13306cf669b211e8351ce45a90a790722c420bd6d90e53"),
+    ])
+    def test_d_series(self, d, kmax, digest):
+        assert canonical_series_digest(d_series(d, kmax)) == digest
+
+
+class TestIntegerRecursion:
+    @pytest.mark.parametrize("d,kmax", [(1, 12), (2, 7)])
+    def test_taylor_normalized_terms_are_integers(self, d, kmax):
+        # k! d_k over the atoms d^eps sigma / eps! has integer coefficients
+        for k, p in enumerate(d_series(d, kmax)):
+            for mono, c in p.terms.items():
+                scale = factorial(k)
+                for a, e in mono:
+                    for j in a.deriv:
+                        scale *= factorial(j) ** e
+                assert (c * scale).denominator == 1, (k, mono, c)
+
+    def test_weighted_row_sums_are_n_factorial(self):
+        for n, row in enumerate(counting_triangle(12).rows, start=1):
+            assert all(type(v) is int for v in row)
+            assert sum(row) == factorial(n)
+
+    @pytest.mark.parametrize("d,k", [(1, 5), (2, 4)])
+    def test_cross_check_reports_each_perturbed_coefficient(self, d, k):
+        polys = d_series(d, k)
+        rows = coefficient_recursion(d, k)
+        delta = Fraction(1, factorial(k))
+        for key, c in rows[k].items():
+            bad = dict(rows)
+            bad[k] = {**rows[k], key: c + delta}
+            report = cross_check(polys, bad, k, d)
+            assert not report.ok
+            assert report.mismatches == [(key, c, c + delta)]
+        for mono, c in polys[k].terms.items():
+            bad_poly = polys[k].copy()
+            bad_poly.terms[mono] = c + delta
+            report = cross_check(polys[:k] + [bad_poly], rows, k, d)
+            key = monomial_to_pair(mono, k, d)
+            assert not report.ok
+            assert report.mismatches == [(key, c + delta, c)]
 
 
 class TestSeriesStructure:
