@@ -8,7 +8,7 @@ Subcommands:
 
 Grid axes are given as "lo:hi:count" or a single number; multivariate u/x
 axes are separated by ';'.  Output is CSV (default) or JSON, deterministic
-row order regardless of worker scheduling.
+row order (t-major, then x, then u).
 """
 from __future__ import annotations
 
@@ -16,9 +16,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 
 import numpy as np
@@ -127,24 +125,26 @@ def _grid_rows(args, model: AffineModel):
             return point, None, f"{type(exc).__name__}: {exc}"
         return point, res, ""
 
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one, points))  # map preserves input order
-    else:
-        results = [one(p) for p in points]
-    return results
+    return [one(p) for p in points]
 
 
 def _oracle_for(model: AffineModel):
+    """(name, oracle) with oracle(x, u, t) -> (value, the oracle's own error
+    estimate): RK4 step halving, or 0.0 for the closed form."""
     slopes_zero = all(
         not np.any(np.asarray(m, float)) for m in model.a_slope
     ) and not np.any(np.asarray(model.b_slope, float)) and all(
         getattr(j, "total_mass", 0.0) == 0.0 for j in model.jumps[1:]
     )
     if slopes_zero:
-        return "levy-khintchine", lambda x, u, t: levy_khintchine_cf(model, x, u, t)
-    return "riccati-rk4", lambda x, u, t: riccati_cf(model, x, u, t).value
+        return "levy-khintchine", \
+            lambda x, u, t: (levy_khintchine_cf(model, x, u, t), 0.0)
+
+    def rk4(x, u, t):
+        res = riccati_cf(model, x, u, t)
+        return res.value, res.step_error
+
+    return "riccati-rk4", rk4
 
 
 def _point_columns(point, res, reason, k):
@@ -190,23 +190,25 @@ def cmd_compare(args) -> dict:
         t, x, u = point
         row = _point_columns(point, res, reason, args.k)
         try:
-            ref = oracle(x, u, t)
+            ref, ref_err = oracle(x, u, t)
         except Exception as exc:
             row.update(oracle_re=float("nan"), oracle_im=float("nan"),
-                       abs_err=float("nan"), rel_err=float("nan"))
+                       abs_err=float("nan"), rel_err=float("nan"),
+                       oracle_err=float("nan"))
             row["reason"] = (row["reason"] + "; " if row["reason"] else "") \
                 + f"oracle {type(exc).__name__}: {exc}"
             rows.append(row)
             continue
         if res is None:
             row.update(oracle_re=ref.real, oracle_im=ref.imag,
-                       abs_err=float("nan"), rel_err=float("nan"))
+                       abs_err=float("nan"), rel_err=float("nan"),
+                       oracle_err=ref_err)
         else:
             err = abs(res.value - ref)
             rel = err / max(abs(ref), 1e-300)
             rels.append(rel)
             row.update(oracle_re=ref.real, oracle_im=ref.imag,
-                       abs_err=err, rel_err=rel)
+                       abs_err=err, rel_err=rel, oracle_err=ref_err)
         rows.append(row)
     t_oracle = time.perf_counter() - t_oracle
 
@@ -325,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--beta", type=float, default=None,
                         help="time-transform scale override (global mode)")
         sp.add_argument("--jobs", type=int, default=None,
-                        help="worker threads (default: cpu count)")
+                        help="accepted for compatibility; has no effect "
+                             "(points are evaluated serially)")
         add_output(sp)
 
     def add_output(sp):

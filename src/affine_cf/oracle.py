@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import AffineModel, component_deriv, eval_symbol
+from .symbols import AffineModel, eval_symbol, symbol_components
 
 BLOWUP_LIMIT = 1e8
 
@@ -44,53 +44,43 @@ class RiccatiResult:
     step_error: float  # step-halving estimate on the final CF value
 
 
-def _riccati_rhs(model: AffineModel):
-    """phi' = F(psi) = sigma(0, psi); psi_l' = R_l(psi) = sigma_l(psi)."""
-    d = model.dimension
-    zero = tuple(0 for _ in range(d))
+def _integrate(rhs, psi0: list, t: float, steps: int):
+    """Classical RK4 on the scalars phi and psi_1..psi_d; returns (phi, psi).
 
-    def rhs(state: np.ndarray) -> np.ndarray:
-        psi = state[1:]
-        out = np.empty_like(state)
-        out[0] = component_deriv(model, 0, zero, psi)
-        for l in range(1, d + 1):
-            out[l] = component_deriv(model, l, zero, psi)
-        return out
-
-    return rhs
-
-
-def _integrate(rhs, state0: np.ndarray, t: float, steps: int) -> np.ndarray:
+    ``rhs(psi)`` is [F, R_1, ..., R_d]: phi' = F(psi) = sigma(0, psi) and
+    psi_l' = R_l(psi) = sigma_l(psi)."""
     h = t / steps
-    y = state0.copy()
+    phi, psi = 0.0 + 0.0j, list(psi0)
     for n in range(steps):
-        if np.abs(y[1:]).max(initial=0.0) > BLOWUP_LIMIT:
+        if max(map(abs, psi), default=0.0) > BLOWUP_LIMIT:
             raise MomentExplosionError(n * h)
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return y
+        k1 = rhs(psi)
+        k2 = rhs([p + 0.5 * h * k for p, k in zip(psi, k1[1:])])
+        k3 = rhs([p + 0.5 * h * k for p, k in zip(psi, k2[1:])])
+        k4 = rhs([p + h * k for p, k in zip(psi, k3[1:])])
+        inc = [(h / 6.0) * (a + 2 * b + 2 * c + e)
+               for a, b, c, e in zip(k1, k2, k3, k4)]
+        phi += inc[0]
+        psi = [p + q for p, q in zip(psi, inc[1:])]
+    return phi, np.array(psi)
 
 
 def riccati_cf(model: AffineModel, x, u, t: float,
                config: IntegratorConfig = IntegratorConfig()) -> RiccatiResult:
     """CF via RK4 integration of the generalized Riccati system."""
-    d = model.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    rhs = _riccati_rhs(model)
-    state0 = np.concatenate(([0.0 + 0.0j], 1j * u))
     if t == 0.0:
         return RiccatiResult(np.exp(1j * (u @ x)), 0.0 + 0.0j, 1j * u, 0.0)
-    fine = _integrate(rhs, state0, t, 2 * config.steps)
-    coarse = _integrate(rhs, state0, t, config.steps)
-    val_fine = np.exp(fine[0] + fine[1:] @ x)
-    val_coarse = np.exp(coarse[0] + coarse[1:] @ x)
+    rhs = symbol_components(model)
+    psi0 = [1j * float(v) for v in u]
+    phi_fine, psi_fine = _integrate(rhs, psi0, t, 2 * config.steps)
+    phi_coarse, psi_coarse = _integrate(rhs, psi0, t, config.steps)
+    val_fine = np.exp(phi_fine + psi_fine @ x)
+    val_coarse = np.exp(phi_coarse + psi_coarse @ x)
     # Richardson: RK4 halving reduces the error ~16x, so the difference is
     # ~15/16 of the coarse error; report it directly as a conservative bound.
-    return RiccatiResult(val_fine, fine[0], fine[1:],
+    return RiccatiResult(val_fine, phi_fine, psi_fine,
                          abs(val_fine - val_coarse))
 
 

@@ -101,6 +101,8 @@ class GaussianJumps:
         m = np.asarray(self.mean, dtype=float)
         c = np.asarray(self.cov, dtype=float)
         mgf = self.intensity * np.exp(xi @ m + 0.5 * xi @ c @ xi)
+        if not any(eps):  # the symbol itself: no tilted moments needed
+            return mgf
         drift = m + c @ xi  # gradient of the exponent
         # Build T_eps by reducing one coordinate at a time, memoized: the
         # unmemoized recursion revisits indices exponentially often in |eps|.
@@ -395,13 +397,67 @@ def component_deriv(model: AffineModel, comp: int, eps: MultiIndex,
     return complex(val)
 
 
+def symbol_components(model: AffineModel):
+    """The order-0 symbol components, compiled once from the model's blocks.
+
+    Returns ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence
+    xi of Python complex scalars, the values of ``component_deriv(model, c,
+    0, xi)`` in plain complex arithmetic.  Component c keeps its quadratic
+    part as (i, j, weight) with i <= j (a_ii / 2 on the diagonal, the
+    symmetrized a_ij off it), its linear part as (i, b_i), and its jump
+    spec with the total mass and, under unit-ball truncation, the
+    compensators computed here once; only components with jumps call
+    ``jump.moment``."""
+    d = model.dimension
+    zero = (0,) * d
+    comps = []
+    for c in range(d + 1):
+        if c == 0:
+            a, b = model.a0, model.b0
+        else:
+            a, b = model.a_slope[c - 1], [row[c - 1] for row in model.b_slope]
+        quad = []
+        for i in range(d):
+            for j in range(i, d):
+                w = 0.5 * a[i][i] if i == j else 0.5 * (a[i][j] + a[j][i])
+                if w != 0.0:
+                    quad.append((i, j, float(w)))
+        lin = [(i, float(b[i])) for i in range(d) if b[i] != 0.0]
+        jump = model.jumps[c]
+        if isinstance(jump, NoJumps):
+            jump_part = None
+        else:
+            comp = ([jump.compensator(j) for j in range(d)]
+                    if model.truncation == UNIT_BALL else None)
+            jump_part = (jump, jump.total_mass, comp)
+        comps.append((quad, lin, jump_part))
+
+    def sigma(xi) -> list:
+        out = []
+        for quad, lin, jump_part in comps:
+            val = 0.0 + 0.0j
+            for i, j, w in quad:
+                val += w * xi[i] * xi[j]
+            for i, bi in lin:
+                val += bi * xi[i]
+            if jump_part is not None:
+                jump, mass, comp = jump_part
+                val += jump.moment(zero, np.asarray(xi, dtype=complex)) - mass
+                if comp is not None:
+                    val -= sum(z * cj for z, cj in zip(xi, comp))
+            out.append(complex(val))
+        return out
+
+    return sigma
+
+
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
     """sigma(x, xi) at a complex vector xi."""
     x = np.asarray(x, dtype=float)
-    zero = tuple(0 for _ in range(model.dimension))
-    val = component_deriv(model, 0, zero, xi)
+    comps = symbol_components(model)([complex(z) for z in np.atleast_1d(xi)])
+    val = comps[0]
     for l in range(1, model.dimension + 1):
-        val += x[l - 1] * component_deriv(model, l, zero, xi)
+        val += x[l - 1] * comps[l]
     return val
 
 
@@ -515,13 +571,22 @@ def sup_bound(model: AffineModel, omega_box, u_box, grid_n: int = 21,
     """Grid-sampled upper estimate of sup |sigma(x, iu)| over two boxes,
     inflated by a declared safety factor."""
     d = model.dimension
+    sigma = symbol_components(model)
+
+    def abs_sigma(xv, uv) -> float:
+        comps = sigma([1j * float(v) for v in uv])
+        val = comps[0]
+        for l in range(1, d + 1):
+            val += float(xv[l - 1]) * comps[l]
+        return abs(val)
+
     axes_x = [np.linspace(lo, hi, grid_n) for lo, hi in omega_box]
     axes_u = [np.linspace(lo, hi, grid_n) for lo, hi in u_box]
     best = 0.0
     if d == 1:
         for xv in axes_x[0]:
             for uv in axes_u[0]:
-                best = max(best, abs(eval_symbol(model, [xv], [uv])))
+                best = max(best, abs_sigma([xv], [uv]))
     else:
         rng = np.random.default_rng(7)
         n_pts = grid_n ** 2
@@ -535,9 +600,9 @@ def sup_bound(model: AffineModel, omega_box, u_box, grid_n: int = 21,
                      .reshape(d, -1).T]
         for xv in corners_x:
             for uv in corners_u:
-                best = max(best, abs(eval_symbol(model, xv, uv)))
+                best = max(best, abs_sigma(xv, uv))
         for xv, uv in zip(xs, us):
-            best = max(best, abs(eval_symbol(model, xv, uv)))
+            best = max(best, abs_sigma(xv, uv))
     return best * safety
 
 

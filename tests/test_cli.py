@@ -8,7 +8,8 @@ import pytest
 
 from affine_cf import symalg
 from affine_cf.cli import main
-from affine_cf.oracle import heston_cf
+from affine_cf.oracle import heston_cf, riccati_cf
+from affine_cf.symbols import load_model
 
 from helpers import HESTON
 
@@ -136,6 +137,27 @@ class TestCompare:
                         "--format", "json")
         payload = json.loads(out)
         assert payload["summary"]["max_rel_err"] <= 1e-7
+
+    def test_oracle_err_is_the_step_halving_estimate(self, capsys):
+        argv = ("compare", "--model", f"{MODELS}/cir.json", "--k", "8",
+                "--t", "0.5", "--u", "1.0:2.0:2", "--x", "0.04")
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        rows = json.loads(out)["rows"]
+        model = load_model(MODELS / "cir.json")
+        for row in rows:
+            ref = riccati_cf(model, [0.04], [row["u1"]], 0.5)
+            assert row["oracle_err"] == ref.step_error
+            assert row["oracle_re"] == ref.value.real
+        _, out, _ = run(capsys, *argv)
+        header = out.splitlines()[1].split(",")
+        assert header[-5:] == ["oracle_re", "oracle_im", "abs_err", "rel_err",
+                               "oracle_err"]
+
+    def test_closed_form_oracle_err_is_zero(self, capsys):
+        _, out, _ = run(capsys, "compare", "--model",
+                        f"{MODELS}/bm_jumps.json", "--k", "12",
+                        "--u=-1:1:3", "--t", "0.5", "--format", "json")
+        assert [row["oracle_err"] for row in json.loads(out)["rows"]] == [0.0] * 3
 
 
 class TestTables:

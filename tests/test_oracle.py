@@ -1,5 +1,6 @@
 """Independent oracles: Riccati RK4 vs the closed forms, and their contracts."""
 import cmath
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from affine_cf.oracle import (
     vasicek_cf,
     vasicek_model,
 )
-from affine_cf.symbols import AffineModel, eval_symbol
+from affine_cf.series_eval import _default_boxes
+from affine_cf.symbols import AffineModel, eval_symbol, load_model, sup_bound
 
-from helpers import CIR, HESTON, VASICEK, bm_model, gauss_jump_model
+from helpers import CIR, HESTON, VASICEK, bm_model, cir, gauss_jump_model, heston
+
+MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
 class TestRiccati:
@@ -66,6 +70,56 @@ class TestRiccati:
         a = riccati_cf(model, [0.1], [1.3], 0.7).value
         b = riccati_cf(model, [0.1], [-1.3], 0.7).value
         assert abs(a - b.conjugate()) <= 1e-12
+
+
+def _bm_jumps():
+    return load_model(MODEL_DIR / "bm_jumps.json")
+
+
+class TestPinnedValues:
+    """Values of the integrator and of ``sup_bound`` recorded from the
+    per-component numpy right-hand side they replaced; the compiled scalar
+    symbol reproduces them bit for bit on this host."""
+
+    # (model, x, u, t, value, step_error) at the default 2000/4000 steps
+    RICCATI = {
+        "cir": (cir, [0.04], [1.3], 0.5,
+                0.997388138300966 + 0.06341539249656683j,
+                2.7755575615628914e-16),
+        "heston": (heston, [0.0, 0.04], [1.0, 0.0], 1.0,
+                   0.9834658305817257 + 0.0011444693283891082j,
+                   1.110299254973338e-16),
+        "bm_jumps": (_bm_jumps, [0.1], [1.5], 0.8,
+                     0.6275170486628553 + 0.28346474866201443j,
+                     1.9941487743625487e-14),
+        "cir-t5": (cir, [0.04], [2.0], 5.0,
+                   0.9825256417245474 + 0.1516461464303234j,
+                   5.4672143489065705e-16),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RICCATI))
+    def test_riccati_value_and_step_error(self, case):
+        model_fn, x, u, t, value, step_error = self.RICCATI[case]
+        res = riccati_cf(model_fn(), x, u, t)
+        assert abs(res.value - value) <= 1e-15 * abs(value)
+        assert abs(res.step_error - step_error) <= 1e-15 * step_error
+        assert isinstance(res.psi, np.ndarray) and res.psi.shape == (len(u),)
+
+    def test_blow_up_time(self):
+        model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0],
+                                        b_slope=[[30.0]])
+        with pytest.raises(MomentExplosionError) as info:
+            riccati_cf(model, [0.0], [1.0], 1.0)
+        assert info.value.t_blowup == 0.61425
+
+    @pytest.mark.parametrize("model_fn, x, u, expected", [
+        (cir, [0.04], [1.0], 1.6244383644817062),
+        (heston, [0.0, 0.04], [1.0, 0.0], 4.470514641515002),
+    ], ids=["cir", "heston"])
+    def test_sup_bound_on_default_boxes(self, model_fn, x, u, expected):
+        model = model_fn()
+        omega, ubox = _default_boxes(model, x, u)
+        assert sup_bound(model, omega, ubox) == expected
 
 
 class TestLevyKhintchine:

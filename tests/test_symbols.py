@@ -2,6 +2,7 @@
 import cmath
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,12 +12,14 @@ from scipy import integrate
 from affine_cf.symbols import (
     BOUNDED,
     BOUNDED_ON_BOUNDED,
+    UNIT_BALL,
     AffineModel,
     ExponentialJumps,
     GaussianJumps,
     NoJumps,
     UserJump,
     classify_boundedness,
+    component_deriv,
     eval_symbol,
     eval_symbol_table,
     load_model,
@@ -24,6 +27,7 @@ from affine_cf.symbols import (
     model_to_json,
     save_model,
     sup_bound,
+    symbol_components,
 )
 
 from helpers import bm_model, cir, gauss_jump_model, heston, vasicek
@@ -103,6 +107,56 @@ class TestEvalSymbol:
             lhs = eval_symbol(model, x, u) - eval_symbol(model, [0, 0], u)
             rhs = sum(x[l] * table.slope[l][zero] for l in range(2))
             assert abs(lhs - rhs) < 1e-12
+
+
+MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
+
+
+def unit_ball_gaussian() -> AffineModel:
+    nu0 = GaussianJumps(intensity=0.4, mean=[0.2, -0.1],
+                        cov=[[0.05, 0.0], [0.0, 0.02]])
+    nu1 = GaussianJumps(intensity=0.3, mean=[0.1, 0.3],
+                        cov=[[0.04, 0.0], [0.0, 0.01]])
+    return AffineModel.from_arrays(
+        a0=[[0.3, 0.1], [0.1, 0.2]],
+        a_slope=[[[0.5, -0.2], [-0.2, 0.4]], [[0.0, 0.0], [0.0, 0.0]]],
+        b0=[0.1, -0.2], b_slope=[[-0.4, 0.1], [0.0, -0.7]],
+        jumps=(nu0, nu1, NoJumps()), truncation=UNIT_BALL)
+
+
+def exponential_jumps() -> AffineModel:
+    return AffineModel.from_arrays(
+        a0=[[0.1]], a_slope=[[[0.2]]], b0=[0.05], b_slope=[[-0.4]],
+        jumps=(ExponentialJumps(intensity=0.4, rates=[3.0]),
+               ExponentialJumps(intensity=0.2, rates=[5.0])))
+
+
+COMPONENT_CASES = [
+    *(pytest.param(MODEL_DIR / f"{name}.json", id=name)
+      for name in ("bm", "bm_jumps", "cir", "heston", "vasicek")),
+    pytest.param(unit_ball_gaussian, id="unit-ball-gaussian"),
+    pytest.param(exponential_jumps, id="exponential"),
+]
+
+
+class TestSymbolComponents:
+    """The compiled order-0 evaluator against ``component_deriv``."""
+
+    @pytest.mark.parametrize("source", COMPONENT_CASES)
+    def test_matches_component_deriv(self, source):
+        model = load_model(source) if isinstance(source, Path) else source()
+        d = model.dimension
+        zero = (0,) * d
+        sigma = symbol_components(model)
+        rng = np.random.default_rng(20)
+        for _ in range(40):
+            # Re(xi) < 2 keeps the exponential transforms (rates 3, 5) finite.
+            xi = rng.uniform(-2, 2, d) + 1j * rng.uniform(-3, 3, d)
+            got = sigma([complex(z) for z in xi])
+            assert len(got) == d + 1
+            for c in range(d + 1):
+                ref = component_deriv(model, c, zero, xi)
+                assert abs(got[c] - ref) <= 1e-14 * abs(ref), (c, xi)
 
 
 class TestSymbolTable:
