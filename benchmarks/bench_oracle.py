@@ -1,4 +1,5 @@
-"""Fresh-process timings of the Riccati oracle and of ``sup_bound``.
+"""Fresh-process timings of the Riccati oracle, of ``sup_bound`` and of
+long-horizon ``eval_globalized``.
 
 Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20]
                                          [--repeats 3]
@@ -8,9 +9,10 @@ Each measurement runs in a new interpreter, as in a fresh
 default integrator (2000 steps, plus the 4000-step run of the step-halving
 estimate) on CIR, Heston and ``models/bm_jumps.json``; ``sup_bound`` per
 call on the default boxes ``series_eval`` builds for a CIR point (d = 1)
-and a Heston point (d = 2).  The median CPU time over the repeats is
-printed.  Timings are reported, never asserted; the host's speed can swing
-by 20% between runs.
+and a Heston point (d = 2); ``eval_globalized`` per point at K = 16 on CIR
+at t = 1 and 5 and on Heston at t = 5.  The median CPU time over the
+repeats is printed.  Timings are reported, never asserted; the host's speed
+can swing by 20% between runs.
 """
 from __future__ import annotations
 
@@ -30,6 +32,9 @@ CASES = {
     "heston": ([0.0, 0.04], [[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], 1.0),
     "bm_jumps": ([0.1], [[1.5], [0.5], [3.0]], 0.8),
 }
+# eval_globalized case -> (model case, t); x and u as in CASES.
+GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
+              "heston-t5": ("heston", 5.0)}
 
 
 def _model(case: str):
@@ -45,18 +50,25 @@ def _model(case: str):
 
 
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati) or per call (sup_bound), measured
-    inside the fresh interpreter; model building is untimed."""
+    """CPU seconds per point (riccati_cf, eval_globalized) or per call
+    (sup_bound), measured inside the fresh interpreter; model building is
+    untimed."""
     from affine_cf.oracle import riccati_cf
-    from affine_cf.series_eval import _default_boxes
+    from affine_cf.series_eval import _default_boxes, eval_globalized
     from affine_cf.symbols import sup_bound
 
+    if what == "eval_globalized":
+        case, horizon = GLOBALIZED[case]
     model = _model(case)
     x, us, t = CASES[case]
     if what == "riccati_cf":
         start = time.process_time()
         for i in range(n):
             riccati_cf(model, x, us[i % len(us)], t)
+    elif what == "eval_globalized":
+        start = time.process_time()
+        for i in range(n):
+            eval_globalized(model, x, us[i % len(us)], horizon, 16)
     else:
         omega, ubox = _default_boxes(model, x, us[0])
         start = time.process_time()
@@ -78,7 +90,7 @@ def fresh(what: str, case: str, n: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--points", type=int, default=2,
-                    help="riccati_cf points per process")
+                    help="riccati_cf and eval_globalized points per process")
     ap.add_argument("--calls", type=int, default=20,
                     help="sup_bound calls per process")
     ap.add_argument("--repeats", type=int, default=3)
@@ -92,11 +104,12 @@ def main() -> None:
 
     jobs = [("riccati_cf", case, args.points) for case in CASES]
     jobs += [("sup_bound", "cir", args.calls), ("sup_bound", "heston", args.calls)]
-    print(f"{'what':<11} {'case':<9} {'n':>3} {'ms each (median)':>17}  all runs")
+    jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
+    print(f"{'what':<15} {'case':<9} {'n':>3} {'ms each (median)':>17}  all runs")
     for what, case, n in jobs:
         times = [fresh(what, case, n)["cpu_s"] * 1e3
                  for _ in range(args.repeats)]
-        print(f"{what:<11} {case:<9} {n:>3} {statistics.median(times):>17.2f}  "
+        print(f"{what:<15} {case:<9} {n:>3} {statistics.median(times):>17.2f}  "
               + " ".join(f"{t:.2f}" for t in times))
 
 

@@ -326,9 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
                              f"({sorted(BASELINE_REGISTRY)})")
         sp.add_argument("--beta", type=float, default=None,
                         help="time-transform scale override (global mode)")
-        sp.add_argument("--jobs", type=int, default=None,
-                        help="accepted for compatibility; has no effect "
-                             "(points are evaluated serially)")
         add_output(sp)
 
     def add_output(sp):

@@ -9,23 +9,27 @@ the transformed solution is the local one read at t(tau), so its coefficients
 are the composition e_k = sum_j C[k, j] d_j with C[k, j] = [tau^k] t(tau)^j,
 a lower-triangular matrix of numbers built from the Taylor jet of
 t'(tau) = 2 rho(tau), rho(tau) = (pi beta / 4) / cos(pi tau / 2).  Long
-horizons restep the same composition, carrying the solution as a numeric
-polynomial in x.  The generalized modes of :mod:`gensym` use the same
+horizons follow the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu)):
+each step reads the local series at x = 0 at the current complex xi and
+carries only phi and xi.  The generalized modes of :mod:`gensym` use the same
 operator on their own tables.  The exact atom algebra of :mod:`symalg` is
 not used here.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .oracle import BLOWUP_LIMIT, MomentExplosionError
 from .symbols import (
     AffineModel,
     BOUNDED,
     classify_boundedness,
     eval_symbol_table,
+    eval_symbol_table_xi,
     sup_bound,
 )
 
@@ -264,11 +268,9 @@ def _default_boxes(model: AffineModel, x, u):
 # -- numeric x-polynomial operator (every mode) and stepping ----------------
 
 
-# Largest tau step of one expansion.  The Taylor radius of rho at tau0 is
-# 1 - tau0 (pole of 1/cos at tau = 1), so a step never exceeds half of it,
-# nor this cap.  The unstepped expansion obeys the same cap: at K = 16 it is
-# off by up to 2e-6 on CIR short horizons that land at tau near 0.65, where
-# steps of at most 0.3 stay below 1e-9.
+# Largest tau of the composed expansion; beyond it globalized mode follows
+# the semiflow.  At K = 16 the composed expansion is off by up to 2e-6 on CIR
+# short horizons that land at tau near 0.65.
 MAX_STEP = 0.3
 
 
@@ -362,10 +364,11 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     The transformed solution is the local series read at t(tau): with d_k
     the local coefficients at (x, iu), the tau-series coefficients are
     e = C d, C the composition matrix of t(tau) at tau0 = 0.  When
-    tau(t) > MAX_STEP the expansion is restepped with C rebuilt at each base
-    point, carrying the solution q as a numeric polynomial in x: the order-k
-    layer of a step is sum_j C[k, j] L^j q / j!.  The order contributions
-    are those of the last step, and so is the tail estimate.
+    tau(t) > MAX_STEP it follows the semiflow in t instead: f = exp(phi +
+    xi . x), stepped from (0, iu), raising MomentExplosionError when xi
+    blows up.  There the order contributions are the last step's terms of
+    the exponent times the value, and the tail estimate is the sum of the
+    per-step tails.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
@@ -393,51 +396,42 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
         )
     tt = TimeTransform(beta)
     tau = tt.inverse(t)
-    phase = np.exp(1j * float(u @ x))
 
     if tau <= MAX_STEP:
         dk = _d_values(model, x, u, truncation)
         ek = tt.composition_matrix(0.0, truncation)[1:, 1:] @ dk
-        return _series_result(phase, ek, tau, GLOBALIZED, warnings)
+        return _series_result(np.exp(1j * float(u @ x)), ek, tau, GLOBALIZED,
+                              warnings)
 
-    # Iterated mode: numeric polynomial in x, restepped expansions.  At x = 0
-    # the base table is the constant part of the symbol.
-    table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
-    L = _poly_step_operator(table.base, table.slope, d)
-    zero = tuple(0 for _ in range(d))
-    q = {zero: 1.0 + 0.0j}
-    tau0 = 0.0
-    contributions = []
-    max_steps = 200
-    n_steps = 0
-    while tau0 < tau - 1e-15:
-        n_steps += 1
-        if n_steps > max_steps:
-            warnings.append(
-                f"globalized stepping stopped after {max_steps} steps at "
-                f"tau = {tau0:.6f} short of {tau:.6f}"
-            )
-            break
-        step = min(MAX_STEP, 0.5 * (1.0 - tau0), tau - tau0)
-        comp = tt.composition_matrix(tau0, truncation)
-        powers = _operator_powers(L, q, truncation)
-        q = {}
-        contributions = []
-        for k in range(truncation + 1):
-            layer = {}
-            for j in range(k + 1):  # comp is lower triangular
-                w = comp[k, j]
-                if w == 0.0:
-                    continue
-                for mono, c in powers[j].items():
-                    layer[mono] = layer.get(mono, 0.0) + w * c
-            sk = step ** k
-            if k > 0:
-                contributions.append(_eval_xpoly(layer, x) * sk)
-            for mono, c in layer.items():
-                q[mono] = q.get(mono, 0.0) + c * sk
-        q = {m: c for m, c in q.items() if abs(c) > 1e-300}
-        tau0 += step
-    value = phase * _eval_xpoly(q, x)
-    return CFResult(value, contributions, truncation,
-                    _tail_estimate(contributions, value), GLOBALIZED, warnings)
+    # Semiflow: at xi = psi(s, iu) the local series read at x = 0 gives
+    # c0(h) = exp(phi(h, xi)) from its constant coefficients and
+    # c1(h) / c0(h) = psi(h, xi) - xi from its linear ones, so only phi and
+    # xi are carried from step to step.
+    keys = [(0,) * d] + [tuple(int(i == l) for i in range(d)) for l in range(d)]
+    xi, phi, s, rel_tail = 1j * u, 0.0 + 0.0j, 0.0, 0.0
+    while s < t:
+        if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
+            raise MomentExplosionError(s)
+        table = eval_symbol_table_xi(model, [0.0] * d, xi,
+                                     max(truncation - 1, 0))
+        L = _poly_step_operator(table.base, table.slope, d)
+        powers = _operator_powers(L, {keys[0]: 1.0 + 0.0j}, truncation)
+        c = np.array([[p.get(e, 0.0) for e in keys] for p in powers])
+        # The step puts the last term at the rounding floor, but is at least
+        # a twentieth of the root-test radius |c_K|^(-1/K): below K = 13 the
+        # last term sits at 20^-K instead, so low orders take few steps.
+        last = np.max(np.abs(c[-1]))
+        reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
+        h = t - s if last == 0.0 else \
+            min(t - s, reach * last ** (-1.0 / truncation))
+        hk = h ** np.arange(truncation + 1)
+        a = hk @ c
+        terms = c[1:] @ np.concatenate(([1.0], x)) * hk[1:] / a[0]
+        phi += cmath.log(a[0])
+        xi = xi + a[1:] / a[0]
+        # rounding is relative to the exponent phi + xi . x
+        rel_tail += _tail_estimate(list(terms), 1.0 + abs(phi + xi @ x))
+        s = t if h == t - s else s + h
+    value = complex(np.exp(phi + xi @ x))
+    return CFResult(value, list(value * terms), truncation,
+                    rel_tail * abs(value), GLOBALIZED, warnings)

@@ -55,7 +55,7 @@ class TestEval:
 
     def test_deterministic_output(self, capsys):
         args = ("eval", "--model", f"{MODELS}/heston.json", "--t", "0.2:1:3",
-                "--u", "0.5:2:3;0", "--x", "0;0.04", "--jobs", "4")
+                "--u", "0.5:2:3;0", "--x", "0;0.04")
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
@@ -66,7 +66,7 @@ class TestEval:
         # the numeric operator.
         code, out, _ = run(capsys, "eval", "--model", f"{MODELS}/heston.json",
                            "--t", "0.2:1:3", "--u", "0.5:2:3;0",
-                           "--x", "0;0.04", "--jobs", "4", "--format", "json")
+                           "--x", "0;0.04", "--format", "json")
         assert code == 0
         rows = json.loads(out)["rows"]
         assert len(rows) == 9
@@ -84,9 +84,9 @@ class TestEval:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for jobs in ("4", "1"):
+            for _ in range(2):
                 monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
-                code, out, _ = run(capsys, *args, "--jobs", jobs)
+                code, out, _ = run(capsys, *args)
                 assert code == 0
                 outputs.append(out)
         finally:

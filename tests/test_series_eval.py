@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from affine_cf import series_eval
-from affine_cf.oracle import cir_cf, heston_cf, riccati_cf
+from affine_cf.oracle import MomentExplosionError, cir_cf, heston_cf, riccati_cf
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
@@ -282,9 +282,10 @@ class TestEvalGlobalized:
         assert abs(res.value - ref) / abs(ref) <= 1e-8
 
     def test_each_step_applies_the_operator_k_times(self, monkeypatch):
+        # every semiflow step builds one symbol table and applies L K times
         counts = {"apply": 0, "steps": 0}
         make_operator = series_eval._poly_step_operator
-        composition = TimeTransform.composition_matrix
+        build_table = series_eval.eval_symbol_table_xi
 
         def counting_operator(*args):
             apply = make_operator(*args)
@@ -294,19 +295,55 @@ class TestEvalGlobalized:
                 return apply(q)
             return wrapped
 
-        def counting_composition(self, tau0, order):
+        def counting_table(*args):
             counts["steps"] += 1
-            return composition(self, tau0, order)
+            return build_table(*args)
 
         monkeypatch.setattr(series_eval, "_poly_step_operator", counting_operator)
-        monkeypatch.setattr(TimeTransform, "composition_matrix",
-                            counting_composition)
+        monkeypatch.setattr(series_eval, "eval_symbol_table_xi", counting_table)
         K = 12
         res = eval_globalized(cir(), [0.05], [1.0], 4.0, K)
         assert counts["steps"] >= 2
         assert counts["apply"] == K * counts["steps"]
         ref = cir_cf(CIR, 0.05, 1.0, 4.0)
         assert abs(res.value - ref) / abs(ref) <= 1e-4
+
+    def test_heston_long_horizon_matches_closed_form(self):
+        res = eval_globalized(heston(), [0.1, 0.04], [1.0, 0.0], 5.0, 16)
+        ref = heston_cf(HESTON, 0.1, 0.04, 1.0, 5.0)
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+    def test_tail_covers_a_short_semiflow_point(self):
+        # tau is about 0.37 at the default beta: past the composed expansion
+        t, x, u = 0.189, 0.188, -0.934
+        res = eval_globalized(cir(), [x], [u], t, 16)
+        err = abs(res.value - cir_cf(CIR, x, u, t))
+        assert err <= 2.0 * res.tail_estimate + 1e-15
+
+    @pytest.mark.parametrize("K", [2, 4, 6, 8])
+    def test_summed_tail_covers_low_orders(self, K):
+        # below K = 13 the steps leave last terms far above the rounding
+        # floor; the tail adds up every step's, not only the last one's
+        res = eval_globalized(cir(), [0.05], [2.0], 5.0, K)
+        assert abs(res.value - cir_cf(CIR, 0.05, 2.0, 5.0)) <= res.tail_estimate
+        res = eval_globalized(heston(), [0.1, 0.04], [2.0, 0.0], 5.0, K)
+        ref = heston_cf(HESTON, 0.1, 0.04, 2.0, 5.0)
+        assert abs(res.value - ref) <= res.tail_estimate
+
+    def test_fast_drift_stays_on_the_unit_circle(self):
+        # psi = iu e^{30 t}: the CF is exp(iux e^{30 t}), of modulus 1
+        model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0], b_slope=[[30.0]])
+        x, u, t = 0.1, 1.0, 0.3
+        res = eval_globalized(model, [x], [u], t, 16)
+        assert abs(res.value - cmath.exp(1j * u * x * math.exp(30.0 * t))) <= 1e-9
+
+    def test_blow_up_raises_near_the_oracle_time(self):
+        model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0], b_slope=[[30.0]])
+        with pytest.raises(MomentExplosionError) as oracle_info:
+            riccati_cf(model, [0.1], [1.0], 1.0)
+        with pytest.raises(MomentExplosionError) as info:
+            eval_globalized(model, [0.1], [1.0], 1.0, 16)
+        assert abs(info.value.t_blowup - oracle_info.value.t_blowup) <= 0.05
 
     def test_unbounded_symbol_warning_attached(self):
         res = eval_globalized(vasicek(), [0.05], [1.0], 5.0, 16)
