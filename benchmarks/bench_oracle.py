@@ -1,5 +1,5 @@
-"""Fresh-process timings of the Riccati oracle, of ``sup_bound`` and of
-long-horizon ``eval_globalized``.
+"""Fresh-process timings of the Riccati oracle, of ``sup_bound``, of
+``eval_local`` and of long-horizon ``eval_globalized``.
 
 Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20]
                                          [--repeats 3]
@@ -9,16 +9,20 @@ Each measurement runs in a new interpreter, as in a fresh
 default integrator (2000 steps, plus the 4000-step run of the step-halving
 estimate) on CIR, Heston and ``models/bm_jumps.json``; ``sup_bound`` per
 call on the default boxes ``series_eval`` builds for a CIR point (d = 1)
-and a Heston point (d = 2); ``eval_globalized`` per point at K = 16 on CIR
-at t = 1 and 5 and on Heston at t = 5.  The median CPU time over the
-repeats is printed.  Timings are reported, never asserted; the host's speed
-can swing by 20% between runs.
+and a Heston point (d = 2); ``eval_local`` per point on CIR at K = 16, on
+Heston at K = 8 and 16 and on 4-d and 5-d diffusions at K = 16 and 12 (the
+dense x-polynomials hold (K + 1)^d coefficients, so the peak RSS grows with
+d); ``eval_globalized`` per point at K = 16 on CIR at t = 1 and 5 and on
+Heston at t = 5.  The median CPU time and the median peak RSS
+(``ru_maxrss``) of the fresh processes are printed.  Timings are reported,
+never asserted; the host's speed can swing by 20% between runs.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -26,15 +30,37 @@ import time
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
 
-# (case, x, u, t) per model; the riccati points cycle through the u values.
+# (x, u, t) per model; the points cycle through the u values.
 CASES = {
     "cir": ([0.04], [[1.0], [2.0], [-1.5]], 0.5),
     "heston": ([0.0, 0.04], [[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], 1.0),
     "bm_jumps": ([0.1], [[1.5], [0.5], [3.0]], 0.8),
+    "diff4": ([0.04] * 4, [[1.0, -0.5, 0.3, 0.8], [2.0, 0.1, -1.0, 0.4]], 0.5),
+    "diff5": ([0.04] * 5, [[1.0, -0.5, 0.3, 0.8, -0.2]], 0.5),
 }
-# eval_globalized case -> (model case, t); x and u as in CASES.
+RICCATI = ("cir", "heston", "bm_jumps")
+# eval_local case -> (model case, K); eval_globalized case -> (model case, t)
+LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
+         "heston-K16": ("heston", 16), "diff4-K16": ("diff4", 16),
+         "diff5-K12": ("diff5", 12)}
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
               "heston-t5": ("heston", 5.0)}
+
+
+def _diffusion(d: int):
+    """A d-factor affine diffusion: correlated constant diffusion, a CIR-type
+    square-root factor on each axis and a coupled mean-reverting drift."""
+    from affine_cf.symbols import AffineModel
+
+    eye = [[float(i == j) for j in range(d)] for i in range(d)]
+    return AffineModel.from_arrays(
+        a0=[[0.1 if i == j else 0.02 for j in range(d)] for i in range(d)],
+        a_slope=[[[0.2 * (i == j == l) for j in range(d)] for i in range(d)]
+                 for l in range(d)],
+        b0=[0.05] * d,
+        b_slope=[[-0.5 * eye[i][j] + 0.1 * (j == i + 1) for j in range(d)]
+                 for i in range(d)],
+        state_domain=[(0.0, None)] * d)
 
 
 def _model(case: str):
@@ -46,25 +72,33 @@ def _model(case: str):
     if case == "heston":
         return oracle.heston_model(oracle.HestonParams(
             b00=0.0, b10=0.0, b11=0.0, b20=0.04, b21=1.5, s=0.3, rho=-0.7))
+    if case.startswith("diff"):
+        return _diffusion(int(case[4:]))
     return load_model(os.path.join(ROOT, "models", f"{case}.json"))
 
 
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati_cf, eval_globalized) or per call
-    (sup_bound), measured inside the fresh interpreter; model building is
-    untimed."""
+    """CPU seconds per point (riccati_cf, eval_local, eval_globalized) or per
+    call (sup_bound), measured inside the fresh interpreter, and its peak
+    RSS in MB; model building is untimed."""
     from affine_cf.oracle import riccati_cf
-    from affine_cf.series_eval import _default_boxes, eval_globalized
+    from affine_cf.series_eval import _default_boxes, eval_globalized, eval_local
     from affine_cf.symbols import sup_bound
 
     if what == "eval_globalized":
         case, horizon = GLOBALIZED[case]
+    elif what == "eval_local":
+        case, order = LOCAL[case]
     model = _model(case)
     x, us, t = CASES[case]
     if what == "riccati_cf":
         start = time.process_time()
         for i in range(n):
             riccati_cf(model, x, us[i % len(us)], t)
+    elif what == "eval_local":
+        start = time.process_time()
+        for i in range(n):
+            eval_local(model, x, us[i % len(us)], t, order)
     elif what == "eval_globalized":
         start = time.process_time()
         for i in range(n):
@@ -74,7 +108,10 @@ def measure(what: str, case: str, n: int) -> dict:
         start = time.process_time()
         for _ in range(n):
             sup_bound(model, omega, ubox)
-    return {"cpu_s": (time.process_time() - start) / n}
+    cpu_s = (time.process_time() - start) / n
+    # ru_maxrss is in kB on Linux
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return {"cpu_s": cpu_s, "rss_mb": rss_mb}
 
 
 def fresh(what: str, case: str, n: int) -> dict:
@@ -90,7 +127,8 @@ def fresh(what: str, case: str, n: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--points", type=int, default=2,
-                    help="riccati_cf and eval_globalized points per process")
+                    help="riccati_cf, eval_local and eval_globalized points "
+                         "per process")
     ap.add_argument("--calls", type=int, default=20,
                     help="sup_bound calls per process")
     ap.add_argument("--repeats", type=int, default=3)
@@ -102,15 +140,18 @@ def main() -> None:
         print(json.dumps(measure(what, case, int(n))))
         return
 
-    jobs = [("riccati_cf", case, args.points) for case in CASES]
+    jobs = [("riccati_cf", case, args.points) for case in RICCATI]
     jobs += [("sup_bound", "cir", args.calls), ("sup_bound", "heston", args.calls)]
+    jobs += [("eval_local", case, args.points) for case in LOCAL]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
-    print(f"{'what':<15} {'case':<9} {'n':>3} {'ms each (median)':>17}  all runs")
+    print(f"{'what':<15} {'case':<10} {'n':>3} {'ms each (median)':>17} "
+          f"{'rss MB':>7}  all runs (ms)")
     for what, case, n in jobs:
-        times = [fresh(what, case, n)["cpu_s"] * 1e3
-                 for _ in range(args.repeats)]
-        print(f"{what:<15} {case:<9} {n:>3} {statistics.median(times):>17.2f}  "
-              + " ".join(f"{t:.2f}" for t in times))
+        runs = [fresh(what, case, n) for _ in range(args.repeats)]
+        times = [r["cpu_s"] * 1e3 for r in runs]
+        rss = statistics.median(r["rss_mb"] for r in runs)
+        print(f"{what:<15} {case:<10} {n:>3} {statistics.median(times):>17.2f} "
+              f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Numeric evaluation of the characteristic-function power series.
 
 Every mode takes its coefficients from one numeric engine: the symbol
-operator L acting on polynomials in x with complex coefficients, built from
-the symbol table at x = 0, so that d_k = L^k 1 / k! is read at x after K
-applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
+operator L acting on polynomials in x held as dense complex coefficient
+arrays, built from the symbol table at x = 0, so that d_k = L^k 1 / k! is
+read at x after K applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
 Globalized mode maps t to tau through the tangent-log time transform t(tau);
 the transformed solution is the local one read at t(tau), so its coefficients
 are the composition e_k = sum_j C[k, j] d_j with C[k, j] = [tau^k] t(tau)^j,
@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -274,91 +275,92 @@ def _default_boxes(model: AffineModel, x, u):
 MAX_STEP = 0.3
 
 
-def _poly_step_operator(base0, slopes, d: int):
-    """L acting on numeric x-polynomials q (dict multi-index -> complex):
-    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q.
+@lru_cache(maxsize=None)
+def _binomial_weight(eps: tuple, size: int) -> np.ndarray:
+    """prod_i C(m_i + eps_i, eps_i) for m_i < size - eps_i, kept at extent 1
+    along the axes where eps_i = 0 so that it broadcasts."""
+    weight = np.ones((1,) * len(eps))
+    for i, e in enumerate(eps):
+        if e:
+            axis = [math.comb(m + e, e) for m in range(size - e)]
+            weight = weight * np.reshape(axis, [-1 if k == i else 1
+                                                for k in range(len(eps))])
+    return weight
 
-    Only the eps at which the x = 0 table has a nonzero base or slope entry
-    are visited; the table's key order fixes the summation order."""
 
-    def dx_eps(q, eps):
-        out = {}
-        for mono, c in q.items():
-            coef = c
-            new = list(mono)
-            ok = True
-            for axis, times in enumerate(eps):
-                for _ in range(times):
-                    if new[axis] == 0:
-                        ok = False
-                        break
-                    coef *= new[axis]
-                    new[axis] -= 1
-                if not ok:
-                    break
-            if ok:
-                key = tuple(new)
-                out[key] = out.get(key, 0.0) + coef
-        return out
+def _poly_step_operator(base0, slopes, size: int):
+    """L acting on x-polynomials held as dense complex arrays, q of shape
+    (n,) * d with n <= size and q[m] the coefficient of x^m:
+    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q,
+    of shape (n + 1,) * d to hold the degree the slope terms add.
 
+    (1/eps!) d^eps_x q is the slice q[eps:] times prod_i C(m_i + eps_i,
+    eps_i), and x_l shifts it by one along axis l.  Only the eps at which
+    the x = 0 table has a nonzero base or slope entry are visited, in the
+    table's key order."""
+    d = len(slopes)
     live = []
     for eps, b in base0.items():
         s = [slopes[l].get(eps, 0.0) for l in range(d)]
         if b == 0.0 and not any(s):
             continue
-        inv_fact = 1.0
-        for e in eps:
-            inv_fact /= math.factorial(e)
-        live.append((eps, b, s, inv_fact))
+        shifts = [(l, sl) for l, sl in enumerate(s) if sl != 0.0]
+        live.append((eps, b, shifts, _binomial_weight(eps, size)))
 
     def apply(q):
-        out = {}
-        for eps, b, s, inv_fact in live:
-            for mono, c in dx_eps(q, eps).items():
-                w = c * inv_fact
-                if b != 0.0:
-                    out[mono] = out.get(mono, 0.0) + w * b
-                for l in range(d):
-                    if s[l] != 0.0:
-                        key = tuple(
-                            m + (1 if i == l else 0)
-                            for i, m in enumerate(mono)
-                        )
-                        out[key] = out.get(key, 0.0) + w * s[l]
+        n = q.shape[0]
+        out = np.zeros((n + 1,) * d, dtype=complex)
+        for eps, b, shifts, weight in live:
+            if max(eps) >= n:  # d^eps_x q = 0
+                continue
+            dst = tuple(slice(0, n - e) for e in eps)
+            dq = q[tuple(slice(e, None) for e in eps)] * weight[dst]
+            if b != 0.0:
+                out[dst] += b * dq
+            for l, sl in shifts:
+                out[dst[:l] + (slice(1, n - eps[l] + 1),) + dst[l + 1:]] += sl * dq
         return out
 
     return apply
 
 
-def _operator_powers(L, q, order: int) -> list:
-    """L^j q / j! for j = 0 .. order: one application of L per power."""
-    powers = [q]
+def _operator_powers(L, q, order: int):
+    """Yield L^j q / j! for j = 0 .. order: one application of L per power,
+    holding only the current power."""
+    yield q
     for j in range(1, order + 1):
-        powers.append({m: c / j for m, c in L(powers[-1]).items()})
-    return powers
+        q = L(q) / j
+        yield q
+
+
+def _unit_powers(base0, slopes, truncation: int):
+    """Yield L^k 1 / k! for k = 0 .. K, L the x-polynomial operator of the
+    x = 0 tables base0 and slopes; 1 is held with room for the linear
+    coefficients."""
+    d = len(slopes)
+    one = np.zeros((2,) * d, dtype=complex)
+    one[(0,) * d] = 1.0
+    L = _poly_step_operator(base0, slopes, truncation + 1)
+    return _operator_powers(L, one, truncation)
 
 
 def _eval_xpoly(q, x) -> complex:
-    total = 0.0 + 0.0j
-    for mono, c in q.items():
-        v = c
-        for xi, e in zip(x, mono):
-            v *= xi ** e
-        total += v
-    return total
+    """The dense x-polynomial q at x, contracted one axis at a time from
+    the last."""
+    for xl in reversed(x):
+        q = q @ xl ** np.arange(q.shape[-1])
+    return complex(q)
 
 
 def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
     """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
     x = 0 tables base0 and slopes."""
-    d = len(slopes)
-    L = _poly_step_operator(base0, slopes, d)
-    powers = _operator_powers(L, {(0,) * d: 1.0 + 0.0j}, truncation)
-    return np.array([_eval_xpoly(p, x) for p in powers[1:]])
+    powers = _unit_powers(base0, slopes, truncation)
+    return np.array([_eval_xpoly(p, x) for p in powers])[1:]
 
 
 def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
-                    beta: float = None, omega_box=None, u_box=None) -> CFResult:
+                    beta: float = None) -> CFResult:
     """Globalized-in-time evaluation through the tangent-log transform.
 
     The transformed solution is the local series read at t(tau): with d_k
@@ -379,17 +381,15 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     u = np.atleast_1d(np.asarray(u, dtype=float))
     warnings = []
     if beta is None:
-        ob, ub = _default_boxes(model, x, u)
-        choice = choose_beta(model, omega_box or ob, u_box or ub, max(t, 1e-9))
+        choice = choose_beta(model, *_default_boxes(model, x, u), max(t, 1e-9))
         beta = choice.beta
         if choice.sup_estimate * beta > 0.5 + 1e-12:
             warnings.append(
                 "convergence risk: horizon forces beta above the contraction "
-                f"heuristic (sup estimate {choice.sup_estimate:.3g}, beta {beta:.3g})"
+                f"heuristic (sup bound {choice.sup_estimate:.3g}, beta {beta:.3g})"
             )
-    report = classify_boundedness(model)
-    if report.classification != BOUNDED and omega_box is None \
-            and not model.domain_bounded:
+    # a bounded state domain classifies as BOUNDED
+    if classify_boundedness(model).classification != BOUNDED:
         warnings.append(
             "symbol is unbounded on an unbounded state domain; globalized "
             "series is evaluated on heuristic boxes"
@@ -414,9 +414,8 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
             raise MomentExplosionError(s)
         table = eval_symbol_table_xi(model, [0.0] * d, xi,
                                      max(truncation - 1, 0))
-        L = _poly_step_operator(table.base, table.slope, d)
-        powers = _operator_powers(L, {keys[0]: 1.0 + 0.0j}, truncation)
-        c = np.array([[p.get(e, 0.0) for e in keys] for p in powers])
+        powers = _unit_powers(table.base, table.slope, truncation)
+        c = np.array([[p[e] for e in keys] for p in powers])
         # The step puts the last term at the rounding floor, but is at least
         # a twentieth of the root-test radius |c_K|^(-1/K): below K = 13 the
         # last term sits at 20^-K instead, so low orders take few steps.

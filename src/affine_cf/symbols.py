@@ -356,60 +356,17 @@ class AffineModel:
 # ---------------------------------------------------------------------------
 
 
-def _component_blocks(model: AffineModel, comp: int):
-    """(a, b, jump) blocks of symbol component ``comp`` (0 = constant part,
-    l >= 1 = slope in direction l)."""
-    if comp == 0:
-        return (np.asarray(model.a0, float), np.asarray(model.b0, float),
-                model.jumps[0])
-    return (np.asarray(model.a_slope[comp - 1], float),
-            np.asarray(model.b_slope, float)[:, comp - 1], model.jumps[comp])
+def _compile(model: AffineModel) -> list:
+    """The symbol components sigma_0 .. sigma_d, compiled once from the
+    model's blocks: the only form of the symbol that evaluation reads.
 
-
-def component_deriv(model: AffineModel, comp: int, eps: MultiIndex,
-                    xi: np.ndarray) -> complex:
-    """d^eps_xi of symbol component ``comp`` at the complex vector xi."""
-    a, b, jump = _component_blocks(model, comp)
-    xi = np.asarray(xi, dtype=complex)
-    order = sum(eps)
-    val = 0.0 + 0.0j
-    if order == 0:
-        val += 0.5 * (xi @ a @ xi) + b @ xi
-        if not isinstance(jump, NoJumps):
-            val += jump.moment(eps, xi) - jump.total_mass
-            if model.truncation == UNIT_BALL:
-                val -= sum(xi[j] * jump.compensator(j) for j in range(model.dimension))
-    elif order == 1:
-        j = next(i for i, v in enumerate(eps) if v)
-        val += (a @ xi)[j] + b[j]
-        if not isinstance(jump, NoJumps):
-            val += jump.moment(eps, xi)
-            if model.truncation == UNIT_BALL:
-                val -= jump.compensator(j)
-    elif order == 2:
-        idx = [i for i, v in enumerate(eps) for _ in range(v)]
-        val += a[idx[0], idx[1]]
-        if not isinstance(jump, NoJumps):
-            val += jump.moment(eps, xi)
-    else:
-        if not isinstance(jump, NoJumps):
-            val += jump.moment(eps, xi)
-    return complex(val)
-
-
-def symbol_components(model: AffineModel):
-    """The order-0 symbol components, compiled once from the model's blocks.
-
-    Returns ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence
-    xi of Python complex scalars, the values of ``component_deriv(model, c,
-    0, xi)`` in plain complex arithmetic.  Component c keeps its quadratic
-    part as (i, j, weight) with i <= j (a_ii / 2 on the diagonal, the
-    symmetrized a_ij off it), its linear part as (i, b_i), and its jump
-    spec with the total mass and, under unit-ball truncation, the
-    compensators computed here once; only components with jumps call
-    ``jump.moment``."""
+    Component c (0 = constant part, l >= 1 = slope in direction l) is
+    ``(quad, lin, jump_part)``: its quadratic part as (i, j, weight) with
+    i <= j (a_ii / 2 on the diagonal, the symmetrized a_ij off it), its
+    linear part as (i, b_i), and ``(jump, total_mass, compensators)`` or
+    None when it has no jumps; the compensators are computed here once
+    under unit-ball truncation and are None otherwise."""
     d = model.dimension
-    zero = (0,) * d
     comps = []
     for c in range(d + 1):
         if c == 0:
@@ -431,6 +388,14 @@ def symbol_components(model: AffineModel):
                     if model.truncation == UNIT_BALL else None)
             jump_part = (jump, jump.total_mass, comp)
         comps.append((quad, lin, jump_part))
+    return comps
+
+
+def _order0(comps: list, d: int):
+    """``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` in plain complex
+    arithmetic over the compiled components; only components with jumps
+    call ``jump.moment``."""
+    zero = (0,) * d
 
     def sigma(xi) -> list:
         out = []
@@ -449,6 +414,13 @@ def symbol_components(model: AffineModel):
         return out
 
     return sigma
+
+
+def symbol_components(model: AffineModel):
+    """The order-0 symbol components of :func:`_compile`'s compiled form:
+    ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence xi of
+    Python complex scalars."""
+    return _order0(_compile(model), model.dimension)
 
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
@@ -495,7 +467,10 @@ class SymbolTable:
 
 def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTable:
     """Derivative tables d^eps_xi sigma(x, xi), d^eps_xi sigma_l(xi) for
-    |eps| <= max_order at a complex vector xi."""
+    |eps| <= max_order at a complex vector xi, read from the compiled
+    components: orders 1 and 2 from the quadratic and linear parts plus the
+    jump moments, higher orders from the jump moments alone (exact zeros for
+    jump-free components)."""
     d = model.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
@@ -506,19 +481,37 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
                 f"symbol table to order {max_order} exceeds the jump spec's "
                 f"declared derivative order {cap}"
             )
-    slope_tabs = [dict() for _ in range(d)]
-    base_tab: dict = {}
-    for k in range(max_order + 1):
-        for eps in enumerate_indices(d, k).indices:
-            const = component_deriv(model, 0, eps, xi)
-            total = const
-            for l in range(1, d + 1):
-                s = component_deriv(model, l, eps, xi)
-                slope_tabs[l - 1][eps] = s
-                total += x[l - 1] * s
-            base_tab[eps] = total
-    return SymbolTable(d, max_order, base_tab, slope_tabs,
-                       tuple(x), tuple(xi))
+    comps = _compile(model)
+    xs = [complex(z) for z in xi]
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    tabs = []
+    for (quad, lin, jump_part), value in zip(comps, _order0(comps, d)(xs)):
+        # first and second derivatives of the polynomial part
+        poly = {}
+        for i, j, w in quad:
+            pair = tuple(p + q for p, q in zip(unit[i], unit[j]))
+            poly[unit[i]] = poly.get(unit[i], 0.0) + w * xs[j]
+            poly[unit[j]] = poly.get(unit[j], 0.0) + w * xs[i]
+            poly[pair] = 2.0 * w if i == j else w
+        for i, bi in lin:
+            poly[unit[i]] = poly.get(unit[i], 0.0) + bi
+        tab = {(0,) * d: value}
+        for k in range(1, max_order + 1):
+            for eps in enumerate_indices(d, k).indices:
+                val = poly.get(eps, 0.0 + 0.0j)
+                if jump_part is not None:
+                    jump, _, comp = jump_part
+                    val += jump.moment(eps, xi)
+                    if comp is not None and k == 1:
+                        val -= comp[eps.index(1)]
+                tab[eps] = complex(val)
+        tabs.append(tab)
+    base_tab = {}
+    for eps, total in tabs[0].items():
+        for l in range(d):
+            total += x[l] * tabs[l + 1][eps]
+        base_tab[eps] = total
+    return SymbolTable(d, max_order, base_tab, tabs[1:], tuple(x), tuple(xi))
 
 
 def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
@@ -527,7 +520,7 @@ def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
 
 
 # ---------------------------------------------------------------------------
-# Boundedness classification and sup estimates
+# Boundedness classification and sup bounds
 # ---------------------------------------------------------------------------
 
 BOUNDED = "Bounded"
@@ -566,44 +559,27 @@ def classify_boundedness(model: AffineModel) -> BoundednessReport:
     return BoundednessReport(BOUNDED, ["all slope coefficients vanish"])
 
 
-def sup_bound(model: AffineModel, omega_box, u_box, grid_n: int = 21,
-              safety: float = 1.5) -> float:
-    """Grid-sampled upper estimate of sup |sigma(x, iu)| over two boxes,
-    inflated by a declared safety factor."""
-    d = model.dimension
-    sigma = symbol_components(model)
+def sup_bound(model: AffineModel, omega_box, u_box) -> float:
+    """Closed-form upper bound of |sigma(x, iu)| over x in omega_box and u in
+    u_box.
 
-    def abs_sigma(xv, uv) -> float:
-        comps = sigma([1j * float(v) for v in uv])
-        val = comps[0]
-        for l in range(1, d + 1):
-            val += float(xv[l - 1]) * comps[l]
-        return abs(val)
-
-    axes_x = [np.linspace(lo, hi, grid_n) for lo, hi in omega_box]
-    axes_u = [np.linspace(lo, hi, grid_n) for lo, hi in u_box]
-    best = 0.0
-    if d == 1:
-        for xv in axes_x[0]:
-            for uv in axes_u[0]:
-                best = max(best, abs_sigma([xv], [uv]))
-    else:
-        rng = np.random.default_rng(7)
-        n_pts = grid_n ** 2
-        xs = np.array([ax[rng.integers(0, grid_n, n_pts)] for ax in axes_x]).T
-        us = np.array([au[rng.integers(0, grid_n, n_pts)] for au in axes_u]).T
-        corners_x = [np.array(c) for c in
-                     np.array(np.meshgrid(*[(a[0], a[-1]) for a in axes_x]))
-                     .reshape(d, -1).T]
-        corners_u = [np.array(c) for c in
-                     np.array(np.meshgrid(*[(a[0], a[-1]) for a in axes_u]))
-                     .reshape(d, -1).T]
-        for xv in corners_x:
-            for uv in corners_u:
-                best = max(best, abs_sigma(xv, uv))
-        for xv, uv in zip(xs, us):
-            best = max(best, abs_sigma(xv, uv))
-    return best * safety
+    With U_i = max |u_i| and X_l = max |x_l| on the boxes, component c is
+    bounded by sum |w_ij| U_i U_j + sum |b_i| U_i, plus 2 total_mass +
+    sum |comp_j| U_j when it has jumps (|integral exp(iu.z) nu(dz)| is at
+    most the mass); the slope components are scaled by X_l."""
+    big_u = [max(abs(lo), abs(hi)) for lo, hi in u_box]
+    scale = [1.0] + [max(abs(lo), abs(hi)) for lo, hi in omega_box]
+    total = 0.0
+    for s, (quad, lin, jump_part) in zip(scale, _compile(model)):
+        part = sum(abs(w) * big_u[i] * big_u[j] for i, j, w in quad)
+        part += sum(abs(bi) * big_u[i] for i, bi in lin)
+        if jump_part is not None:
+            _, mass, comp = jump_part
+            part += 2.0 * mass
+            if comp is not None:
+                part += sum(abs(cj) * uj for cj, uj in zip(comp, big_u))
+        total += s * part
+    return total
 
 
 # ---------------------------------------------------------------------------

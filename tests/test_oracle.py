@@ -77,9 +77,9 @@ def _bm_jumps():
 
 
 class TestPinnedValues:
-    """Values of the integrator and of ``sup_bound`` recorded from the
-    per-component numpy right-hand side they replaced; the compiled scalar
-    symbol reproduces them bit for bit on this host."""
+    """Values of the integrator recorded from the per-component numpy
+    right-hand side it replaced, which the compiled scalar symbol reproduces
+    bit for bit, and the closed-form ``sup_bound`` on the default boxes."""
 
     # (model, x, u, t, value, step_error) at the default 2000/4000 steps
     RICCATI = {
@@ -113,8 +113,8 @@ class TestPinnedValues:
         assert info.value.t_blowup == 0.61425
 
     @pytest.mark.parametrize("model_fn, x, u, expected", [
-        (cir, [0.04], [1.0], 1.6244383644817062),
-        (heston, [0.0, 0.04], [1.0, 0.0], 4.470514641515002),
+        (cir, [0.04], [1.0], 1.2032000000000003),
+        (heston, [0.0, 0.04], [1.0, 0.0], 4.1636),
     ], ids=["cir", "heston"])
     def test_sup_bound_on_default_boxes(self, model_fn, x, u, expected):
         model = model_fn()

@@ -21,8 +21,8 @@ from affine_cf.series_eval import (
     time_inverse,
 )
 from affine_cf.symalg import d_series
-from affine_cf.symbols import (AffineModel, eval_symbol, eval_symbol_table,
-                                sup_bound)
+from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
+                                eval_symbol, eval_symbol_table, sup_bound)
 
 from helpers import (CIR, HESTON, bm_model, cir, gauss_jump_model, heston,
                      vasicek)
@@ -217,6 +217,22 @@ class TestEvalLocal:
         assert rough.tail_estimate > series_eval.ROUNDING_FLOOR * abs(rough.value)
 
 
+def three_factor() -> AffineModel:
+    """A 3-d model with cross-diffusion, slopes on the first two axes and a
+    Gaussian jump in the constant part."""
+    nu0 = GaussianJumps(intensity=0.3, mean=[0.1, -0.2, 0.05],
+                        cov=[[0.04, 0.01, 0.0], [0.01, 0.02, 0.0],
+                             [0.0, 0.0, 0.03]])
+    return AffineModel.from_arrays(
+        a0=[[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.1]],
+        a_slope=[[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.0]],
+                 [[0.0, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.1, 0.2]],
+                 [[0.0] * 3] * 3],
+        b0=[0.1, -0.05, 0.2],
+        b_slope=[[-0.5, 0.1, 0.0], [0.2, -0.3, 0.0], [0.0, 0.4, 0.0]],
+        jumps=(nu0, NoJumps(), NoJumps(), NoJumps()))
+
+
 class TestNumericOperatorFallback:
     def test_matches_the_compiled_series_at_a_reachable_order(self):
         # the numeric operator against the exact atom-algebra series, read
@@ -227,6 +243,11 @@ class TestNumericOperatorFallback:
             (gauss_jump_model(intensity=0.3, a0=0.4, drift=0.2),
              np.array([0.1]), np.array([2.0]), 12),
             (heston(), np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8),
+            # the smallest dense arrays
+            (cir(), np.array([0.04]), np.array([1.5]), 1),
+            (cir(), np.array([0.04]), np.array([1.5]), 2),
+            (three_factor(), np.array([0.2, 0.1, -0.3]),
+             np.array([0.7, -1.1, 0.4]), 5),
         ]
         for model, x, u, K in cases:
             numeric = series_eval._d_values(model, x, u, K)
@@ -359,8 +380,8 @@ class TestChooseBeta:
     def test_bm_unit_box(self):
         choice = choose_beta(bm_model(a0=1.0), ((-1.0, 1.0),), ((-1.0, 1.0),),
                              0.5)
-        assert choice.sup_estimate == pytest.approx(0.75)
-        assert choice.beta <= min(1.0, 1.0 / (2 * 0.75)) + 1e-12
+        assert choice.sup_estimate == pytest.approx(0.5)
+        assert choice.beta <= min(1.0, 1.0 / (2 * 0.5)) + 1e-12
 
     @given(st.floats(0.5, 8.0))
     @settings(deadline=None, max_examples=20)

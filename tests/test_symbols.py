@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from affine_cf.multiindex import enumerate_indices
 from affine_cf.symbols import (
     BOUNDED,
     BOUNDED_ON_BOUNDED,
@@ -19,9 +20,9 @@ from affine_cf.symbols import (
     NoJumps,
     UserJump,
     classify_boundedness,
-    component_deriv,
     eval_symbol,
     eval_symbol_table,
+    eval_symbol_table_xi,
     load_model,
     model_from_json,
     model_to_json,
@@ -139,14 +140,37 @@ COMPONENT_CASES = [
 ]
 
 
+def component_deriv(model: AffineModel, c: int, xi: np.ndarray) -> complex:
+    """Order-0 value of symbol component c at xi from the module docstring's
+    formula, written out in numpy: 1/2 xi^T a xi + b . xi + J(0, xi) - mass,
+    less xi . comp under unit-ball truncation."""
+    d = model.dimension
+    if c == 0:
+        a, b = np.asarray(model.a0, float), np.asarray(model.b0, float)
+    else:
+        a = np.asarray(model.a_slope[c - 1], float)
+        b = np.asarray(model.b_slope, float)[:, c - 1]
+    val = 0.5 * (xi @ a @ xi) + b @ xi
+    jump = model.jumps[c]
+    if not isinstance(jump, NoJumps):
+        val += jump.moment((0,) * d, xi) - jump.total_mass
+        if model.truncation == UNIT_BALL:
+            val -= sum(xi[j] * jump.compensator(j) for j in range(d))
+    return complex(val)
+
+
+def component_case(source) -> AffineModel:
+    return load_model(source) if isinstance(source, Path) else source()
+
+
 class TestSymbolComponents:
-    """The compiled order-0 evaluator against ``component_deriv``."""
+    """The compiled components against the symbol's formula and its
+    derivatives."""
 
     @pytest.mark.parametrize("source", COMPONENT_CASES)
     def test_matches_component_deriv(self, source):
-        model = load_model(source) if isinstance(source, Path) else source()
+        model = component_case(source)
         d = model.dimension
-        zero = (0,) * d
         sigma = symbol_components(model)
         rng = np.random.default_rng(20)
         for _ in range(40):
@@ -155,8 +179,44 @@ class TestSymbolComponents:
             got = sigma([complex(z) for z in xi])
             assert len(got) == d + 1
             for c in range(d + 1):
-                ref = component_deriv(model, c, zero, xi)
+                ref = component_deriv(model, c, xi)
                 assert abs(got[c] - ref) <= 1e-14 * abs(ref), (c, xi)
+
+    @pytest.mark.parametrize("source", COMPONENT_CASES)
+    def test_orders_1_and_2_are_central_differences(self, source):
+        # d/dxi_j of the table entry at eps is the entry at eps + e_j, for
+        # the base table at x and for every slope table
+        model = component_case(source)
+        d = model.dimension
+        rng = np.random.default_rng(21)
+        h = 1e-5
+        for _ in range(5):
+            x = rng.uniform(0.0, 1.0, d)
+            xi = rng.uniform(-1, 1, d) + 1j * rng.uniform(-3, 3, d)
+            table = eval_symbol_table_xi(model, x, xi, 2)
+            for j in range(d):
+                step = h * np.eye(d)[j]
+                up = eval_symbol_table_xi(model, x, xi + step, 1)
+                down = eval_symbol_table_xi(model, x, xi - step, 1)
+                for tab, tab_up, tab_down in zip(
+                        [table.base, *table.slope],
+                        [up.base, *up.slope], [down.base, *down.slope]):
+                    for eps in tab_up:
+                        fd = (tab_up[eps] - tab_down[eps]) / (2 * h)
+                        exact = tab[tuple(e + (i == j) for i, e in enumerate(eps))]
+                        assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact)), \
+                            (eps, j, xi)
+
+    @pytest.mark.parametrize("model_fn", [cir, heston, vasicek])
+    def test_jump_free_table_is_exactly_zero_above_order_2(self, model_fn):
+        model = model_fn()
+        d = model.dimension
+        table = eval_symbol_table(model, np.full(d, 0.3), np.full(d, 0.8), 6)
+        keys = [eps for k in range(7) for eps in enumerate_indices(d, k).indices]
+        for tab in (table.base, *table.slope):
+            assert list(tab) == keys
+            assert all(tab[eps] == 0.0 for eps in keys if sum(eps) > 2)
+        assert any(table.base[eps] != 0.0 for eps in keys if sum(eps) == 2)
 
 
 class TestSymbolTable:
@@ -259,8 +319,9 @@ class TestBoundedness:
 class TestSupBound:
     def test_bm_unit_box(self):
         model = bm_model(a0=1.0)
+        # the true sup of |u^2 / 2| on the unit box
         est = sup_bound(model, ((-1.0, 1.0),), ((-1.0, 1.0),))
-        assert est == pytest.approx(0.75)
+        assert est == pytest.approx(0.5)
 
     def test_zero_model(self):
         model = AffineModel.from_arrays(dimension=1)
@@ -274,6 +335,32 @@ class TestSupBound:
             x = rng.uniform(-1, 1)
             u = rng.uniform(-2, 2)
             assert abs(eval_symbol(model, [x], [u])) <= est
+
+    def test_pure_jump_bound_is_twice_the_mass_and_nearly_attained(self):
+        # |lam (exp(iu m - u^2 v / 2) - 1)| is close to 2 lam at u m = pi
+        model = gauss_jump_model(intensity=0.5, mean=1.0, var=1e-4)
+        est = sup_bound(model, ((-1.0, 1.0),), ((-4.0, 4.0),))
+        assert est == 1.0
+        assert 0.99 * est <= abs(eval_symbol(model, [0.0], [math.pi])) <= est
+
+    @pytest.mark.parametrize("source", COMPONENT_CASES)
+    def test_dominates_every_component_case(self, source):
+        model = component_case(source)
+        d = model.dimension
+        omega = tuple((-1.0, 2.0) for _ in range(d))
+        u_box = tuple((-3.0, 1.5) for _ in range(d))
+        est = sup_bound(model, omega, u_box)
+
+        def corners(boxes):
+            return [np.array([box[(mask >> i) & 1] for i, box in enumerate(boxes)])
+                    for mask in range(2 ** d)]
+
+        points = [(x, u) for x in corners(omega) for u in corners(u_box)]
+        rng = np.random.default_rng(2)
+        points += [(rng.uniform(-1.0, 2.0, d), rng.uniform(-3.0, 1.5, d))
+                   for _ in range(200)]
+        for x, u in points:
+            assert abs(eval_symbol(model, x, u)) <= est, (x, u)
 
 
 class TestModelIO:
