@@ -1,8 +1,9 @@
 """Fresh-process timings of the Riccati oracle, of ``sup_bound``, of
-``eval_local`` and of long-horizon ``eval_globalized``.
+``eval_local`` (per point and per warm Fourier grid) and of long-horizon
+``eval_globalized``.
 
 Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20]
-                                         [--repeats 3]
+                                         [--grids 20] [--repeats 3]
 
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
@@ -10,12 +11,17 @@ default integrator (2000 steps, plus the 4000-step run of the step-halving
 estimate) on CIR, Heston and ``models/bm_jumps.json``; ``sup_bound`` per
 call on the default boxes ``series_eval`` builds for a CIR point (d = 1)
 and a Heston point (d = 2); ``eval_local`` per point on CIR at K = 16, on
-Heston at K = 8 and 16 and on 4-d and 5-d diffusions at K = 16 and 12 (the
-dense x-polynomials hold (K + 1)^d coefficients, so the peak RSS grows with
-d); ``eval_globalized`` per point at K = 16 on CIR at t = 1 and 5 and on
-Heston at t = 5.  The median CPU time and the median peak RSS
-(``ru_maxrss``) of the fresh processes are printed.  Timings are reported,
-never asserted; the host's speed can swing by 20% between runs.
+Heston at K = 8 and 16 and on 3-, 4- and 5-d diffusions at K = 16, 16 and
+12 (the dense x-polynomials hold up to (K + 2)^d coefficients, so the peak
+RSS grows with d); ``eval_local`` per warm 16-point Fourier grid (one
+(t, x), 16 frequencies, after one untimed grid) on CIR K = 16, Heston K = 8
+and 16 and ``bm_jumps`` K = 16, split into the symbol tables
+(``eval_symbol_table``) and the operator (``_operator_d_values``: building
+L, its K applications and the read-out); ``eval_globalized`` per point at
+K = 16 on CIR at t = 1 and 5 and on Heston at t = 5.  The median CPU time
+and the median peak RSS (``ru_maxrss``) of the fresh processes are printed.
+Timings are reported, never asserted; the host's speed can swing by 20%
+between runs.
 """
 from __future__ import annotations
 
@@ -35,14 +41,19 @@ CASES = {
     "cir": ([0.04], [[1.0], [2.0], [-1.5]], 0.5),
     "heston": ([0.0, 0.04], [[1.0, 0.0], [2.0, 0.0], [0.5, 0.0]], 1.0),
     "bm_jumps": ([0.1], [[1.5], [0.5], [3.0]], 0.8),
+    "diff3": ([0.04] * 3, [[1.0, -0.5, 0.3], [2.0, 0.1, -1.0]], 0.5),
     "diff4": ([0.04] * 4, [[1.0, -0.5, 0.3, 0.8], [2.0, 0.1, -1.0, 0.4]], 0.5),
     "diff5": ([0.04] * 5, [[1.0, -0.5, 0.3, 0.8, -0.2]], 0.5),
 }
 RICCATI = ("cir", "heston", "bm_jumps")
 # eval_local case -> (model case, K); eval_globalized case -> (model case, t)
 LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
-         "heston-K16": ("heston", 16), "diff4-K16": ("diff4", 16),
-         "diff5-K12": ("diff5", 12)}
+         "heston-K16": ("heston", 16), "diff3-K16": ("diff3", 16),
+         "diff4-K16": ("diff4", 16), "diff5-K12": ("diff5", 12)}
+# warm Fourier-grid case -> (model case, K)
+GRID = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
+        "heston-K16": ("heston", 16), "bm_jumps-K16": ("bm_jumps", 16)}
+GRID_POINTS = 16
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
               "heston-t5": ("heston", 5.0)}
 
@@ -77,21 +88,51 @@ def _model(case: str):
     return load_model(os.path.join(ROOT, "models", f"{case}.json"))
 
 
+def _split_timers(series_eval) -> dict:
+    """Wrap the symbol table and the operator of ``series_eval`` so that
+    each adds its CPU seconds to the returned totals."""
+    totals = {"table_s": 0.0, "operator_s": 0.0}
+    for key, name in (("table_s", "eval_symbol_table"),
+                      ("operator_s", "_operator_d_values")):
+        def timed(*args, _fn=getattr(series_eval, name), _key=key):
+            start = time.process_time()
+            try:
+                return _fn(*args)
+            finally:
+                totals[_key] += time.process_time() - start
+        setattr(series_eval, name, timed)
+    return totals
+
+
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati_cf, eval_local, eval_globalized) or per
-    call (sup_bound), measured inside the fresh interpreter, and its peak
-    RSS in MB; model building is untimed."""
+    """CPU seconds per point (riccati_cf, eval_local, eval_globalized), per
+    call (sup_bound) or per warm grid (grid, with the table and operator
+    shares), measured inside the fresh interpreter, and its peak RSS in MB;
+    model building is untimed."""
+    from affine_cf import series_eval
     from affine_cf.oracle import riccati_cf
     from affine_cf.series_eval import _default_boxes, eval_globalized, eval_local
     from affine_cf.symbols import sup_bound
 
     if what == "eval_globalized":
         case, horizon = GLOBALIZED[case]
-    elif what == "eval_local":
-        case, order = LOCAL[case]
+    elif what in ("eval_local", "grid"):
+        case, order = (LOCAL if what == "eval_local" else GRID)[case]
     model = _model(case)
     x, us, t = CASES[case]
-    if what == "riccati_cf":
+    split = {}
+    if what == "grid":
+        grid = [[u] + [0.0] * (len(x) - 1)
+                for u in [-2.5 + 5.0 * i / (GRID_POINTS - 1)
+                          for i in range(GRID_POINTS)]]
+        for u in grid:
+            eval_local(model, x, u, t, order)
+        split = _split_timers(series_eval)
+        start = time.process_time()
+        for _ in range(n):
+            for u in grid:
+                series_eval.eval_local(model, x, u, t, order)
+    elif what == "riccati_cf":
         start = time.process_time()
         for i in range(n):
             riccati_cf(model, x, us[i % len(us)], t)
@@ -111,7 +152,8 @@ def measure(what: str, case: str, n: int) -> dict:
     cpu_s = (time.process_time() - start) / n
     # ru_maxrss is in kB on Linux
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return {"cpu_s": cpu_s, "rss_mb": rss_mb}
+    return {"cpu_s": cpu_s, "rss_mb": rss_mb,
+            **{key: total / n for key, total in split.items()}}
 
 
 def fresh(what: str, case: str, n: int) -> dict:
@@ -131,6 +173,8 @@ def main() -> None:
                          "per process")
     ap.add_argument("--calls", type=int, default=20,
                     help="sup_bound calls per process")
+    ap.add_argument("--grids", type=int, default=20,
+                    help="warm Fourier grids per process")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--one", nargs=3, metavar=("WHAT", "CASE", "N"),
                     help=argparse.SUPPRESS)
@@ -143,15 +187,19 @@ def main() -> None:
     jobs = [("riccati_cf", case, args.points) for case in RICCATI]
     jobs += [("sup_bound", "cir", args.calls), ("sup_bound", "heston", args.calls)]
     jobs += [("eval_local", case, args.points) for case in LOCAL]
+    jobs += [("grid", case, args.grids) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
-    print(f"{'what':<15} {'case':<10} {'n':>3} {'ms each (median)':>17} "
-          f"{'rss MB':>7}  all runs (ms)")
+    print(f"{'what':<15} {'case':<12} {'n':>3} {'ms each (median)':>17} "
+          f"{'rss MB':>7}  all runs (ms)  [grid: median table / operator ms]")
     for what, case, n in jobs:
         runs = [fresh(what, case, n) for _ in range(args.repeats)]
         times = [r["cpu_s"] * 1e3 for r in runs]
         rss = statistics.median(r["rss_mb"] for r in runs)
-        print(f"{what:<15} {case:<10} {n:>3} {statistics.median(times):>17.2f} "
-              f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times))
+        split = "".join(
+            f"  {key[:-2]} {statistics.median(r[key] for r in runs) * 1e3:.2f}"
+            for key in ("table_s", "operator_s") if key in runs[0])
+        print(f"{what:<15} {case:<12} {n:>3} {statistics.median(times):>17.2f} "
+              f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times) + split)
 
 
 if __name__ == "__main__":

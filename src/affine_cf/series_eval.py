@@ -18,6 +18,7 @@ not used here.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -275,50 +276,98 @@ def _default_boxes(model: AffineModel, x, u):
 MAX_STEP = 0.3
 
 
-@lru_cache(maxsize=None)
-def _binomial_weight(eps: tuple, size: int) -> np.ndarray:
-    """prod_i C(m_i + eps_i, eps_i) for m_i < size - eps_i, kept at extent 1
-    along the axes where eps_i = 0 so that it broadcasts."""
-    weight = np.ones((1,) * len(eps))
-    for i, e in enumerate(eps):
-        if e:
-            axis = [math.comb(m + e, e) for m in range(size - e)]
-            weight = weight * np.reshape(axis, [-1 if k == i else 1
-                                                for k in range(len(eps))])
-    return weight
+# Complex elements one gathered tile of the operator holds at most: a single
+# tile at d <= 2 and the orders in use; beyond, tiles over the leading axes
+# keep the temporaries a small part of the (K + 2)^d arrays.
+_GATHER_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=64)
+def _gather_plan(pattern: tuple):
+    """Integer data of a live-eps pattern: its eps as one index array per
+    axis, 1 / eps! and the largest eps_i (the padding a gather needs)."""
+    index = tuple(np.array(axis, dtype=np.intp) for axis in zip(*pattern))
+    inv_factorial = np.array([1.0 / math.prod(map(math.factorial, eps))
+                              for eps in pattern])
+    return index, inv_factorial, max(map(max, pattern))
+
+
+@lru_cache(maxsize=256)
+def _tiles(k: int, d: int, per_point: int, pad: int) -> tuple:
+    """The tiles one application to a (k,) * d array runs over, each holding
+    at most _GATHER_BUDGET / per_point input positions (at least one): one
+    tile when that fits, else single indices on the leading h - 1 axes and
+    runs of the h-th, h the fewest axes that bring a tile within budget.
+
+    Per tile: the box of input positions m, the part of q it reads (the box
+    extended by pad) and where that lands in the zeroed slab, the slab, window
+    and row shapes, and per axis l the box shifted by e_l with its m_l."""
+    h = 0
+    while h < d and per_point * k ** (d - h) > _GATHER_BUDGET:
+        h += 1
+    whole = (slice(0, k),) * (d - h)
+    if h == 0:
+        boxes = [whole]
+    else:
+        step = max(1, _GATHER_BUDGET // (per_point * k ** (d - h)))
+        boxes = [tuple(slice(i, i + 1) for i in lead)
+                 + (slice(lo, min(lo + step, k)),) + whole
+                 for lead in itertools.product(range(k), repeat=h - 1)
+                 for lo in range(0, k, step)]
+    tiles = []
+    for box in boxes:
+        shape = tuple(b.stop - b.start for b in box)
+        src = tuple(slice(b.start, min(b.stop + pad, k)) for b in box)
+        shifts = []
+        for l in range(d):
+            dst = slice(box[l].start + 1, box[l].stop + 1)
+            shifts.append((box[:l] + (dst,) + box[l + 1:],
+                           (slice(None),) * l + (dst,)))
+        tiles.append((box, src, tuple(slice(0, b.stop - b.start) for b in src),
+                      tuple(e + pad for e in shape), (pad + 1,) * d + shape,
+                      (1 + d,) + shape, shifts))
+    return tuple(tiles)
 
 
 def _poly_step_operator(base0, slopes, size: int):
-    """L acting on x-polynomials held as dense complex arrays, q of shape
-    (n,) * d with n <= size and q[m] the coefficient of x^m:
+    """L acting on x-polynomials held as dense complex arrays in the
+    Taylor-normalized basis: q of shape (k,) * d with k <= size, q[m] the
+    coefficient of x^m / m!:
     L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q,
-    of shape (n + 1,) * d to hold the degree the slope terms add.
+    of shape (k + 1,) * d to hold the degree the slope terms add.
 
-    (1/eps!) d^eps_x q is the slice q[eps:] times prod_i C(m_i + eps_i,
-    eps_i), and x_l shifts it by one along axis l.  Only the eps at which
-    the x = 0 table has a nonzero base or slope entry are visited, in the
-    table's key order."""
+    In this basis d^eps_x is the shift q[m] -> q[m + eps], and x_l maps q[m]
+    to (m_l + 1) q at m + e_l.  One application gathers q[m + eps] for every
+    eps of base0 (the table's live entries) from a zero-padded copy,
+    contracts them in one matmul with the (1 + d) x E matrix of the table
+    entries over eps! (row 0 the base, row l the slopes in direction l),
+    adds row 0 and adds row l shifted by one along axis l, times m_l.  The
+    gather runs over the tiles of :func:`_tiles`: one at d <= 2."""
     d = len(slopes)
-    live = []
-    for eps, b in base0.items():
-        s = [slopes[l].get(eps, 0.0) for l in range(d)]
-        if b == 0.0 and not any(s):
-            continue
-        shifts = [(l, sl) for l, sl in enumerate(s) if sl != 0.0]
-        live.append((eps, b, shifts, _binomial_weight(eps, size)))
+    pattern = tuple(base0)
+    index, inv_factorial, pad = _gather_plan(pattern)
+    coef = np.array([list(base0.values())]
+                    + [[s.get(eps, 0.0) for eps in pattern] for s in slopes],
+                    dtype=complex) * inv_factorial
+    # m_l along axis l, complex so that the products need no cast
+    ramps = [np.arange(size + 1.0, dtype=complex).reshape(
+        [-1 if i == l else 1 for i in range(d)]) for l in range(d)]
 
     def apply(q):
-        n = q.shape[0]
-        out = np.zeros((n + 1,) * d, dtype=complex)
-        for eps, b, shifts, weight in live:
-            if max(eps) >= n:  # d^eps_x q = 0
-                continue
-            dst = tuple(slice(0, n - e) for e in eps)
-            dq = q[tuple(slice(e, None) for e in eps)] * weight[dst]
-            if b != 0.0:
-                out[dst] += b * dq
-            for l, sl in shifts:
-                out[dst[:l] + (slice(1, n - eps[l] + 1),) + dst[l + 1:]] += sl * dq
+        k = q.shape[0]
+        out = np.zeros((k + 1,) * d, dtype=complex)
+        for box, src, fill, slab_shape, window_shape, rows_shape, shifts \
+                in _tiles(k, d, len(pattern), pad):
+            slab = np.zeros(slab_shape, dtype=complex)
+            slab[fill] = q[src]
+            # window[a][m] = slab[a + m], a <= pad
+            window = np.ndarray(window_shape, dtype=complex, buffer=slab,
+                                strides=slab.strides * 2)
+            rows = coef @ window[index].reshape(len(pattern), -1)
+            rows = rows.reshape(rows_shape)
+            out[box] += rows[0]
+            for l, (dst, weight) in enumerate(shifts):
+                out[dst] += ramps[l][weight] * rows[1 + l]
         return out
 
     return apply
@@ -329,14 +378,15 @@ def _operator_powers(L, q, order: int):
     holding only the current power."""
     yield q
     for j in range(1, order + 1):
-        q = L(q) / j
+        q = L(q)
+        q /= j
         yield q
 
 
 def _unit_powers(base0, slopes, truncation: int):
-    """Yield L^k 1 / k! for k = 0 .. K, L the x-polynomial operator of the
-    x = 0 tables base0 and slopes; 1 is held with room for the linear
-    coefficients."""
+    """Yield L^k 1 / k! for k = 0 .. K in the Taylor-normalized basis, L
+    the x-polynomial operator of the x = 0 tables base0 and slopes; 1 is
+    held with room for the linear coefficients."""
     d = len(slopes)
     one = np.zeros((2,) * d, dtype=complex)
     one[(0,) * d] = 1.0
@@ -344,19 +394,18 @@ def _unit_powers(base0, slopes, truncation: int):
     return _operator_powers(L, one, truncation)
 
 
-def _eval_xpoly(q, x) -> complex:
-    """The dense x-polynomial q at x, contracted one axis at a time from
-    the last."""
-    for xl in reversed(x):
-        q = q @ xl ** np.arange(q.shape[-1])
-    return complex(q)
-
-
 def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
     """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
-    x = 0 tables base0 and slopes."""
+    x = 0 tables base0 and slopes: one dot per power against the monomials
+    x^m / m!, built once."""
+    n = truncation + 2
+    monomials = np.ones(())
+    for xl in x:
+        axis = np.cumprod(np.concatenate(([1.0], xl / np.arange(1.0, n))))
+        monomials = np.multiply.outer(monomials, axis)
     powers = _unit_powers(base0, slopes, truncation)
-    return np.array([_eval_xpoly(p, x) for p in powers])[1:]
+    return np.array([np.vdot(monomials[(slice(0, p.shape[0]),) * p.ndim], p)
+                     for p in powers])[1:]
 
 
 def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
@@ -370,7 +419,7 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     xi . x), stepped from (0, iu), raising MomentExplosionError when xi
     blows up.  There the order contributions are the last step's terms of
     the exponent times the value, and the tail estimate is the sum of the
-    per-step tails.
+    per-step tails plus the rounding of the xi updates.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
@@ -408,7 +457,7 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     # c1(h) / c0(h) = psi(h, xi) - xi from its linear ones, so only phi and
     # xi are carried from step to step.
     keys = [(0,) * d] + [tuple(int(i == l) for i in range(d)) for l in range(d)]
-    xi, phi, s, rel_tail = 1j * u, 0.0 + 0.0j, 0.0, 0.0
+    xi, phi, s, rel_tail, steps = 1j * u, 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
         if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
             raise MomentExplosionError(s)
@@ -431,6 +480,12 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
         # rounding is relative to the exponent phi + xi . x
         rel_tail += _tail_estimate(list(terms), 1.0 + abs(phi + xi @ x))
         s = t if h == t - s else s + h
+        steps += 1
+    # each xi update rounds twice at the scale of xi (the summed series and
+    # the addition), and the flow carries those ulps to the end as it
+    # carries xi itself: two ulps of the final xi, times |x|, per step
+    ulp = np.spacing(np.abs(xi.real)) + np.spacing(np.abs(xi.imag))
+    rel_tail += 2 * steps * float(ulp @ np.abs(x))
     value = complex(np.exp(phi + xi @ x))
     return CFResult(value, list(value * terms), truncation,
                     rel_tail * abs(value), GLOBALIZED, warnings)

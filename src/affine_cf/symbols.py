@@ -16,14 +16,14 @@ holds without stray factors of i.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .multiindex import MultiIndex, enumerate_indices
+from .multiindex import MultiIndex, flattened_indices
 from .symalg import BASE, SLOPE, AtomKey
 
 NO_COMPENSATION = "none"
@@ -72,6 +72,7 @@ class GaussianJumps:
     J(0, xi) = intensity * exp(xi.m + xi^T C xi / 2) and higher moments follow
     the Hermite-style recursion
     T_{eps+e_j} = (m_j + (C xi)_j) T_eps + sum_k eps_k C_{jk} T_{eps - e_k}.
+    ``moments`` runs that recursion once for a whole list of indices.
     """
 
     intensity: float
@@ -86,6 +87,9 @@ class GaussianJumps:
             raise ValueError("jump covariance must be symmetric")
         object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
         object.__setattr__(self, "cov", tuple(map(tuple, c.tolist())))
+        # the arrays the mgf reads, built once (not dataclass fields)
+        object.__setattr__(self, "_m", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "_c", c)
 
     @property
     def dimension(self) -> int:
@@ -97,31 +101,42 @@ class GaussianJumps:
 
     max_order = None  # all moments finite
 
-    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
-        m = np.asarray(self.mean, dtype=float)
-        c = np.asarray(self.cov, dtype=float)
-        mgf = self.intensity * np.exp(xi @ m + 0.5 * xi @ c @ xi)
-        if not any(eps):  # the symbol itself: no tilted moments needed
-            return mgf
-        drift = m + c @ xi  # gradient of the exponent
-        # Build T_eps by reducing one coordinate at a time, memoized: the
-        # unmemoized recursion revisits indices exponentially often in |eps|.
-        @lru_cache(maxsize=None)
-        def t_of(e: tuple) -> complex:
-            if sum(e) == 0:
-                return 1.0 + 0.0j
-            j = next(i for i, v in enumerate(e) if v > 0)
-            e_minus = tuple(v - (1 if i == j else 0) for i, v in enumerate(e))
-            val = drift[j] * t_of(e_minus)
+    def _mgf(self, xi: np.ndarray):
+        return self.intensity * np.exp(xi @ self._m + 0.5 * xi @ self._c @ xi)
+
+    def _hermite(self, keys, xi: np.ndarray) -> dict:
+        """T_eps for every eps of ``keys``, each listed after the indices
+        below it (graded and lexicographic orders both are)."""
+        drift = (self._m + self._c @ xi).tolist()  # gradient of the exponent
+        cov = self.cov
+        t = {(0,) * len(drift): 1.0 + 0.0j}
+        for e in keys:
+            j = next((i for i, v in enumerate(e) if v > 0), None)
+            if j is None:
+                continue
+            e_minus = e[:j] + (e[j] - 1,) + e[j + 1:]
+            val = drift[j] * t[e_minus]
             for k, ek in enumerate(e_minus):
                 if ek > 0:
-                    e_mm = tuple(
-                        v - (1 if i == k else 0) for i, v in enumerate(e_minus)
-                    )
-                    val += ek * c[j, k] * t_of(e_mm)
-            return val
+                    val += ek * cov[j][k] * t[e_minus[:k] + (ek - 1,)
+                                               + e_minus[k + 1:]]
+            t[e] = val
+        return t
 
-        return mgf * t_of(tuple(eps))
+    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
+        mgf = self._mgf(xi)
+        if not any(eps):  # the symbol itself: no tilted moments needed
+            return mgf
+        eps = tuple(eps)
+        box = itertools.product(*(range(e + 1) for e in eps))
+        return mgf * self._hermite(box, xi)[eps]
+
+    def moments(self, keys, xi: np.ndarray) -> list:
+        """J(eps, xi) for every eps of ``keys`` (graded order) from one
+        Hermite recursion."""
+        mgf = complex(self._mgf(xi))
+        t = self._hermite(keys, xi)
+        return [mgf * t[eps] for eps in keys]
 
     def compensator(self, j: int) -> float:
         """integral z_j 1_D(z) nu(dz) with D the coordinate box [-1,1]^d.
@@ -129,8 +144,7 @@ class GaussianJumps:
         Requires a diagonal covariance when d > 1 (the box integral only
         factorizes then); the univariate case is unrestricted.
         """
-        m = np.asarray(self.mean, dtype=float)
-        c = np.asarray(self.cov, dtype=float)
+        m, c = self._m, self._c
         d = len(m)
         if d > 1 and not np.allclose(c, np.diag(np.diag(c)), atol=1e-14):
             raise ValueError(
@@ -441,10 +455,13 @@ def eval_symbol(model: AffineModel, x, u) -> complex:
 
 @dataclass
 class SymbolTable:
-    """Numeric derivative tables of the symbol at one (x, xi) point.
+    """Numeric derivative tables of the symbol at one (x, xi) point, at the
+    live entries only.
 
-    ``base[eps]`` holds d^eps_xi sigma(x, xi); ``slope[l-1][eps]`` holds
-    d^eps_xi sigma_l(xi).
+    ``slope[l-1][eps]`` holds d^eps_xi sigma_l(xi) for every |eps| <= 2 and,
+    when sigma_l has jumps, up to ``max_order``: above order 2 a jump-free
+    component is exactly zero.  ``base[eps]`` holds d^eps_xi sigma(x, xi) on
+    the union of those keys.
     """
 
     dimension: int
@@ -455,24 +472,26 @@ class SymbolTable:
     xi: tuple = ()
 
     def atom_values(self) -> dict:
-        """AtomKey -> complex map consumed by SymPoly evaluation."""
+        """AtomKey -> complex map consumed by SymPoly evaluation: every key
+        up to ``max_order``, exact zeros where the table holds none."""
+        keys = flattened_indices(self.dimension, self.max_order + 1)
         vals = {}
-        for eps, v in self.base.items():
-            vals[AtomKey(BASE, 0, eps)] = v
+        for eps in keys:
+            vals[AtomKey(BASE, 0, eps)] = self.base.get(eps, 0j)
         for l, tab in enumerate(self.slope, start=1):
-            for eps, v in tab.items():
-                vals[AtomKey(SLOPE, l, eps)] = v
+            for eps in keys:
+                vals[AtomKey(SLOPE, l, eps)] = tab.get(eps, 0j)
         return vals
 
 
 def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTable:
-    """Derivative tables d^eps_xi sigma(x, xi), d^eps_xi sigma_l(xi) for
-    |eps| <= max_order at a complex vector xi, read from the compiled
-    components: orders 1 and 2 from the quadratic and linear parts plus the
-    jump moments, higher orders from the jump moments alone (exact zeros for
-    jump-free components)."""
+    """Derivative tables d^eps_xi sigma(x, xi), d^eps_xi sigma_l(xi) at a
+    complex vector xi, read from the compiled components: orders 1 and 2
+    from the quadratic and linear parts plus the jump moments, higher orders
+    (to max_order) from the jump moments alone, and only for the components
+    with jumps; the moments of a Gaussian family come from one recursion."""
     d = model.dimension
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = [float(v) for v in np.atleast_1d(np.asarray(x, dtype=float))]
     xi = np.atleast_1d(np.asarray(xi, dtype=complex))
     for jump in model.jumps:
         cap = getattr(jump, "max_order", None)
@@ -483,6 +502,9 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
             )
     comps = _compile(model)
     xs = [complex(z) for z in xi]
+    low = flattened_indices(d, min(max_order, 2) + 1)
+    full = flattened_indices(d, max_order + 1)
+    zero = (0,) * d
     unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     tabs = []
     for (quad, lin, jump_part), value in zip(comps, _order0(comps, d)(xs)):
@@ -495,21 +517,29 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
             poly[pair] = 2.0 * w if i == j else w
         for i, bi in lin:
             poly[unit[i]] = poly.get(unit[i], 0.0) + bi
-        tab = {(0,) * d: value}
-        for k in range(1, max_order + 1):
-            for eps in enumerate_indices(d, k).indices:
-                val = poly.get(eps, 0.0 + 0.0j)
-                if jump_part is not None:
-                    jump, _, comp = jump_part
-                    val += jump.moment(eps, xi)
-                    if comp is not None and k == 1:
-                        val -= comp[eps.index(1)]
+        tab = {zero: value}
+        if jump_part is None:
+            for eps in low[1:]:
+                tab[eps] = complex(poly.get(eps, 0.0))
+        else:
+            jump, _, comp = jump_part
+            keys = full[1:]
+            if isinstance(jump, GaussianJumps):
+                moments = jump.moments(keys, xi)
+            else:
+                moments = [jump.moment(eps, xi) for eps in keys]
+            for eps, moment in zip(keys, moments):
+                val = poly.get(eps, 0.0) + moment
+                if comp is not None and sum(eps) == 1:
+                    val -= comp[eps.index(1)]
                 tab[eps] = complex(val)
         tabs.append(tab)
     base_tab = {}
-    for eps, total in tabs[0].items():
+    jumps = any(jump_part is not None for _, _, jump_part in comps)
+    for eps in full if jumps else low:
+        total = tabs[0].get(eps, 0j)
         for l in range(d):
-            total += x[l] * tabs[l + 1][eps]
+            total += x[l] * tabs[l + 1].get(eps, 0j)
         base_tab[eps] = total
     return SymbolTable(d, max_order, base_tab, tabs[1:], tuple(x), tuple(xi))
 

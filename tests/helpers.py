@@ -6,6 +6,7 @@ from fractions import Fraction
 from affine_cf import (
     AffineModel,
     CIRParams,
+    ExponentialJumps,
     GaussianJumps,
     HestonParams,
     NoJumps,
@@ -15,6 +16,7 @@ from affine_cf import (
     vasicek_model,
 )
 from affine_cf.symalg import AtomKey, BASE, SLOPE, SymPoly, monomial
+from affine_cf.symbols import UNIT_BALL
 
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
@@ -110,3 +112,24 @@ def cir() -> AffineModel:
 
 def heston() -> AffineModel:
     return heston_model(HESTON)
+
+
+def unit_ball_gaussian() -> AffineModel:
+    """2-d, Gaussian jumps in the constant part and the first slope, under
+    unit-ball truncation."""
+    nu0 = GaussianJumps(intensity=0.4, mean=[0.2, -0.1],
+                        cov=[[0.05, 0.0], [0.0, 0.02]])
+    nu1 = GaussianJumps(intensity=0.3, mean=[0.1, 0.3],
+                        cov=[[0.04, 0.0], [0.0, 0.01]])
+    return AffineModel.from_arrays(
+        a0=[[0.3, 0.1], [0.1, 0.2]],
+        a_slope=[[[0.5, -0.2], [-0.2, 0.4]], [[0.0, 0.0], [0.0, 0.0]]],
+        b0=[0.1, -0.2], b_slope=[[-0.4, 0.1], [0.0, -0.7]],
+        jumps=(nu0, nu1, NoJumps()), truncation=UNIT_BALL)
+
+
+def exponential_jumps() -> AffineModel:
+    return AffineModel.from_arrays(
+        a0=[[0.1]], a_slope=[[[0.2]]], b0=[0.05], b_slope=[[-0.4]],
+        jumps=(ExponentialJumps(intensity=0.4, rates=[3.0]),
+               ExponentialJumps(intensity=0.2, rates=[5.0])))

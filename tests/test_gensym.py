@@ -18,8 +18,8 @@ from affine_cf.gensym import (
 )
 from affine_cf.oracle import heston_cf, heston_model, riccati_cf, vasicek_model
 from affine_cf.series_eval import eval_local
-from affine_cf.symalg import (BASE, BASE0, DBASE, DSLOPE, SLOPE, SLOPE0,
-                              TDRIFT, TDSLOPE, AtomKey, SymPoly)
+from affine_cf.symalg import (BASE, BASE0, DBASE, DSLOPE, SLOPE0, TDRIFT,
+                              TDSLOPE, AtomKey, SymPoly)
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
                                eval_symbol_table_xi)
 
@@ -183,18 +183,18 @@ class TestNumericOperatorMatchesExactSeries:
     def _atom_values(target, baseline, x, u, t, K):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         psi = baseline.psi_vec(t, u)
-        tab = eval_symbol_table_xi(target, x, psi, K - 1)
-        tab0 = eval_symbol_table_xi(baseline.model, x, psi, K - 1)
+        # every key to order K - 1, with the tables' exact zeros filled in
+        tab = eval_symbol_table_xi(target, x, psi, K - 1).atom_values()
+        tab0 = eval_symbol_table_xi(baseline.model, x, psi, K - 1) \
+            .atom_values()
         vals = {}
-        for eps, v in tab.base.items():
-            vals[AtomKey(DBASE, 0, eps)] = v - tab0.base[eps]
-            vals[AtomKey(BASE0, 0, eps)] = tab0.base[eps]
-            vals[AtomKey(BASE, 0, eps)] = v
-        for l in range(1, target.dimension + 1):
-            for eps, v in tab.slope[l - 1].items():
-                vals[AtomKey(DSLOPE, l, eps)] = v - tab0.slope[l - 1][eps]
-                vals[AtomKey(SLOPE0, l, eps)] = tab0.slope[l - 1][eps]
-                vals[AtomKey(SLOPE, l, eps)] = v
+        for atom, v in tab.items():
+            v0 = tab0[atom]
+            diff, zeroth = (DBASE, BASE0) if atom.kind == BASE \
+                else (DSLOPE, SLOPE0)
+            vals[AtomKey(diff, atom.l, atom.deriv)] = v - v0
+            vals[AtomKey(zeroth, atom.l, atom.deriv)] = v0
+            vals[atom] = v
         dphi, dpsi = baseline.time_derivs(t, u)
         zero = (0,) * target.dimension
         vals[AtomKey(TDRIFT, 0, zero)] = -dphi - complex(dpsi @ x)

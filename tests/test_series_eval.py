@@ -24,8 +24,8 @@ from affine_cf.symalg import d_series
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
                                 eval_symbol, eval_symbol_table, sup_bound)
 
-from helpers import (CIR, HESTON, bm_model, cir, gauss_jump_model, heston,
-                     vasicek)
+from helpers import (CIR, HESTON, bm_model, cir, exponential_jumps,
+                     gauss_jump_model, heston, unit_ball_gaussian, vasicek)
 
 
 class TestJet:
@@ -248,12 +248,49 @@ class TestNumericOperatorFallback:
             (cir(), np.array([0.04]), np.array([1.5]), 2),
             (three_factor(), np.array([0.2, 0.1, -0.3]),
              np.array([0.7, -1.1, 0.4]), 5),
+            # jumps in two components: every eps live at d = 2
+            (unit_ball_gaussian(), np.array([0.3, -0.2]),
+             np.array([1.1, -0.6]), 6),
+            (exponential_jumps(), np.array([0.2]), np.array([1.7]), 8),
         ]
         for model, x, u, K in cases:
             numeric = series_eval._d_values(model, x, u, K)
             values = eval_symbol_table(model, x, u, K - 1).atom_values()
             exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
             assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("budget", [1, 40, 400])
+    def test_tiled_gather_matches_one_tile(self, monkeypatch, budget):
+        # tiles of the leading axes (as at d >= 4) give the one-tile values
+        cases = [(heston(), np.array([0.1, 0.04]), np.array([1.25, 0.3]), 8),
+                 (three_factor(), np.array([0.2, 0.1, -0.3]),
+                  np.array([0.7, -1.1, 0.4]), 5)]
+        whole = [series_eval._d_values(*case) for case in cases]
+        monkeypatch.setattr(series_eval, "_GATHER_BUDGET", budget)
+        for case, ref in zip(cases, whole):
+            got = series_eval._d_values(*case)
+            assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+
+    def test_gather_plans_are_integer_keyed_and_do_not_grow(self):
+        # the operator's caches are keyed on the tables' integer eps pattern
+        # and on integer sizes: one plan per pattern and one tiling per
+        # (pattern, k) however many points are evaluated
+        series_eval._gather_plan.cache_clear()
+        series_eval._tiles.cache_clear()
+        grids = [(cir(), [0.04], 16), (heston(), [0.0, 0.04], 8)]
+        for _ in range(50):
+            for model, x, K in grids:
+                for u in np.linspace(-2.5, 2.5, 16):
+                    eval_local(model, x, [u] + [0.0] * (len(x) - 1), 0.3, K)
+        plans = series_eval._gather_plan.cache_info()
+        assert plans.currsize == plans.misses == len(grids)
+        # L is applied to arrays of extent k = 2 .. K + 1
+        tilings = series_eval._tiles.cache_info()
+        assert tilings.currsize == tilings.misses == sum(K for *_, K in grids)
+        for model, x, K in grids:
+            table = eval_symbol_table(model, [0.0] * len(x),
+                                      [1.0] + [0.0] * (len(x) - 1), K - 1)
+            assert all(type(e) is int for eps in table.base for e in eps)
 
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
     def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
@@ -357,6 +394,14 @@ class TestEvalGlobalized:
         x, u, t = 0.1, 1.0, 0.3
         res = eval_globalized(model, [x], [u], t, 16)
         assert abs(res.value - cmath.exp(1j * u * x * math.exp(30.0 * t))) <= 1e-9
+
+    def test_tail_covers_the_rounding_of_a_fast_drift(self):
+        # |xi . x| reaches 810: each xi update loses ulps the tail must count
+        model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0], b_slope=[[30.0]])
+        x, u, t = 0.1, 1.0, 0.3
+        res = eval_globalized(model, [x], [u], t, 16)
+        err = abs(res.value - cmath.exp(1j * u * x * math.exp(30.0 * t)))
+        assert err <= res.tail_estimate
 
     def test_blow_up_raises_near_the_oracle_time(self):
         model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0], b_slope=[[30.0]])

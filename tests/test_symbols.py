@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from affine_cf.multiindex import enumerate_indices
+from affine_cf.symalg import BASE, AtomKey
 from affine_cf.symbols import (
     BOUNDED,
     BOUNDED_ON_BOUNDED,
@@ -31,7 +32,8 @@ from affine_cf.symbols import (
     symbol_components,
 )
 
-from helpers import bm_model, cir, gauss_jump_model, heston, vasicek
+from helpers import (bm_model, cir, exponential_jumps, gauss_jump_model,
+                     heston, unit_ball_gaussian, vasicek)
 
 
 def gauss_density(z, mean, var):
@@ -113,25 +115,6 @@ class TestEvalSymbol:
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
 
-def unit_ball_gaussian() -> AffineModel:
-    nu0 = GaussianJumps(intensity=0.4, mean=[0.2, -0.1],
-                        cov=[[0.05, 0.0], [0.0, 0.02]])
-    nu1 = GaussianJumps(intensity=0.3, mean=[0.1, 0.3],
-                        cov=[[0.04, 0.0], [0.0, 0.01]])
-    return AffineModel.from_arrays(
-        a0=[[0.3, 0.1], [0.1, 0.2]],
-        a_slope=[[[0.5, -0.2], [-0.2, 0.4]], [[0.0, 0.0], [0.0, 0.0]]],
-        b0=[0.1, -0.2], b_slope=[[-0.4, 0.1], [0.0, -0.7]],
-        jumps=(nu0, nu1, NoJumps()), truncation=UNIT_BALL)
-
-
-def exponential_jumps() -> AffineModel:
-    return AffineModel.from_arrays(
-        a0=[[0.1]], a_slope=[[[0.2]]], b0=[0.05], b_slope=[[-0.4]],
-        jumps=(ExponentialJumps(intensity=0.4, rates=[3.0]),
-               ExponentialJumps(intensity=0.2, rates=[5.0])))
-
-
 COMPONENT_CASES = [
     *(pytest.param(MODEL_DIR / f"{name}.json", id=name)
       for name in ("bm", "bm_jumps", "cir", "heston", "vasicek")),
@@ -209,14 +192,29 @@ class TestSymbolComponents:
 
     @pytest.mark.parametrize("model_fn", [cir, heston, vasicek])
     def test_jump_free_table_is_exactly_zero_above_order_2(self, model_fn):
+        # the tables hold only the live entries, every key to order 2; the
+        # atom values give every key to max_order, exact zeros above 2
         model = model_fn()
         d = model.dimension
         table = eval_symbol_table(model, np.full(d, 0.3), np.full(d, 0.8), 6)
         keys = [eps for k in range(7) for eps in enumerate_indices(d, k).indices]
+        live = [eps for eps in keys if sum(eps) <= 2]
         for tab in (table.base, *table.slope):
-            assert list(tab) == keys
-            assert all(tab[eps] == 0.0 for eps in keys if sum(eps) > 2)
-        assert any(table.base[eps] != 0.0 for eps in keys if sum(eps) == 2)
+            assert list(tab) == live
+        values = table.atom_values()
+        for l in range(d + 1):
+            row = [(atom.deriv, v) for atom, v in values.items() if atom.l == l]
+            assert [eps for eps, _ in row] == keys
+            assert all(v == 0.0 for eps, v in row if sum(eps) > 2)
+        assert any(table.base[eps] != 0.0 for eps in live if sum(eps) == 2)
+
+    def test_jump_components_hold_every_order(self):
+        # only the component with jumps carries entries above order 2
+        model = component_case(MODEL_DIR / "bm_jumps.json")
+        table = eval_symbol_table(model, [0.3], [0.8], 6)
+        assert list(table.base) == [(k,) for k in range(7)]
+        assert list(table.slope[0]) == [(0,), (1,), (2,)]
+        assert table.atom_values()[AtomKey(BASE, 0, (5,))] == table.base[(5,)]
 
 
 class TestSymbolTable:
@@ -262,6 +260,25 @@ class TestSymbolTable:
         jump = GaussianJumps(intensity=lam, mean=[m], cov=[[var]])
         got = jump.moment((n,), np.array([xi]))
         assert abs(got - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("source", [MODEL_DIR / "bm_jumps.json",
+                                        unit_ball_gaussian])
+    def test_gaussian_moments_match_the_per_index_moment(self, source):
+        # the tables take every tilted moment at one xi from one recursion
+        model = component_case(source)
+        d = model.dimension
+        keys = [eps for k in range(1, 13 // d + 1)
+                for eps in enumerate_indices(d, k).indices]
+        rng = np.random.default_rng(3)
+        for jump in model.jumps:
+            if not isinstance(jump, GaussianJumps):
+                continue
+            for _ in range(4):
+                xi = rng.uniform(-1, 1, d) + 1j * rng.uniform(-3, 3, d)
+                batch = jump.moments(keys, xi)
+                for eps, got in zip(keys, batch):
+                    ref = jump.moment(eps, xi)
+                    assert abs(got - ref) <= 1e-15 * abs(ref), (eps, xi)
 
     @pytest.mark.parametrize("model_fn", [gauss_jump_model, vasicek, heston])
     def test_finite_differences(self, model_fn):
