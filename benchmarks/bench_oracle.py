@@ -2,8 +2,7 @@
 ``eval_local`` (per point and per warm Fourier grid) and of long-horizon
 ``eval_globalized``.
 
-Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20]
-                                         [--grids 20] [--repeats 3]
+Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20] [--repeats 3]
 
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
@@ -14,7 +13,7 @@ and a Heston point (d = 2); ``eval_local`` per point on CIR at K = 16, on
 Heston at K = 8 and 16 and on 3-, 4- and 5-d diffusions at K = 16, 16 and
 12 (the dense x-polynomials hold up to (K + 2)^d coefficients, so the peak
 RSS grows with d); ``eval_local`` per warm 16-point Fourier grid (one
-(t, x), 16 frequencies, after one untimed grid) on CIR K = 16, Heston K = 8
+(t, x), 16 frequencies, 20 grids after one untimed grid) on CIR K = 16, Heston K = 8
 and 16 and ``bm_jumps`` K = 16, split into the symbol tables
 (``eval_symbol_table``) and the operator (``_operator_d_values``: building
 L, its K applications and the read-out); ``eval_globalized`` per point at
@@ -54,6 +53,7 @@ LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
 GRID = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
         "heston-K16": ("heston", 16), "bm_jumps-K16": ("bm_jumps", 16)}
 GRID_POINTS = 16
+GRID_REPEATS = 20  # warm grids per process
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
               "heston-t5": ("heston", 5.0)}
 
@@ -173,8 +173,6 @@ def main() -> None:
                          "per process")
     ap.add_argument("--calls", type=int, default=20,
                     help="sup_bound calls per process")
-    ap.add_argument("--grids", type=int, default=20,
-                    help="warm Fourier grids per process")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--one", nargs=3, metavar=("WHAT", "CASE", "N"),
                     help=argparse.SUPPRESS)
@@ -187,7 +185,7 @@ def main() -> None:
     jobs = [("riccati_cf", case, args.points) for case in RICCATI]
     jobs += [("sup_bound", "cir", args.calls), ("sup_bound", "heston", args.calls)]
     jobs += [("eval_local", case, args.points) for case in LOCAL]
-    jobs += [("grid", case, args.grids) for case in GRID]
+    jobs += [("grid", case, GRID_REPEATS) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
     print(f"{'what':<15} {'case':<12} {'n':>3} {'ms each (median)':>17} "
           f"{'rss MB':>7}  all runs (ms)  [grid: median table / operator ms]")

@@ -305,15 +305,12 @@ def _tiles(k: int, d: int, per_point: int, pad: int) -> tuple:
     h = 0
     while h < d and per_point * k ** (d - h) > _GATHER_BUDGET:
         h += 1
-    whole = (slice(0, k),) * (d - h)
-    if h == 0:
-        boxes = [whole]
-    else:
-        step = max(1, _GATHER_BUDGET // (per_point * k ** (d - h)))
-        boxes = [tuple(slice(i, i + 1) for i in lead)
-                 + (slice(lo, min(lo + step, k)),) + whole
-                 for lead in itertools.product(range(k), repeat=h - 1)
-                 for lo in range(0, k, step)]
+    # a tile's extent per axis: one index on the leading h - 1 axes, runs of
+    # step on axis h - 1, the whole axis beyond
+    step = max(1, _GATHER_BUDGET // (per_point * k ** (d - h)))
+    runs = ([1] * (h - 1) + [step] if h else []) + [k] * (d - h)
+    boxes = itertools.product(*([slice(lo, min(lo + r, k))
+                                 for lo in range(0, k, r)] for r in runs))
     tiles = []
     for box in boxes:
         shape = tuple(b.stop - b.start for b in box)

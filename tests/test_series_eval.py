@@ -267,9 +267,21 @@ class TestNumericOperatorFallback:
                   np.array([0.7, -1.1, 0.4]), 5)]
         whole = [series_eval._d_values(*case) for case in cases]
         monkeypatch.setattr(series_eval, "_GATHER_BUDGET", budget)
-        for case, ref in zip(cases, whole):
-            got = series_eval._d_values(*case)
-            assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+        # the tilings cached at the default budget are dropped, and the
+        # small-budget ones after the test
+        series_eval._tiles.cache_clear()
+        try:
+            for case, ref in zip(cases, whole):
+                model, _, u, K = case
+                d = len(u)
+                base = eval_symbol_table(model, [0.0] * d, u, K - 1).base
+                pad = max(map(max, base))
+                # the last application, to an array of extent K + 1, is tiled
+                assert len(series_eval._tiles(K + 1, d, len(base), pad)) > 1
+                got = series_eval._d_values(*case)
+                assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
+        finally:
+            series_eval._tiles.cache_clear()
 
     def test_gather_plans_are_integer_keyed_and_do_not_grow(self):
         # the operator's caches are keyed on the tables' integer eps pattern
