@@ -13,8 +13,8 @@ and a Heston point (d = 2); ``eval_local`` per point on CIR at K = 16, on
 Heston at K = 8 and 16 and on 3-, 4- and 5-d diffusions at K = 16, 16 and
 12 (the dense x-polynomials hold up to (K + 2)^d coefficients, so the peak
 RSS grows with d); ``eval_local`` per warm 16-point Fourier grid (one
-(t, x), 16 frequencies, 20 grids after one untimed grid) on CIR K = 16, Heston K = 8
-and 16 and ``bm_jumps`` K = 16, split into the symbol tables
+(t, x), 16 frequencies, 20 grids after one untimed grid) on CIR K = 16,
+Heston K = 8 and 16 and ``bm_jumps`` K = 16, split into the symbol tables
 (``eval_symbol_table``) and the operator (``_operator_d_values``: building
 L, its K applications and the read-out); ``eval_globalized`` per point at
 K = 16 on CIR at t = 1 and 5 and on Heston at t = 5.  The median CPU time
