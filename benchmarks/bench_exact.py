@@ -9,15 +9,18 @@ reports the CPU seconds of ``d_series``, ``coefficient_recursion`` and
 ``cross_check`` at every order 1..K (its inputs are built first, untimed),
 and of ``counting_triangle`` for the requested rows.  The "size" column
 counts, per layer, the terms, the table entries, the orders that agree and
-the rows that sum to n!.  The median over the repeats is printed.  Timings
-are reported, never asserted; the host's speed can swing by 20% between
-runs.
+the rows that sum to n!.  The import rows report the CPU seconds of a
+whole fresh process (interpreter start included) that imports the package,
+imports ``symalg`` alone, or runs ``affine-cf triangle --k 8``, and whether
+it loaded numpy.  The median over the repeats is printed.  Timings are
+reported, never asserted; the host's speed can swing by 20% between runs.
 """
 from __future__ import annotations
 
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -48,15 +51,40 @@ def measure(layer: str, d: int, k: int) -> dict:
     return {"cpu_s": time.process_time() - start, "size": size}
 
 
-def fresh(layer: str, d: int, k: int) -> dict:
+# Fresh-process start-ups: the program each row runs.
+IMPORTS = {
+    "import affine_cf": "import affine_cf",
+    "from affine_cf import symalg": "from affine_cf import symalg",
+    "affine-cf triangle --k 8":
+        "from affine_cf import cli; cli.main(['triangle', '--k', '8'])",
+}
+
+
+def child_env() -> dict:
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def fresh(layer: str, d: int, k: int) -> dict:
     out = subprocess.run(
         [sys.executable, __file__, "--one", layer, str(d), str(k)],
-        env=env, capture_output=True, text=True, check=True)
+        env=child_env(), capture_output=True, text=True, check=True)
     return json.loads(out.stdout)
+
+
+def fresh_start(code: str) -> dict:
+    """CPU seconds of a whole fresh process running ``code``, and whether
+    it loaded numpy."""
+    probe = code + "\nimport sys\nsys.stderr.write(str('numpy' in sys.modules))"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                         capture_output=True, text=True, check=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+    return {"cpu_s": cpu, "numpy": out.stderr.strip() == "True"}
 
 
 def pair(spec: str) -> tuple[int, int]:
@@ -91,6 +119,14 @@ def main() -> None:
         times = [r["cpu_s"] for r in runs]
         print(f"{layer:<22} {d:>2} {k:>3} {runs[0]['size']:>8} "
               f"{statistics.median(times):>15.3f}  "
+              + " ".join(f"{t:.3f}" for t in times))
+
+    print(f"\n{'start-up':<30} {'numpy':>5} {'cpu s (median)':>15}  all runs")
+    for label, code in IMPORTS.items():
+        runs = [fresh_start(code) for _ in range(args.repeats)]
+        times = [r["cpu_s"] for r in runs]
+        numpy = "yes" if any(r["numpy"] for r in runs) else "no"
+        print(f"{label:<30} {numpy:>5} {statistics.median(times):>15.3f}  "
               + " ".join(f"{t:.3f}" for t in times))
 
 

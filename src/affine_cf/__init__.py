@@ -5,95 +5,118 @@ power series in the symbol of the generator, with exact rational
 coefficients.  The package also provides globalized evaluation through a
 time transform, generalized series around solvable baselines, and
 independent Riccati / Levy-Khintchine oracles.
+
+The exports below are imported on first use (PEP 562), so the exact engine
+(``symalg``, ``multiindex``) starts without numpy.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .gensym import (
-    BASELINE_REGISTRY,
-    BaselineSolution,
-    brute_force_series,
-    correction_series,
-    eval_baseline_cf,
-    eval_brute_force,
-    eval_generalized,
-    expression_baseline,
-    heston_baseline,
-    vasicek_baseline,
-    zero_baseline,
-)
-from .kernels import USING_NUMBA, CompiledSeries, compile_series, evaluate_compiled
-from .multiindex import (
-    Enumeration,
-    ExponentPair,
-    enumerate_indices,
-    flattened_indices,
-    flattened_position,
-    index_order,
-    is_member,
-    project,
-    shift_alpha,
-    shift_beta,
-)
-from .oracle import (
-    CIRParams,
-    HestonParams,
-    IntegratorConfig,
-    MomentExplosionError,
-    RiccatiResult,
-    VasicekParams,
-    cir_cf,
-    cir_model,
-    heston_cf,
-    heston_model,
-    levy_khintchine_cf,
-    riccati_cf,
-    vasicek_cf,
-    vasicek_model,
-)
-from .series_eval import (
-    GLOBALIZED,
-    LOCAL,
-    BetaChoice,
-    CFResult,
-    TimeTransform,
-    choose_beta,
-    eval_globalized,
-    eval_local,
-    rho_jet,
-    time_forward,
-    time_inverse,
-)
-from .symalg import (
-    AtomKey,
-    SymPoly,
-    cardinality_bound,
-    coefficient_recursion,
-    compare_counting,
-    counting_triangle,
-    cross_check,
-    d_series,
-    lambda_sum_cardinality,
-    literal_counting_rows,
-)
-from .symbols import (
-    AffineModel,
-    BoundednessReport,
-    ExponentialJumps,
-    GaussianJumps,
-    NoJumps,
-    SymbolTable,
-    UserJump,
-    classify_boundedness,
-    eval_symbol,
-    eval_symbol_table,
-    eval_symbol_table_xi,
-    eval_symbol_xi,
-    load_model,
-    model_from_json,
-    model_to_json,
-    save_model,
-    sup_bound,
-)
+# Submodule -> the names the package exports from it.
+_EXPORTS = {
+    "gensym": (
+        "BASELINE_REGISTRY",
+        "BaselineSolution",
+        "brute_force_series",
+        "correction_series",
+        "eval_baseline_cf",
+        "eval_brute_force",
+        "eval_generalized",
+        "expression_baseline",
+        "heston_baseline",
+        "vasicek_baseline",
+        "zero_baseline",
+    ),
+    "kernels": ("USING_NUMBA", "CompiledSeries", "compile_series", "evaluate_compiled"),
+    "multiindex": (
+        "Enumeration",
+        "ExponentPair",
+        "enumerate_indices",
+        "flattened_indices",
+        "flattened_position",
+        "index_order",
+        "is_member",
+        "project",
+        "shift_alpha",
+        "shift_beta",
+    ),
+    "oracle": (
+        "CIRParams",
+        "HestonParams",
+        "IntegratorConfig",
+        "MomentExplosionError",
+        "RiccatiResult",
+        "VasicekParams",
+        "cir_cf",
+        "cir_model",
+        "heston_cf",
+        "heston_model",
+        "levy_khintchine_cf",
+        "riccati_cf",
+        "vasicek_cf",
+        "vasicek_model",
+    ),
+    "series_eval": (
+        "GLOBALIZED",
+        "LOCAL",
+        "BetaChoice",
+        "CFResult",
+        "TimeTransform",
+        "choose_beta",
+        "eval_globalized",
+        "eval_local",
+        "rho_jet",
+        "time_forward",
+        "time_inverse",
+    ),
+    "symalg": (
+        "AtomKey",
+        "SymPoly",
+        "cardinality_bound",
+        "coefficient_recursion",
+        "compare_counting",
+        "counting_triangle",
+        "cross_check",
+        "d_series",
+        "lambda_sum_cardinality",
+        "literal_counting_rows",
+    ),
+    "symbols": (
+        "AffineModel",
+        "BoundednessReport",
+        "ExponentialJumps",
+        "GaussianJumps",
+        "NoJumps",
+        "SymbolTable",
+        "UserJump",
+        "classify_boundedness",
+        "eval_symbol",
+        "eval_symbol_table",
+        "eval_symbol_table_xi",
+        "eval_symbol_xi",
+        "load_model",
+        "model_from_json",
+        "model_to_json",
+        "save_model",
+        "sup_bound",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted([*_EXPORTS, *_HOME])
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(_import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

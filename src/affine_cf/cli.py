@@ -17,29 +17,46 @@ import csv
 import io
 import json
 import sys
+from importlib import import_module
 from itertools import product
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .gensym import (
-    BASELINE_REGISTRY,
-    eval_generalized,
-    heston_baseline,
-    vasicek_baseline,
-    zero_baseline,
-)
-from .oracle import (
-    HestonParams,
-    VasicekParams,
-    levy_khintchine_cf,
-    riccati_cf,
-)
-from .series_eval import eval_globalized, eval_local
 from .symalg import coefficient_recursion, coefficients_to_jsonable, counting_triangle
-from .symbols import AffineModel, load_model
+
+if TYPE_CHECKING:
+    from .symbols import AffineModel
 
 FORMAT_HEADER = "# affine-cf v1"
+
+# The names of gensym.BASELINE_REGISTRY, spelled out so that --help loads no
+# numpy (tests/test_cli.py checks that the two agree).
+BASELINES = ("heston", "vasicek", "zero")
+
+# The numeric layers load numpy, so tables, triangle, --help and --version
+# leave them unimported.  eval and compare bind these names on first use, as
+# does an attribute lookup on this module (a tracer, a test); a name already
+# bound (a tracer's wrapper, a monkeypatch) is never replaced.  The commands
+# look them up as module globals at call time.
+_NUMERIC = {
+    "eval_local": "series_eval",
+    "eval_globalized": "series_eval",
+    "eval_generalized": "gensym",
+    "riccati_cf": "oracle",
+}
+
+
+def __getattr__(name: str):
+    if name not in _NUMERIC:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_NUMERIC[name]}", __package__), name)
+    return globals().setdefault(name, value)
+
+
+def _bind_numeric() -> None:
+    module = sys.modules[__name__]
+    for name in _NUMERIC:
+        getattr(module, name)
 
 
 class CliError(Exception):
@@ -48,6 +65,8 @@ class CliError(Exception):
 
 def _parse_axis(spec: str) -> list:
     """'lo:hi:count' -> linspace; a bare number -> one-point axis."""
+    import numpy as np
+
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -76,10 +95,13 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_baseline(name: str, model: AffineModel):
-    if name not in BASELINE_REGISTRY:
-        raise CliError(
-            f"unknown baseline {name!r}; available: {sorted(BASELINE_REGISTRY)}"
-        )
+    import numpy as np
+
+    from .gensym import heston_baseline, vasicek_baseline, zero_baseline
+    from .oracle import HestonParams, VasicekParams
+
+    if name not in BASELINES:
+        raise CliError(f"unknown baseline {name!r}; available: {sorted(BASELINES)}")
     if name == "zero":
         return zero_baseline(model.dimension)
     if name == "vasicek":
@@ -131,6 +153,10 @@ def _grid_rows(args, model: AffineModel):
 def _oracle_for(model: AffineModel):
     """(name, oracle) with oracle(x, u, t) -> (value, the oracle's own error
     estimate): RK4 step halving, or 0.0 for the closed form."""
+    import numpy as np
+
+    from .oracle import levy_khintchine_cf
+
     slopes_zero = all(
         not np.any(np.asarray(m, float)) for m in model.a_slope
     ) and not np.any(np.asarray(model.b_slope, float)) and all(
@@ -166,6 +192,9 @@ def _point_columns(point, res, reason, k):
 
 
 def cmd_eval(args) -> dict:
+    from .symbols import load_model
+
+    _bind_numeric()
     model = load_model(args.model)
     rows = []
     for point, res, reason in _grid_rows(args, model):
@@ -177,6 +206,9 @@ def cmd_compare(args) -> dict:
     import statistics
     import time
 
+    from .symbols import load_model
+
+    _bind_numeric()
     model = load_model(args.model)
     oracle_name, oracle = _oracle_for(model)
     t_series = time.perf_counter()
@@ -323,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default="local")
         sp.add_argument("--baseline", default="zero",
                         help="baseline name for generalized mode "
-                             f"({sorted(BASELINE_REGISTRY)})")
+                             f"({sorted(BASELINES)})")
         sp.add_argument("--beta", type=float, default=None,
                         help="time-transform scale override (global mode)")
         add_output(sp)

@@ -20,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -301,6 +302,12 @@ class AffineModel:
         if self.state_domain and len(self.state_domain) != d:
             raise ValueError("state_domain must have one interval per coordinate")
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """The compiled symbol (:func:`_compile`), built on first use and
+        kept on this immutable model."""
+        return _compile(self)
+
     # -- convenience constructors ------------------------------------------
 
     @classmethod
@@ -370,9 +377,10 @@ class AffineModel:
 # ---------------------------------------------------------------------------
 
 
-def _compile(model: AffineModel) -> list:
-    """The symbol components sigma_0 .. sigma_d, compiled once from the
-    model's blocks: the only form of the symbol that evaluation reads.
+def _compile(model: AffineModel) -> tuple:
+    """The symbol components sigma_0 .. sigma_d, compiled once per model
+    (``AffineModel._compiled``) from its blocks: the only form of the symbol
+    that evaluation reads.
 
     Component c (0 = constant part, l >= 1 = slope in direction l) is
     ``(quad, lin, jump_part)``: its quadratic part as (i, j, weight) with
@@ -398,14 +406,14 @@ def _compile(model: AffineModel) -> list:
         if isinstance(jump, NoJumps):
             jump_part = None
         else:
-            comp = ([jump.compensator(j) for j in range(d)]
+            comp = (tuple(jump.compensator(j) for j in range(d))
                     if model.truncation == UNIT_BALL else None)
             jump_part = (jump, jump.total_mass, comp)
-        comps.append((quad, lin, jump_part))
-    return comps
+        comps.append((tuple(quad), tuple(lin), jump_part))
+    return tuple(comps)
 
 
-def _order0(comps: list, d: int):
+def _order0(comps: tuple, d: int):
     """``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` in plain complex
     arithmetic over the compiled components; only components with jumps
     call ``jump.moment``."""
@@ -434,7 +442,7 @@ def symbol_components(model: AffineModel):
     """The order-0 symbol components of :func:`_compile`'s compiled form:
     ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence xi of
     Python complex scalars."""
-    return _order0(_compile(model), model.dimension)
+    return _order0(model._compiled, model.dimension)
 
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
@@ -500,7 +508,7 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
                 f"symbol table to order {max_order} exceeds the jump spec's "
                 f"declared derivative order {cap}"
             )
-    comps = _compile(model)
+    comps = model._compiled
     xs = [complex(z) for z in xi]
     low = flattened_indices(d, min(max_order, 2) + 1)
     full = flattened_indices(d, max_order + 1)
@@ -600,7 +608,7 @@ def sup_bound(model: AffineModel, omega_box, u_box) -> float:
     big_u = [max(abs(lo), abs(hi)) for lo, hi in u_box]
     scale = [1.0] + [max(abs(lo), abs(hi)) for lo, hi in omega_box]
     total = 0.0
-    for s, (quad, lin, jump_part) in zip(scale, _compile(model)):
+    for s, (quad, lin, jump_part) in zip(scale, model._compiled):
         part = sum(abs(w) * big_u[i] * big_u[j] for i, j, w in quad)
         part += sum(abs(bi) * big_u[i] for i, bi in lin)
         if jump_part is not None:

@@ -1,12 +1,14 @@
 """CLI contract: deterministic machine-readable output and error paths."""
+import ast
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from affine_cf import symalg
+from affine_cf import cli, gensym, oracle, series_eval, symalg
 from affine_cf.cli import main
 from affine_cf.oracle import heston_cf, riccati_cf
 from affine_cf.symbols import load_model
@@ -223,3 +225,50 @@ class TestErrors:
                            "--mode", "generalized", "--baseline", "nope")
         assert code == 2
         assert "baseline" in json.loads(err)["message"]
+
+
+class TestNumericNames:
+    """The names the benchmark tracer wraps stay attributes of the cli
+    module that the commands look up at call time."""
+
+    HOMES = {"eval_local": series_eval, "eval_globalized": series_eval,
+             "eval_generalized": gensym, "riccati_cf": oracle}
+
+    def test_are_the_numeric_layers_functions(self):
+        for name, home in self.HOMES.items():
+            assert getattr(cli, name) is getattr(home, name)
+
+    @pytest.mark.parametrize("name,command,mode", [
+        ("eval_local", "eval", "local"),
+        ("eval_globalized", "eval", "global"),
+        ("eval_generalized", "eval", "generalized"),
+        ("riccati_cf", "compare", "local"),
+    ])
+    def test_a_replacement_set_before_first_use_is_called(
+            self, capsys, monkeypatch, name, command, mode):
+        real = getattr(self.HOMES[name], name)
+        calls = []
+
+        def replacement(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # Unbound, as in a fresh process, then replaced as a tracer does.
+        monkeypatch.delitem(vars(cli), name, raising=False)
+        monkeypatch.setitem(vars(cli), name, replacement)
+        code, _, _ = run(capsys, command, "--model", f"{MODELS}/cir.json",
+                         "--k", "8", "--mode", mode, "--u", "1.0:2.0:2",
+                         "--x", "0.04")
+        assert code == 0 and len(calls) == 2
+        assert vars(cli)[name] is replacement
+
+    def test_help_lists_the_registered_baselines(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"generalized mode \((\[.*?\])\)", text).group(1)
+        assert ast.literal_eval(listed) == sorted(gensym.BASELINE_REGISTRY)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            cli.no_such_name

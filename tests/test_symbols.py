@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from affine_cf import symbols
 from affine_cf.multiindex import enumerate_indices
 from affine_cf.symalg import BASE, AtomKey
 from affine_cf.symbols import (
@@ -305,6 +306,28 @@ class TestSymbolTable:
                                         jumps=(jump, NoJumps()))
         with pytest.raises(ValueError, match="order"):
             eval_symbol_table(model, [0.0], [1.0], 3)
+
+
+class TestCompiledOnce:
+    def test_each_model_compiles_its_symbol_once(self, monkeypatch):
+        real = symbols._compile
+        compiled = []
+        monkeypatch.setattr(symbols, "_compile",
+                            lambda model: compiled.append(model) or real(model))
+        model, other = unit_ball_gaussian(), unit_ball_gaussian()
+        for u in (0.5, 1.5):
+            eval_symbol_table(model, [0.2, 0.1], [u, 0.0], 4)
+        symbol_components(model)([1j, 0j])
+        sup_bound(model, ((0.0, 1.0),) * 2, ((-1.0, 1.0),) * 2)
+        assert len(compiled) == 1 and compiled[0] is model
+        eval_symbol_table(other, [0.2, 0.1], [0.5, 0.0], 4)
+        assert len(compiled) == 2 and compiled[1] is other
+
+    def test_the_model_stays_equal_and_hashable(self):
+        model = heston()
+        before = hash(model)
+        eval_symbol_table(model, [0.1, 0.04], [1.0, 0.0], 4)
+        assert hash(model) == before and model == heston()
 
 
 class TestBoundedness:
