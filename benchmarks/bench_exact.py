@@ -12,8 +12,10 @@ counts, per layer, the terms, the table entries, the orders that agree and
 the rows that sum to n!.  The import rows report the CPU seconds of a
 whole fresh process (interpreter start included) that imports the package,
 imports ``symalg`` alone, or runs ``affine-cf triangle --k 8``, and whether
-it loaded numpy.  The median over the repeats is printed.  Timings are
-reported, never asserted; the host's speed can swing by 20% between runs.
+it loaded numpy.  Every row also reports the peak RSS (``ru_maxrss``) of
+its fresh processes.  The medians over the repeats are printed.  Timings
+are reported, never asserted; the host's speed can swing by 20% between
+runs.
 """
 from __future__ import annotations
 
@@ -48,7 +50,13 @@ def measure(layer: str, d: int, k: int) -> dict:
     else:
         sums = symalg.counting_triangle(k).row_sums
         size = sum(r == factorial(n) for n, r in enumerate(sums, start=1))
-    return {"cpu_s": time.process_time() - start, "size": size}
+    cpu_s = time.process_time() - start
+    return {"cpu_s": cpu_s, "size": size, "rss_mb": peak_rss_mb()}
+
+
+def peak_rss_mb() -> float:
+    # ru_maxrss is in kB on Linux
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # Fresh-process start-ups: the program each row runs.
@@ -75,16 +83,27 @@ def fresh(layer: str, d: int, k: int) -> dict:
     return json.loads(out.stdout)
 
 
+# Appended to each start-up program: whether it loaded numpy, and its peak
+# RSS in kB.
+REPORT = """
+import resource, sys
+sys.stderr.write(f"{'numpy' in sys.modules} "
+                 f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss}")
+"""
+
+
 def fresh_start(code: str) -> dict:
-    """CPU seconds of a whole fresh process running ``code``, and whether
-    it loaded numpy."""
-    probe = code + "\nimport sys\nsys.stderr.write(str('numpy' in sys.modules))"
+    """CPU seconds and peak RSS of a whole fresh process running ``code``,
+    and whether it loaded numpy."""
+    probe = code + REPORT
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     out = subprocess.run([sys.executable, "-c", probe], env=child_env(),
                          capture_output=True, text=True, check=True)
     after = resource.getrusage(resource.RUSAGE_CHILDREN)
     cpu = (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
-    return {"cpu_s": cpu, "numpy": out.stderr.strip() == "True"}
+    numpy, rss_kb = out.stderr.split()
+    return {"cpu_s": cpu, "numpy": numpy == "True",
+            "rss_mb": int(rss_kb) / 1024.0}
 
 
 def pair(spec: str) -> tuple[int, int]:
@@ -113,21 +132,24 @@ def main() -> None:
             for layer in ("d_series", "coefficient_recursion", "cross_check")]
     jobs += [("counting_triangle", 1, rows) for rows in args.triangle]
     print(f"{'layer':<22} {'d':>2} {'K':>3} {'size':>8} {'cpu s (median)':>15}"
-          f"  all runs")
+          f" {'rss MB':>7}  all runs (cpu s)")
     for layer, d, k in jobs:
         runs = [fresh(layer, d, k) for _ in range(args.repeats)]
         times = [r["cpu_s"] for r in runs]
+        rss = statistics.median(r["rss_mb"] for r in runs)
         print(f"{layer:<22} {d:>2} {k:>3} {runs[0]['size']:>8} "
-              f"{statistics.median(times):>15.3f}  "
+              f"{statistics.median(times):>15.3f} {rss:>7.1f}  "
               + " ".join(f"{t:.3f}" for t in times))
 
-    print(f"\n{'start-up':<30} {'numpy':>5} {'cpu s (median)':>15}  all runs")
+    print(f"\n{'start-up':<30} {'numpy':>5} {'cpu s (median)':>15} "
+          f"{'rss MB':>7}  all runs (cpu s)")
     for label, code in IMPORTS.items():
         runs = [fresh_start(code) for _ in range(args.repeats)]
         times = [r["cpu_s"] for r in runs]
+        rss = statistics.median(r["rss_mb"] for r in runs)
         numpy = "yes" if any(r["numpy"] for r in runs) else "no"
-        print(f"{label:<30} {numpy:>5} {statistics.median(times):>15.3f}  "
-              + " ".join(f"{t:.3f}" for t in times))
+        print(f"{label:<30} {numpy:>5} {statistics.median(times):>15.3f} "
+              f"{rss:>7.1f}  " + " ".join(f"{t:.3f}" for t in times))
 
 
 if __name__ == "__main__":

@@ -14,22 +14,23 @@ provided:
 Both are integer recursions.  Over the Taylor-normalized atoms
 d^eps sigma / eps! and d^eps sigma_l / eps!, N_k = k! d_k has integer
 coefficients and N_{k+1} = sum_eps (d^eps sigma / eps!) d^eps_x N_k; the
-coefficient recursion carries k! c_(alpha, beta) with integer weights.
-``Fraction`` appears only at the boundary: each order is divided once into
-``SymPoly`` terms over ``AtomKey`` atoms and ``{(alpha, beta): Fraction}``
-rows, which must agree term for term (:func:`cross_check`).  The counting
-triangle groups d_n monomials by spatial order and reproduces the integer
-triangle with row sums R_n <= n!.
+coefficient recursion carries k! c_(alpha, beta) with integer weights, each
+(alpha, beta) packed into one int.  ``Fraction`` appears only at the
+boundary: each order is divided once into ``SymPoly`` terms over ``AtomKey``
+atoms and ``{(alpha, beta): Fraction}`` rows, which must agree term for
+term (:func:`cross_check`).  The counting triangle groups the monomials of
+N_n by spatial order and reproduces the integer triangle with row sums
+R_n <= n!, without building d_n.
 """
 from __future__ import annotations
 
 import threading
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import groupby
 from math import comb, factorial, prod
-from operator import add
 
 from .multiindex import (
     MultiIndex,
@@ -350,10 +351,10 @@ def _distributions(caps: tuple, eps: MultiIndex, memo: dict) -> list:
     receiving a multi-index lam_i with |lam_i| <= caps[i].
 
     Each way is (parts, weight): parts lists the nonzero lam_i as
-    (i - len(caps), lam_i, |lam_i|), indexed from the end so that a suffix
-    of caps shares its entries; the weight is the integer
-    prod_i caps[i]! / ((caps[i] - |lam_i|)! lam_i!).  Memoized in ``memo``
-    on (caps, eps).
+    (i - len(caps), lam_i packed one byte per direction, |lam_i|), indexed
+    from the end so that a suffix of caps shares its entries; the weight is
+    the integer prod_i caps[i]! / ((caps[i] - |lam_i|)! lam_i!).  Memoized
+    in ``memo`` on (caps, eps).
     """
     key = (caps, eps)
     out = memo.get(key)
@@ -379,7 +380,7 @@ def _distributions(caps: tuple, eps: MultiIndex, memo: dict) -> list:
             for li in lam0:
                 den *= factorial(li)
             w0 = factorial(a) // den
-            head = ((-len(caps), lam0, m),)
+            head = ((-len(caps), int.from_bytes(bytes(lam0), "little"), m),)
             out.extend((head + parts, w0 * w) for parts, w in rest)
     memo[key] = out
     return out
@@ -400,51 +401,84 @@ def _group_choices(eps: MultiIndex, cap: int):
     yield from rec(0, min(cap, sum(eps)))
 
 
-def _moves(alpha: tuple, flat_next: tuple, memo: dict) -> list:
-    """Every way one step takes a padded alpha to the next row:
-    (new alpha, beta increments [(position, lam)], integer weight)."""
+def _moves(alpha: tuple, flat: tuple, memo: dict) -> list:
+    """Every way one step takes the packed keys of alpha to the next row:
+    (delta, integer weight), the key of each new (alpha, beta) being the
+    old key plus delta.  ``alpha`` is padded to the packed layout of
+    :func:`coefficient_recursion`, whose slots ``flat`` enumerates."""
+    size = len(flat)
+    d = len(flat[0])
     groups = [i for i, a in enumerate(alpha) if a > 0]
     caps = tuple(alpha[i] for i in groups)
     total = sum(caps)
     moves = []
-    for pj, eps in enumerate(flat_next):  # new base atom d^eps sigma, |eps| <= k
-        if sum(eps) > total:  # flat_next is sorted by order: nothing follows
+    for pj, eps in enumerate(flat):  # new base atom d^eps sigma, |eps| <= k
+        if sum(eps) > total:  # flat is sorted by order: nothing follows
             break
         for parts, w in _distributions(caps, eps, memo):
-            na = list(alpha)
-            dbeta = []
+            delta = 1 << 8 * pj
             for g, lam, m in parts:
+                # m base factors of slot gi turn into slope factors, lam[l]
+                # of them in direction l + 1
                 gi = groups[g]
-                na[gi] -= m
-                dbeta.append((gi, lam))
-            na[pj] += 1
-            moves.append((tuple(na), dbeta, w))
+                delta += (lam << 8 * (size + gi * d)) - (m << 8 * gi)
+            moves.append((delta, w))
     return moves
 
 
-def _next_row(row: dict, k: int, d: int, splits: dict) -> dict:
-    """Row k -> row k+1 of the integers k! c_(alpha, beta), in the
-    flattened layout with beta entries as d-tuples.  ``splits`` is the
-    memo of :func:`_distributions`."""
-    flat_next = flattened_indices(d, k + 1)
-    n_next = len(flat_next)
-    zero_d = (0,) * d
+def _next_row(row: dict, flat: tuple, moves: dict, splits: dict) -> dict:
+    """Row k -> row k+1 of the integers k! c_(alpha, beta) over packed
+    keys.  ``moves`` memoizes :func:`_moves` on the packed alpha, which
+    recurs from row to row; ``splits`` is the memo of
+    :func:`_distributions`."""
+    alpha_mask = (1 << 8 * len(flat)) - 1
     by_alpha: dict = {}  # the moves depend on alpha alone
-    for (alpha, beta), c in row.items():
-        by_alpha.setdefault(alpha, []).append((beta, c))
-    nxt: dict = {}
+    for key, c in row.items():
+        by_alpha.setdefault(key & alpha_mask, []).append((key, c))
+    nxt: defaultdict = defaultdict(int)
     for alpha, entries in by_alpha.items():
-        alpha = alpha + (0,) * (n_next - len(alpha))
-        moves = _moves(alpha, flat_next, splits)
-        for beta, c in entries:
-            beta = beta + (zero_d,) * (n_next - len(beta))
-            for na, dbeta, w in moves:
-                nb = list(beta)
-                for gi, lam in dbeta:
-                    nb[gi] = tuple(map(add, nb[gi], lam))
-                key = (na, tuple(nb))
-                nxt[key] = nxt.get(key, 0) + c * w
+        step = moves.get(alpha)
+        if step is None:
+            step = moves[alpha] = _moves(
+                tuple(alpha.to_bytes(len(flat), "little")), flat, splits)
+        for key, c in entries:
+            for delta, w in step:
+                nxt[key + delta] += c * w
     return nxt
+
+
+class _Decoded(dict):
+    """bytes -> the tuple ``decode`` makes of them, built once per distinct
+    bytes, so that equal keys share one tuple."""
+
+    def __init__(self, decode):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, raw):
+        value = self[raw] = self.decode(raw)
+        return value
+
+
+def _unpack_row(row: dict, k: int, flat: tuple) -> dict:
+    """The public {(alpha, beta): Fraction} row k of the packed integers
+    k! c.  Equal alphas, betas and beta d-tuples are shared tuples."""
+    size = len(flat)
+    d = len(flat[0])
+    n = len(flattened_indices(d, k))
+    width = size * (1 + d)
+    kf = factorial(k)
+    alphas = _Decoded(tuple)
+    betas = alphas
+    if d > 1:
+        slots = _Decoded(tuple)  # d-tuple -> its shared copy
+        betas = _Decoded(lambda raw: tuple(
+            map(slots.__getitem__, zip(*[iter(raw)] * d))))
+    out = {}
+    for key, c in row.items():
+        b = key.to_bytes(width, "little")
+        out[(alphas[b[:n]], betas[b[size:size + n * d]])] = Fraction(c, kf)
+    return out
 
 
 def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
@@ -453,22 +487,24 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     Univariate keys are (alpha, beta) plain tuples; multivariate keys are
     (alpha, beta) with alpha over the flattened enumeration and beta a tuple
     of d-tuples.  All values are exact Fractions; absent keys are zero.
-    The recursion runs on the integers k! c and divides once per row.
+    The recursion runs on the integers k! c and divides once per row.  It
+    packs each (alpha, beta) into one int, one byte per slot: alpha[j] is
+    byte j and beta[j][l] byte S + j d + l, with S slots for the last row,
+    so an entry below 256 never carries into its neighbour.
     """
     if d < 1 or max_order < 1:
         raise ValueError("need d >= 1 and max_order >= 1")
-    row = {((1,), ((0,) * d,)): 1}
+    if max_order >= _RADIX:
+        raise ValueError(f"max_order must be below {_RADIX}")
+    flat = flattened_indices(d, max_order)
+    row = {1: 1}  # alpha = (1,), beta = (0,) * d
+    moves: dict = {}
     splits: dict = {}
     rows: dict[int, dict] = {}
     for k in range(1, max_order + 1):
         if k > 1:
-            row = _next_row(row, k - 1, d, splits)
-        kf = factorial(k)
-        if d == 1:
-            rows[k] = {(alpha, tuple(chain.from_iterable(beta))): Fraction(c, kf)
-                       for (alpha, beta), c in row.items()}
-        else:
-            rows[k] = {key: Fraction(c, kf) for key, c in row.items()}
+            row = _next_row(row, flat, moves, splits)
+        rows[k] = _unpack_row(row, k, flat)
     return rows
 
 
@@ -566,21 +602,32 @@ def counting_triangle(max_row: int) -> CountingTriangle:
 
     The entry for time order n and spatial order k is n! times the summed
     coefficients of d_n monomials with k base-symbol factors; every base
-    factor counts as spatial order 1, slope factors as 0.  Entries are
-    integers by construction of the recursion.
+    factor counts as spatial order 1, slope factors as 0.  It is read off
+    the integer form N_n = n! d_n of :func:`apply_symbol_operator`: each
+    monomial adds N_n[m] / prod eps!^e, summed in integers per (k,
+    denominator) and divided once per pair.  Entries are integers by
+    construction of the recursion.
     """
     if max_row < 1:
         raise ValueError("need max_row >= 1")
-    polys = d_series(1, max_row)
+    eps_factorial = [factorial(e) for e in range(max_row)]
+    n_k = SymPoly.constant(1)
     rows = []
     for n in range(1, max_row + 1):
+        n_k = apply_symbol_operator(n_k, 1, n - 1)
+        sums: dict[tuple[int, int], int] = {}
+        for mono, c in n_k.terms.items():
+            den = 1
+            for a in mono:
+                den *= eps_factorial[a % _RADIX]
+            key = (bisect_left(mono, _RADIX), den)  # base codes lie below
+            sums[key] = sums.get(key, 0) + c
         buckets: dict[int, Fraction] = {}
-        for mono, c in polys[n].terms.items():
-            k = monomial_base_count(mono)
-            buckets[k] = buckets.get(k, Fraction(0)) + c * factorial(n)
+        for (k, den), c in sums.items():
+            buckets[k] = buckets.get(k, 0) + Fraction(c, den)
         row = []
         for k in range(n, 0, -1):
-            v = buckets.get(k, Fraction(0))
+            v = buckets.get(k, 0)
             if v.denominator != 1:
                 raise ArithmeticError(f"non-integer triangle entry at ({n},{k})")
             row.append(int(v))

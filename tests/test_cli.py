@@ -189,6 +189,11 @@ class TestTables:
         assert code != 0
         assert json.loads(err)["error"]
 
+    def test_orders_past_one_byte_per_slot_are_refused(self, capsys):
+        code, out, err = run(capsys, "tables", "--max-k", "300", "--k", "256")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ValueError"
+
 
 class TestTriangle:
     def test_rows_and_flags(self, capsys):

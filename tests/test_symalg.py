@@ -155,6 +155,14 @@ class TestCrossCheck:
             report = cross_check(polys, rows, k, d=2)
             assert report.ok, report.mismatches
 
+    def test_three_dimensions_to_order_5(self):
+        # beta entries are 3-tuples: three slope directions per slot
+        polys = d_series(3, 5)
+        rows = coefficient_recursion(3, 5)
+        for k in range(1, 6):
+            report = cross_check(polys, rows, k, d=3)
+            assert report.ok, report.mismatches
+
 
 def canonical_series_digest(polys) -> str:
     """sha256 over the sorted lines "k|kind,l,deriv,e;...|num/den"."""
@@ -167,6 +175,13 @@ def canonical_series_digest(polys) -> str:
     return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
 
 
+def canonical_rows_digest(rows) -> str:
+    """sha256 over the sorted lines "k|alpha|beta|num/den"."""
+    lines = [f"{k}|{alpha}|{beta}|{c.numerator}/{c.denominator}"
+             for k, row in rows.items() for (alpha, beta), c in row.items()]
+    return hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+
+
 class TestGoldenDigests:
     @pytest.mark.parametrize("d,kmax,digest", [
         (1, 16, "f013cb35482c855e03df029597780dffee3e552cebc871abe17d27b83e20e0b0"),
@@ -174,6 +189,13 @@ class TestGoldenDigests:
     ])
     def test_d_series(self, d, kmax, digest):
         assert canonical_series_digest(d_series(d, kmax)) == digest
+
+    @pytest.mark.parametrize("d,kmax,digest", [
+        (1, 16, "d1d5fe78fec0448daaf1bc8d076d85cf731c457acbc16efb99d55c1998f34c2f"),
+        (2, 8, "8982f32c72d4f211fe79633fa1978a5bcbba7ab55b4689a4b6b96588d982ecc3"),
+    ])
+    def test_coefficient_recursion(self, d, kmax, digest):
+        assert canonical_rows_digest(coefficient_recursion(d, kmax)) == digest
 
 
 class TestIntegerRecursion:
@@ -187,6 +209,11 @@ class TestIntegerRecursion:
                     for j in a.deriv:
                         scale *= factorial(j) ** e
                 assert (c * scale).denominator == 1, (k, mono, c)
+
+    @pytest.mark.parametrize("build", [d_series, coefficient_recursion])
+    def test_orders_past_one_byte_per_slot_are_refused(self, build):
+        with pytest.raises(ValueError, match="below 256"):
+            build(1, 256)
 
     def test_weighted_row_sums_are_n_factorial(self):
         for n, row in enumerate(counting_triangle(12).rows, start=1):
@@ -265,6 +292,19 @@ class TestCountingTriangle:
             [1, 6, 11, 6],
             [1, 10, 35, 50, 24],
         ]
+
+    def test_rows_are_the_grouped_rational_series(self):
+        # the definition: n! times the summed d_n coefficients of the
+        # monomials with k base factors, for k = n down to 1
+        polys = d_series(1, 12)
+        expected = []
+        for n in range(1, 13):
+            buckets = {}
+            for mono, c in polys[n].terms.items():
+                k = monomial_base_count(mono)
+                buckets[k] = buckets.get(k, 0) + c * factorial(n)
+            expected.append([buckets.get(k, 0) for k in range(n, 0, -1)])
+            assert counting_triangle(n).rows == expected
 
     def test_row_sums_within_bound(self):
         tri = counting_triangle(12)
