@@ -7,9 +7,11 @@ Each measurement runs in a new interpreter, so every cache starts cold, as
 in a fresh ``affine-cf tables`` or ``triangle`` process.  Per (d, K) it
 reports the CPU seconds of ``d_series``, ``coefficient_recursion`` and
 ``cross_check`` at every order 1..K (its inputs are built first, untimed),
-and of ``counting_triangle`` for the requested rows.  The "size" column
-counts, per layer, the terms, the table entries, the orders that agree and
-the rows that sum to n!.  The import rows report the CPU seconds of a
+of ``counting_triangle`` for the requested rows, and of
+``gensym.correction_series`` for a perturbed Vasicek target around the
+Vasicek baseline at K=12 (models and imports built first, untimed).  The
+"size" column counts, per layer, the terms, the table entries, the orders
+that agree, the rows that sum to n! and the correction terms.  The import rows report the CPU seconds of a
 whole fresh process (interpreter start included) that imports the package,
 imports ``symalg`` alone, or runs ``affine-cf triangle --k 8``, and whether
 it loaded numpy.  Every row also reports the peak RSS (``ru_maxrss``) of
@@ -37,6 +39,14 @@ def measure(layer: str, d: int, k: int) -> dict:
     if layer == "cross_check":
         polys = symalg.d_series(d, k)
         rows = symalg.coefficient_recursion(d, k)
+    elif layer == "correction_series":
+        from affine_cf import gensym, oracle, symbols
+
+        params = oracle.VasicekParams(a0=0.02, b0=0.05, b1=-0.3)
+        target = symbols.AffineModel.from_arrays(
+            a0=[[2.0 * params.a0 + 0.05]], b0=[params.b0 + 0.01],
+            b_slope=[[params.b1 - 0.1]])
+        baseline = gensym.vasicek_baseline(params)
     start = time.process_time()
     if layer == "d_series":
         polys = symalg.d_series(d, k)
@@ -47,6 +57,9 @@ def measure(layer: str, d: int, k: int) -> dict:
     elif layer == "cross_check":
         size = sum(symalg.cross_check(polys, rows, order, d).ok
                    for order in range(1, k + 1))
+    elif layer == "correction_series":
+        polys = gensym.correction_series(target, baseline, k)
+        size = sum(len(p) for p in polys)
     else:
         sums = symalg.counting_triangle(k).row_sums
         size = sum(r == factorial(n) for n, r in enumerate(sums, start=1))
@@ -131,6 +144,7 @@ def main() -> None:
     jobs = [(layer, d, k) for d, k in args.series
             for layer in ("d_series", "coefficient_recursion", "cross_check")]
     jobs += [("counting_triangle", 1, rows) for rows in args.triangle]
+    jobs.append(("correction_series", 1, 12))
     print(f"{'layer':<22} {'d':>2} {'K':>3} {'size':>8} {'cpu s (median)':>15}"
           f" {'rss MB':>7}  all runs (cpu s)")
     for layer, d, k in jobs:

@@ -19,10 +19,8 @@ _EXPORTS = {
     "gensym": (
         "BASELINE_REGISTRY",
         "BaselineSolution",
-        "brute_force_series",
         "correction_series",
         "eval_baseline_cf",
-        "eval_brute_force",
         "eval_generalized",
         "expression_baseline",
         "heston_baseline",

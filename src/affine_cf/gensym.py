@@ -3,15 +3,13 @@
 Given a baseline affine model A0 whose characteristic function is known in
 closed form exp(phi0(t,u) + psi0(t,u).x), the CF of a target model A is
 represented as exp(phi0 + psi0.x) (1 + sum_k d_k t^k), with the symbols
-evaluated along the baseline trajectory xi = psi0(t,u).  Two recursions
-give the d_k: the difference form (primary), driven by
-Delta sigma = sigma - sigma0, and the brute-force form carrying the explicit
-time derivative of the baseline exponent (cross-validation).  Evaluation
-runs both through the numeric symbol operator of :mod:`series_eval`, which
-changes only the eps = 0 entries of the target's symbol table.
-:func:`correction_series` and :func:`brute_force_series` build the same
-recursions in the exact atom algebra, for the nilpotency claim and as
-references.
+evaluated along the baseline trajectory xi = psi0(t,u).  The d_k follow
+the difference recursion: the target's generator recursion with its
+eps = 0 atom read as Delta sigma = sigma - sigma0.  :func:`eval_generalized`
+runs it through the numeric symbol operator of :mod:`series_eval`, which
+changes only the eps = 0 entries of the target's symbol table;
+:func:`correction_series` builds it exactly on the integer engine of
+:mod:`symalg`, for the nilpotency claim and as a reference.
 """
 from __future__ import annotations
 
@@ -19,23 +17,12 @@ import ast
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .multiindex import enumerate_indices
 from .series_eval import CFResult, _operator_d_values, _series_result
-from .symalg import (
-    BASE,
-    BASE0,
-    DBASE,
-    DSLOPE,
-    SLOPE0,
-    TDRIFT,
-    AtomKey,
-    SymPoly,
-)
-from .symbols import AffineModel, NoJumps, eval_symbol_table_xi
+from .symalg import DBASE, DSLOPE, AtomKey, difference_series
+from .symbols import AffineModel, eval_symbol_table_xi
 
 GENERALIZED = "Generalized"
 
@@ -50,41 +37,32 @@ class BaselineSolution:
     """A solvable baseline: closed-form exponent plus its generator model.
 
     phi0(t, u) -> complex and psi0(t, u) -> complex d-vector must satisfy
-    phi0(0,u) = 0, psi0(0,u) = iu.  Optional closed-form time derivatives
-    dphi0/dpsi0 feed the brute-force recursion; central differences
-    (step 1e-6) are used otherwise.
+    phi0(0,u) = 0, psi0(0,u) = iu.
     """
 
     name: str
     model: AffineModel
     phi0: object
     psi0: object
-    dphi0: object = None
-    dpsi0: object = None
 
     def psi_vec(self, t: float, u) -> np.ndarray:
         return np.atleast_1d(np.asarray(self.psi0(t, u), dtype=complex))
 
-    def time_derivs(self, t: float, u, h: float = 1e-6):
-        if self.dphi0 is not None and self.dpsi0 is not None:
-            return (complex(self.dphi0(t, u)),
-                    np.atleast_1d(np.asarray(self.dpsi0(t, u), dtype=complex)))
-        t0 = max(t - h, 0.0)
-        dphi = (self.phi0(t + h, u) - self.phi0(t0, u)) / (t + h - t0)
-        dpsi = (self.psi_vec(t + h, u) - self.psi_vec(t0, u)) / (t + h - t0)
-        return complex(dphi), dpsi
-
     def residual_check(self, points, tol: float = 1e-6) -> float:
         """Finite-difference verification that exp(phi0 + psi0.x) solves the
         baseline Cauchy problem; returns the worst relative residual."""
+        h = 1e-6  # central-difference step in t
         worst = 0.0
         zero = tuple(0 for _ in range(self.model.dimension))
         for t, x, u in points:
             x = np.atleast_1d(np.asarray(x, dtype=float))
             psi = self.psi_vec(t, u)
             val = cmath.exp(complex(self.phi0(t, u)) + complex(psi @ x))
-            dphi, dpsi = self.time_derivs(t, u)
-            lhs = (dphi + dpsi @ x) * val
+            t0 = max(t - h, 0.0)
+            dt = t + h - t0
+            dphi = (self.phi0(t + h, u) - self.phi0(t0, u)) / dt
+            dpsi = (self.psi_vec(t + h, u) - self.psi_vec(t0, u)) / dt
+            lhs = (complex(dphi) + dpsi @ x) * val
             table = eval_symbol_table_xi(self.model, x, psi, 0)
             rhs = table.base[zero] * val
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(val)))
@@ -113,9 +91,7 @@ def zero_baseline(dimension: int) -> BaselineSolution:
     def psi0(t, u):
         return 1j * np.atleast_1d(np.asarray(u, dtype=float))
 
-    return BaselineSolution("zero", model, phi0, psi0,
-                            dphi0=lambda t, u: 0.0,
-                            dpsi0=lambda t, u: np.zeros(dimension, complex))
+    return BaselineSolution("zero", model, phi0, psi0)
 
 
 def vasicek_baseline(params) -> BaselineSolution:
@@ -139,17 +115,7 @@ def vasicek_baseline(params) -> BaselineSolution:
         uu = float(np.atleast_1d(u)[0])
         return np.array([1j * uu * math.exp(b1 * t)], dtype=complex)
 
-    def dphi0(t, u):
-        uu = float(np.atleast_1d(u)[0])
-        e1 = math.exp(b1 * t)
-        return 1j * uu * b0 * e1 - uu * uu * a0 * e1 * e1
-
-    def dpsi0(t, u):
-        uu = float(np.atleast_1d(u)[0])
-        return np.array([1j * uu * b1 * math.exp(b1 * t)], dtype=complex)
-
-    return BaselineSolution("vasicek", vasicek_model(params),
-                            phi0, psi0, dphi0, dpsi0)
+    return BaselineSolution("vasicek", vasicek_model(params), phi0, psi0)
 
 
 def heston_baseline(params) -> BaselineSolution:
@@ -254,21 +220,14 @@ BASELINE_REGISTRY = {
 
 def _blocks_equal(target: AffineModel, baseline: AffineModel, comp: int) -> bool:
     if comp == 0:
-        pair = ((target.a0, baseline.a0), (target.b0, baseline.b0),
-                (target.jumps[0], baseline.jumps[0]))
+        blocks = ((target.a0, baseline.a0), (target.b0, baseline.b0))
     else:
-        pair = ((target.a_slope[comp - 1], baseline.a_slope[comp - 1]),
-                (tuple(np.asarray(target.b_slope, float)[:, comp - 1]),
-                 tuple(np.asarray(baseline.b_slope, float)[:, comp - 1])),
-                (target.jumps[comp], baseline.jumps[comp]))
-    (ta, ba), (tb, bb), (tj, bj) = pair
-    if not np.array_equal(np.asarray(ta, float), np.asarray(ba, float)):
-        return False
-    if not np.array_equal(np.asarray(tb, float), np.asarray(bb, float)):
-        return False
-    if isinstance(tj, NoJumps) and isinstance(bj, NoJumps):
-        return True
-    return tj == bj
+        blocks = ((target.a_slope[comp - 1], baseline.a_slope[comp - 1]),
+                  (np.asarray(target.b_slope, float)[:, comp - 1],
+                   np.asarray(baseline.b_slope, float)[:, comp - 1]))
+    same = all(np.array_equal(np.asarray(a, float), np.asarray(b, float))
+               for a, b in blocks)
+    return same and target.jumps[comp] == baseline.jumps[comp]
 
 
 def _check_compatible(target: AffineModel, baseline: BaselineSolution) -> None:
@@ -278,107 +237,30 @@ def _check_compatible(target: AffineModel, baseline: BaselineSolution) -> None:
         raise ValueError("target and baseline truncation conventions differ")
 
 
-def _dx_eps(poly: SymPoly, eps) -> SymPoly:
-    out = poly
-    for direction, times in enumerate(eps, start=1):
-        for _ in range(times):
-            out = out.dx(direction)
-            if not out.terms:
-                return out
-    return out
-
-
-def _eps_factorial(eps) -> int:
-    f = 1
-    for e in eps:
-        f *= math.factorial(e)
-    return f
-
-
 def correction_series(target: AffineModel, baseline: BaselineSolution,
                       max_order: int) -> list:
     """Terms d_0 .. d_K of the difference recursion
 
         (k+1) d_{k+1} = Delta sigma . d_k
-                        + sum_{1<=|eps|<=k} (d^eps Delta sigma
-                                             + d^eps sigma0) (1/eps!) d^eps_x d_k
+                        + sum_{1<=|eps|<=k} (d^eps sigma) (1/eps!) d^eps_x d_k
 
-    in exact rational arithmetic over the atom kinds dbase/dslope (difference
-    symbol) and base0/slope0 (baseline symbol).  Atoms whose coefficient
-    blocks coincide between target and baseline are identically zero and are
-    dropped, which makes the nilpotency statement (target = baseline implies
-    d_k = 0 for k >= 1) structural rather than numeric.
+    in exact rational arithmetic: :func:`symalg.difference_series`, whose
+    eps = 0 atoms are the dbase/dslope kinds (Delta sigma = sigma - sigma0
+    and its slopes) and whose other atoms are the target's base/slope.  A
+    difference atom whose coefficient blocks coincide between target and
+    baseline is identically zero and is dropped, which makes the nilpotency
+    statement (target = baseline implies d_k = 0 for k >= 1) structural
+    rather than numeric.
     """
     _check_compatible(target, baseline)
     d = target.dimension
-    zero_model = AffineModel.from_arrays(dimension=d,
-                                         truncation=baseline.model.truncation)
+    zero = (0,) * d
     comp_zero = [_blocks_equal(target, baseline.model, c) for c in range(d + 1)]
-    base_zero = [_blocks_equal(baseline.model, zero_model, c)
-                 for c in range(d + 1)]
-    delta_all_zero = all(comp_zero)
-    base_all_zero = all(base_zero)
-
-    def keep(atom: AtomKey) -> bool:
-        if atom.kind == DBASE:
-            return not delta_all_zero
-        if atom.kind == DSLOPE:
-            return not comp_zero[atom.l]
-        if atom.kind == BASE0:
-            return not base_all_zero
-        if atom.kind == SLOPE0:
-            return not base_zero[atom.l]
-        return True
-
-    def filtered(poly: SymPoly) -> SymPoly:
-        out = SymPoly()
-        for mono, c in poly.terms.items():
-            if all(keep(a) for a, _ in mono):
-                out.add_term(mono, c)
-        return out
-
-    zero_eps = tuple(0 for _ in range(d))
-    series = [SymPoly.constant(Fraction(1))]
-    for k in range(max_order):
-        cur = series[k]
-        nxt = cur.mul_atom(AtomKey(DBASE, 0, zero_eps))
-        deg = max((sum(e for _, e in mono) for mono in cur.terms), default=0)
-        for order in range(1, min(k, deg) + 1):
-            for eps in enumerate_indices(d, order).indices:
-                dcur = _dx_eps(cur, eps)
-                if not dcur.terms:
-                    continue
-                w = Fraction(1, _eps_factorial(eps))
-                nxt.add_into(dcur.mul_atom(AtomKey(DBASE, 0, eps)), w)
-                nxt.add_into(dcur.mul_atom(AtomKey(BASE0, 0, eps)), w)
-        series.append(filtered(nxt).scaled(Fraction(1, k + 1)))
-    return series
-
-
-def brute_force_series(target: AffineModel, max_order: int) -> list:
-    """Terms of the brute-force recursion
-
-        (k+1) d_{k+1} = (-d_t phi0 - x . d_t psi0) d_k
-                        + sum_{0<=|eps|<=k} d^eps sigma (1/eps!) d^eps_x d_k
-
-    over the atom kinds tdrift (the time-derivative pseudo-atom, affine in x)
-    and base/slope (target symbol along the baseline trajectory)."""
-    d = target.dimension
-    zero_eps = tuple(0 for _ in range(d))
-    series = [SymPoly.constant(Fraction(1))]
-    for k in range(max_order):
-        cur = series[k]
-        nxt = cur.mul_atom(AtomKey(TDRIFT, 0, zero_eps))
-        deg = max((sum(e for _, e in mono) for mono in cur.terms), default=0)
-        for order in range(0, min(k, deg) + 1):
-            for eps in enumerate_indices(d, order).indices:
-                dcur = _dx_eps(cur, eps)
-                if not dcur.terms:
-                    continue
-                w = Fraction(1, _eps_factorial(eps))
-                nxt.add_into(dcur.mul_atom(AtomKey(BASE, 0, eps)), w)
-        series.append(nxt.scaled(Fraction(1, k + 1)))
-    return series
+    vanishing = [AtomKey(DSLOPE, l, zero)
+                 for l in range(1, d + 1) if comp_zero[l]]
+    if all(comp_zero):
+        vanishing.append(AtomKey(DBASE, 0, zero))
+    return difference_series(d, max_order, vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -386,46 +268,33 @@ def brute_force_series(target: AffineModel, max_order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _expand_along_baseline(target: AffineModel, baseline: BaselineSolution,
-                           x, u, t: float, truncation: int, shift,
-                           shift_slopes) -> CFResult:
-    """exp(phi0 + psi0 x) (1 + sum_k d_k t^k) with d_k = L^k 1 / k!, L the
-    operator of the target's symbol table at x = 0 along xi = psi0(t, u)
-    with shift + x . shift_slopes taken off its eps = 0 entry."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    table = eval_symbol_table_xi(target, np.zeros(target.dimension),
-                                 baseline.psi_vec(t, u), max(truncation - 1, 0))
-    zero = tuple(0 for _ in range(target.dimension))
-    table.base[zero] -= shift
-    for slope, s in zip(table.slope, shift_slopes):
-        slope[zero] -= s
-    dk = _operator_d_values(table.base, table.slope, x, truncation)
-    return _series_result(eval_baseline_cf(baseline, x, u, t), dk, t,
-                          GENERALIZED)
-
-
 def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
                      t: float, truncation: int = 10) -> CFResult:
     """exp(phi0 + psi0 x) (1 + sum_k d_k(x, psi0(t,u)) t^k).
 
-    The difference recursion: the eps = 0 entry of the operator is
-    Delta sigma = sigma - sigma0, and every other entry is the target's,
-    since d^eps Delta sigma + d^eps sigma0 = d^eps sigma."""
+    d_k = L^k 1 / k!, L the operator of the target's symbol table at x = 0
+    along xi = psi0(t, u) with the baseline's symbol taken off its eps = 0
+    entry: that entry is Delta sigma = sigma - sigma0, and every other entry
+    is the target's, since d^eps Delta sigma + d^eps sigma0 = d^eps sigma.
+    A baseline that misses psi0(0, u) = iu (reading only part of u) is
+    refused.
+    """
     _check_compatible(target, baseline)
+    iu = 1j * np.atleast_1d(np.asarray(u, dtype=float))
+    miss = float(np.max(np.abs(baseline.psi_vec(0.0, u) - iu)))
+    if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
+        raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
+                         f"by {miss:.3e}")
     d = target.dimension
     zero = tuple(0 for _ in range(d))
-    table0 = eval_symbol_table_xi(baseline.model, np.zeros(d),
-                                  baseline.psi_vec(t, u), 0)
-    return _expand_along_baseline(target, baseline, x, u, t, truncation,
-                                  table0.base[zero],
-                                  [slope[zero] for slope in table0.slope])
-
-
-def eval_brute_force(target: AffineModel, baseline: BaselineSolution, x, u,
-                     t: float, truncation: int = 10) -> CFResult:
-    """Brute-force variant carrying the explicit baseline time derivative;
-    used to cross-validate eval_generalized.  The eps = 0 entry of the
-    operator is sigma - d_t phi0 - x . d_t psi0."""
-    dphi, dpsi = baseline.time_derivs(t, u)
-    return _expand_along_baseline(target, baseline, x, u, t, truncation,
-                                  dphi, dpsi)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    psi = baseline.psi_vec(t, u)
+    table0 = eval_symbol_table_xi(baseline.model, np.zeros(d), psi, 0)
+    table = eval_symbol_table_xi(target, np.zeros(d), psi,
+                                 max(truncation - 1, 0))
+    table.base[zero] -= table0.base[zero]
+    for slope, slope0 in zip(table.slope, table0.slope):
+        slope[zero] -= slope0[zero]
+    dk = _operator_d_values(table.base, table.slope, x, truncation)
+    return _series_result(eval_baseline_cf(baseline, x, u, t), dk, t,
+                          GENERALIZED)

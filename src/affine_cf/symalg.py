@@ -20,7 +20,8 @@ boundary: each order is divided once into ``SymPoly`` terms over ``AtomKey``
 atoms and ``{(alpha, beta): Fraction}`` rows, which must agree term for
 term (:func:`cross_check`).  The counting triangle groups the monomials of
 N_n by spatial order and reproduces the integer triangle with row sums
-R_n <= n!, without building d_n.
+R_n <= n!, without building d_n.  :func:`difference_series` runs the same
+integer recursion for a generalized expansion around a baseline.
 """
 from __future__ import annotations
 
@@ -43,15 +44,10 @@ from .multiindex import (
 # matching SLOPE-like kind; SLOPE-like kinds are constant in x.
 BASE = "base"
 SLOPE = "slope"
-DBASE = "dbase"  # difference-symbol derivative (generalized expansions)
-DSLOPE = "dslope"
-BASE0 = "base0"  # baseline-symbol derivative (generalized expansions)
-SLOPE0 = "slope0"
-TDRIFT = "tdrift"  # -d_t(phi0) - x . d_t(psi0) pseudo-atom
-TDSLOPE = "tdslope"
+DBASE = "dbase"  # eps = 0 atoms of a generalized expansion: Delta sigma
+DSLOPE = "dslope"  # and Delta sigma_l
 
-_SLOPE_OF = {BASE: SLOPE, DBASE: DSLOPE, BASE0: SLOPE0, TDRIFT: TDSLOPE}
-_BASE_KINDS = frozenset(_SLOPE_OF)
+_BASE_KINDS = frozenset((BASE, DBASE))
 
 
 @dataclass(frozen=True, order=True)
@@ -62,13 +58,6 @@ class AtomKey:
     kind: str
     l: int
     deriv: MultiIndex
-
-    def dx(self, direction: int) -> "AtomKey | None":
-        """Spatial derivative in x_direction; None if the atom is constant."""
-        slope_kind = _SLOPE_OF.get(self.kind)
-        if slope_kind is None:
-            return None
-        return AtomKey(slope_kind, direction, self.deriv)
 
 
 Monomial = tuple  # sorted tuple of (AtomKey, positive int) pairs
@@ -115,10 +104,6 @@ class SymPoly:
             p.terms[()] = c
         return p
 
-    @classmethod
-    def atom(cls, a: AtomKey, coeff=Fraction(1)) -> "SymPoly":
-        return cls({((a, 1),): coeff})
-
     def copy(self) -> "SymPoly":
         return SymPoly(self.terms)
 
@@ -129,46 +114,6 @@ class SymPoly:
             self.terms.pop(mono, None)
         else:
             self.terms[mono] = new
-
-    def add_into(self, other: "SymPoly", scale=1) -> None:
-        for mono, c in other.terms.items():
-            self.add_term(mono, c * scale)
-
-    def __add__(self, other: "SymPoly") -> "SymPoly":
-        out = self.copy()
-        out.add_into(other)
-        return out
-
-    def scaled(self, s) -> "SymPoly":
-        if s == 0:
-            return SymPoly()
-        return SymPoly({m: c * s for m, c in self.terms.items()})
-
-    def mul_atom(self, a: AtomKey) -> "SymPoly":
-        """Multiply by a single atom."""
-        out = SymPoly()
-        for mono, c in self.terms.items():
-            d = dict(mono)
-            d[a] = d.get(a, 0) + 1
-            out.terms[monomial(d.items())] = c
-        return out
-
-    def dx(self, direction: int) -> "SymPoly":
-        """Spatial derivative: each base-like factor maps to its slope atom."""
-        out = SymPoly()
-        for mono, c in self.terms.items():
-            for i, (a, e) in enumerate(mono):
-                da = a.dx(direction)
-                if da is None:
-                    continue
-                d = dict(mono)
-                if e == 1:
-                    del d[a]
-                else:
-                    d[a] = e - 1
-                d[da] = d.get(da, 0) + 1
-                out.add_term(monomial(d.items()), c * e)
-        return out
 
     def substitute(self, assign) -> "SymPoly":
         """Replace atoms by exact constants per ``assign`` (AtomKey -> value);
@@ -216,6 +161,12 @@ class SymPoly:
 _RADIX = 1 << 8
 
 
+def _code(l: int, eps: MultiIndex) -> int:
+    for e in eps:
+        l = l * _RADIX + e
+    return l
+
+
 def _insert(mono: tuple, code: int, lo: int = 0) -> tuple:
     at = bisect_right(mono, code, lo)
     return mono[:at] + (code,) + mono[at:]
@@ -258,9 +209,7 @@ def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
             dp = dmap.get(eps)
             if not dp:
                 continue
-            code = 0
-            for e in eps:
-                code = code * _RADIX + e
+            code = _code(0, eps)
             for mono, c in dp.items():
                 m = _insert(mono, code)
                 out[m] = out.get(m, 0) + c
@@ -281,14 +230,18 @@ def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
     return result
 
 
-def _decode(code: int, d: int) -> tuple[AtomKey, int]:
-    """(AtomKey, eps!) of an atom code."""
+def _decode(code: int, d: int,
+            zeroth: tuple = (BASE, SLOPE)) -> tuple[AtomKey, int]:
+    """(AtomKey, eps!) of an atom code.  The eps = 0 atoms take the
+    (base, slope) kinds ``zeroth``."""
     l, rest = divmod(code, _RADIX ** d)
     eps = tuple(rest // _RADIX ** (d - 1 - i) % _RADIX for i in range(d))
-    return AtomKey(SLOPE if l else BASE, l, eps), prod(map(factorial, eps))
+    base, slope = zeroth if rest == 0 else (BASE, SLOPE)
+    return AtomKey(slope if l else base, l, eps), prod(map(factorial, eps))
 
 
-def _to_sympoly(n_k: SymPoly, k: int, d: int) -> SymPoly:
+def _to_sympoly(n_k: SymPoly, k: int, d: int,
+                zeroth: tuple = (BASE, SLOPE)) -> SymPoly:
     """d_k over AtomKey atoms from N_k = k! d_k over normalized atoms:
     divide each coefficient by k! prod eps!^e."""
     atoms: dict[int, tuple[AtomKey, int]] = {}
@@ -301,7 +254,7 @@ def _to_sympoly(n_k: SymPoly, k: int, d: int) -> SymPoly:
             e = len(list(run))
             atom = atoms.get(a)
             if atom is None:
-                atom = atoms[a] = _decode(a, d)
+                atom = atoms[a] = _decode(a, d, zeroth)
             key.append((atom[0], e))
             den *= atom[1] ** e
         out.terms[tuple(key)] = Fraction(c, den)
@@ -339,6 +292,35 @@ def d_series(d: int, max_order: int) -> list[SymPoly]:
                     cache.append(_to_sympoly(n_k, k + 1, d))
             _N_LAST[d] = (max_order, n_k)
         return cache[: max_order + 1]
+
+
+def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
+    """Terms d_0 .. d_K of an expansion around a baseline, exact rationals.
+
+    The recursion of :func:`d_series` with its eps = 0 atoms read as the
+    difference symbols Delta sigma = sigma - sigma0 (``DBASE``) and
+    Delta sigma_l (``DSLOPE``); every other atom is the target's
+    d^eps sigma = d^eps Delta sigma + d^eps sigma0.  The monomials holding
+    an atom of ``vanishing`` (AtomKeys that are identically zero) are
+    dropped at every order, so a vanishing difference gives exact zeros.
+    """
+    if d < 1 or max_order < 0:
+        raise ValueError("need d >= 1 and max_order >= 0")
+    if max_order >= _RADIX:
+        raise ValueError(f"max_order must be below {_RADIX}")
+    drop = {_code(a.l, a.deriv) for a in vanishing}
+    n_k = SymPoly.constant(1)
+    series = [SymPoly.constant(Fraction(1))]
+    for k in range(max_order):
+        n_k = apply_symbol_operator(n_k, d, k)
+        if drop:
+            n_k.terms = {m: c for m, c in n_k.terms.items()
+                         if drop.isdisjoint(m)}
+        d_k = _to_sympoly(n_k, k + 1, d, (DBASE, DSLOPE))
+        # the difference kinds sort apart from the codes: reorder
+        series.append(SymPoly({tuple(sorted(m)): c
+                               for m, c in d_k.terms.items()}))
+    return series
 
 
 # ---------------------------------------------------------------------------

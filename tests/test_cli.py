@@ -140,6 +140,20 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["summary"]["max_rel_err"] <= 1e-7
 
+    def test_baseline_missing_the_initial_condition_fails_the_row(
+            self, capsys):
+        # the Heston baseline reads only u1, so u2 = 0.5 is refused
+        code, out, _ = run(capsys, "compare", "--model",
+                           f"{MODELS}/heston.json", "--mode", "generalized",
+                           "--baseline", "heston", "--u", "1;0.5",
+                           "--x", "0;0.04", "--t", "0.2", "--k", "10",
+                           "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert "ValueError" in row["reason"] and "heston" in row["reason"]
+        for key in ("re", "im", "tail", "rel_err"):
+            assert row[key] != row[key]  # NaN
+
     def test_oracle_err_is_the_step_halving_estimate(self, capsys):
         argv = ("compare", "--model", f"{MODELS}/cir.json", "--k", "8",
                 "--t", "0.5", "--u", "1.0:2.0:2", "--x", "0.04")

@@ -1,15 +1,14 @@
 """Generalized-symbol expansions around solvable baselines."""
 import cmath
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from affine_cf.gensym import (
     BASELINE_REGISTRY,
-    brute_force_series,
     correction_series,
     eval_baseline_cf,
-    eval_brute_force,
     eval_generalized,
     expression_baseline,
     heston_baseline,
@@ -18,8 +17,8 @@ from affine_cf.gensym import (
 )
 from affine_cf.oracle import heston_cf, heston_model, riccati_cf, vasicek_model
 from affine_cf.series_eval import eval_local
-from affine_cf.symalg import (BASE, BASE0, DBASE, DSLOPE, SLOPE0, TDRIFT,
-                              TDSLOPE, AtomKey, SymPoly)
+from affine_cf.symalg import (BASE, DBASE, DSLOPE, SLOPE, AtomKey, SymPoly,
+                              d_series, monomial)
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
                                eval_symbol_table_xi)
 
@@ -86,6 +85,28 @@ class TestCorrectionSeries:
             loc = eval_local(model, [0.1], [1.0], t, 12)
             assert abs(gen.value - loc.value) <= 1e-12
 
+    @pytest.mark.parametrize("target_fn,K,zero_slopes",
+                             [(cir, 8, ()), (heston, 5, (1,))],
+                             ids=["cir", "heston"])
+    def test_zero_baseline_series_is_d_series(self, target_fn, K,
+                                                  zero_slopes):
+        # Around the zero generator Delta sigma is sigma, so reading the
+        # difference atoms back as base/slope gives d_series term for term,
+        # less the eps = 0 slope atoms that vanish (Heston's x-slope).
+        target = target_fn()
+        d = target.dimension
+        zero = (0,) * d
+        plain = {DBASE: BASE, DSLOPE: SLOPE}
+        vanishing = {AtomKey(SLOPE, l, zero): 0 for l in zero_slopes}
+        polys = correction_series(target, zero_baseline(d), K)
+        for p, q in zip(polys, d_series(d, K), strict=True):
+            assert all(mono == monomial(mono) for mono in p.terms)  # sorted
+            read_back = {
+                monomial((AtomKey(plain.get(a.kind, a.kind), a.l, a.deriv), e)
+                         for a, e in mono): c
+                for mono, c in p.terms.items()}
+            assert read_back == q.substitute(vanishing).terms
+
     def test_diffusion_only_correction_atoms(self):
         # target differs from the baseline only in the constant diffusion
         # block, so every difference atom is a constant-block derivative
@@ -108,6 +129,13 @@ class TestCorrectionSeries:
 
 
 class TestEvalGeneralized:
+    @pytest.mark.parametrize("u", [[1.0, 0.5], [0.0, 1.0]])
+    def test_baseline_missing_the_initial_condition_is_refused(self, u):
+        # the Heston baseline reads only u[0], so psi0(0, u) != iu
+        with pytest.raises(ValueError, match="baseline 'heston'.*psi0"):
+            eval_generalized(heston(), heston_baseline(HESTON),
+                             [0.0, 0.04], u, 0.2, 10)
+
     def test_target_equals_baseline_is_baseline_cf(self):
         x, u, t = [0.0, 0.04], [1.0, 0.0], 1.0
         gen = eval_generalized(heston(), heston_baseline(HESTON), x, u, t, 10)
@@ -126,31 +154,6 @@ class TestEvalGeneralized:
         gen = eval_generalized(target, heston_baseline(HESTON), x, u, t, 12)
         ref = riccati_cf(target, x, u, t).value
         assert abs(gen.value - ref) / abs(ref) <= 1e-5
-
-
-class TestBruteForce:
-    def test_target_equals_baseline_vanishes_numerically(self):
-        baseline = vasicek_baseline(VASICEK)
-        res = eval_brute_force(vasicek(), baseline, [0.1], 1.0, 0.3, 8)
-        ref = eval_baseline_cf(baseline, [0.1], 1.0, 0.3)
-        assert abs(res.value - ref) <= 1e-9
-
-    def test_zero_baseline_identical_to_plain(self):
-        model = bm_model(a0=0.4)
-        res = eval_brute_force(model, zero_baseline(1), [0.1], 1.0, 0.4, 10)
-        loc = eval_local(model, [0.1], [1.0], 0.4, 10)
-        assert abs(res.value - loc.value) <= 1e-12
-
-    def test_agrees_with_correction_series(self):
-        # perturbed-diffusion Vasicek target against the Vasicek baseline
-        target = AffineModel.from_arrays(
-            a0=[[2.0 * VASICEK.a0 + 0.05]], b0=[VASICEK.b0],
-            b_slope=[[VASICEK.b1]])
-        baseline = vasicek_baseline(VASICEK)
-        x, u, t = [0.1], 1.0, 0.2
-        a = eval_generalized(target, baseline, x, u, t, 10).value
-        b = eval_brute_force(target, baseline, x, u, t, 10).value
-        assert abs(a - b) <= 1e-7
 
 
 def _heston_with_jumps() -> AffineModel:
@@ -172,6 +175,10 @@ _EXPANSIONS = {
     "heston-jumps": (_heston_with_jumps, lambda: heston_baseline(HESTON),
                      [0.0, 0.04], [1.0, 0.0], 0.2, 6),
     "cir-zero": (cir, lambda: zero_baseline(1), [0.04], 1.5, 0.3, 8),
+    # Delta sigma keeps its v-slope and loses its x-slope
+    "heston-b21": (
+        lambda: heston_model(replace(HESTON, b21=2.0)),
+        lambda: heston_baseline(HESTON), [0.0, 0.04], [1.0, 0.0], 0.2, 8),
 }
 
 
@@ -189,38 +196,24 @@ class TestNumericOperatorMatchesExactSeries:
             .atom_values()
         vals = {}
         for atom, v in tab.items():
-            v0 = tab0[atom]
-            diff, zeroth = (DBASE, BASE0) if atom.kind == BASE \
-                else (DSLOPE, SLOPE0)
-            vals[AtomKey(diff, atom.l, atom.deriv)] = v - v0
-            vals[AtomKey(zeroth, atom.l, atom.deriv)] = v0
+            diff = DBASE if atom.kind == BASE else DSLOPE
+            vals[AtomKey(diff, atom.l, atom.deriv)] = v - tab0[atom]
             vals[atom] = v
-        dphi, dpsi = baseline.time_derivs(t, u)
-        zero = (0,) * target.dimension
-        vals[AtomKey(TDRIFT, 0, zero)] = -dphi - complex(dpsi @ x)
-        for l in range(1, target.dimension + 1):
-            vals[AtomKey(TDSLOPE, l, zero)] = -dpsi[l - 1]
         return vals
 
-    @pytest.mark.parametrize("case", sorted(_EXPANSIONS))
-    @pytest.mark.parametrize("evaluate,exact_series", [
-        (eval_generalized,
-         lambda target, baseline, K: correction_series(target, baseline, K)),
-        (eval_brute_force,
-         lambda target, baseline, K: brute_force_series(target, K)),
-    ], ids=["generalized", "brute-force"])
-    def test_d_k(self, case, evaluate, exact_series):
+    @pytest.mark.parametrize("case", sorted(_EXPANSIONS),
+                             ids=lambda case: f"generalized-{case}")
+    def test_d_k(self, case):
         target_fn, baseline_fn, x, u, t, K = _EXPANSIONS[case]
         target, baseline = target_fn(), baseline_fn()
-        res = evaluate(target, baseline, x, u, t, K)
+        res = eval_generalized(target, baseline, x, u, t, K)
         vals = self._atom_values(target, baseline, x, u, t, K)
         abs_vals = {a: abs(v) for a, v in vals.items()}
-        polys = exact_series(target, baseline, K)
+        polys = correction_series(target, baseline, K)
         for k in range(1, K + 1):
             exact = polys[k].eval(vals) * t ** k
-            # The brute-force terms cancel down to d_k (by 1e11 at Heston
-            # k = 6), so the float reading of the exact series is only good
-            # to rounding of the summed term magnitudes.
+            # the float reading of the exact series is good to rounding of
+            # the summed term magnitudes
             scale = SymPoly({m: abs(c) for m, c in polys[k].terms.items()}) \
                 .eval(abs_vals).real * t ** k
             assert abs(res.order_contributions[k - 1] - exact) <= 1e-13 * scale
