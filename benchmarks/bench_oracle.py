@@ -1,26 +1,24 @@
-"""Fresh-process timings of the Riccati oracle, of ``sup_bound``, of
-``eval_local`` (per point and per warm Fourier grid) and of long-horizon
-``eval_globalized``.
+"""Fresh-process timings of the Riccati oracle, of ``eval_local`` (per point
+and per warm Fourier grid) and of long-horizon ``eval_globalized``.
 
-Run:  python3 benchmarks/bench_oracle.py [--points 2] [--calls 20] [--repeats 3]
+Run:  python3 benchmarks/bench_oracle.py [--points 2] [--repeats 3]
 
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
 default integrator (2000 steps, plus the 4000-step run of the step-halving
-estimate) on CIR, Heston and ``models/bm_jumps.json``; ``sup_bound`` per
-call on the default boxes ``series_eval`` builds for a CIR point (d = 1)
-and a Heston point (d = 2); ``eval_local`` per point on CIR at K = 16, on
-Heston at K = 8 and 16 and on 3-, 4- and 5-d diffusions at K = 16, 16 and
-12 (the dense x-polynomials hold up to (K + 2)^d coefficients, so the peak
-RSS grows with d); ``eval_local`` per warm 16-point Fourier grid (one
-(t, x), 16 frequencies, 20 grids after one untimed grid) on CIR K = 16,
-Heston K = 8 and 16 and ``bm_jumps`` K = 16, split into the symbol tables
-(``eval_symbol_table``) and the operator (``_operator_d_values``: building
-L, its K applications and the read-out); ``eval_globalized`` per point at
-K = 16 on CIR at t = 1 and 5 and on Heston at t = 5.  The median CPU time
-and the median peak RSS (``ru_maxrss``) of the fresh processes are printed.
-Timings are reported, never asserted; the host's speed can swing by 20%
-between runs.
+estimate) on CIR, Heston and ``models/bm_jumps.json``; ``eval_local``
+per point on CIR at K = 16, on Heston at K = 8 and 16 and on 3-, 4- and
+5-d diffusions at K = 16, 16 and 12 (the dense x-polynomials hold up to
+(K + 2)^d coefficients, so the peak RSS grows with d); ``eval_local``
+per warm 16-point Fourier grid (one (t, x), 16 frequencies, 20 grids
+after one untimed grid) on CIR K = 16, Heston K = 8 and 16 and
+``bm_jumps`` K = 16, split into the symbol tables
+(``eval_symbol_table``) and the operator (``_operator_d_values``:
+building L, its K applications and the read-out); ``eval_globalized``
+per point at K = 16 on CIR at t = 1 and 5 and on Heston at t = 5.  The
+median CPU time and the median peak RSS (``ru_maxrss``) of the fresh
+processes are printed.  Timings are reported, never asserted; the host's
+speed can swing by 20% between runs.
 """
 from __future__ import annotations
 
@@ -105,14 +103,13 @@ def _split_timers(series_eval) -> dict:
 
 
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati_cf, eval_local, eval_globalized), per
-    call (sup_bound) or per warm grid (grid, with the table and operator
-    shares), measured inside the fresh interpreter, and its peak RSS in MB;
-    model building is untimed."""
+    """CPU seconds per point (riccati_cf, eval_local, eval_globalized) or per
+    warm grid (grid, with the table and operator shares), measured inside
+    the fresh interpreter, and its peak RSS in MB; model building is
+    untimed."""
     from affine_cf import series_eval
     from affine_cf.oracle import riccati_cf
-    from affine_cf.series_eval import _default_boxes, eval_globalized, eval_local
-    from affine_cf.symbols import sup_bound
+    from affine_cf.series_eval import eval_globalized, eval_local
 
     if what == "eval_globalized":
         case, horizon = GLOBALIZED[case]
@@ -140,15 +137,10 @@ def measure(what: str, case: str, n: int) -> dict:
         start = time.process_time()
         for i in range(n):
             eval_local(model, x, us[i % len(us)], t, order)
-    elif what == "eval_globalized":
+    else:
         start = time.process_time()
         for i in range(n):
             eval_globalized(model, x, us[i % len(us)], horizon, 16)
-    else:
-        omega, ubox = _default_boxes(model, x, us[0])
-        start = time.process_time()
-        for _ in range(n):
-            sup_bound(model, omega, ubox)
     cpu_s = (time.process_time() - start) / n
     # ru_maxrss is in kB on Linux
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
@@ -171,8 +163,6 @@ def main() -> None:
     ap.add_argument("--points", type=int, default=2,
                     help="riccati_cf, eval_local and eval_globalized points "
                          "per process")
-    ap.add_argument("--calls", type=int, default=20,
-                    help="sup_bound calls per process")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--one", nargs=3, metavar=("WHAT", "CASE", "N"),
                     help=argparse.SUPPRESS)
@@ -183,7 +173,6 @@ def main() -> None:
         return
 
     jobs = [("riccati_cf", case, args.points) for case in RICCATI]
-    jobs += [("sup_bound", "cir", args.calls), ("sup_bound", "heston", args.calls)]
     jobs += [("eval_local", case, args.points) for case in LOCAL]
     jobs += [("grid", case, GRID_REPEATS) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]

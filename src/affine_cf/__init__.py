@@ -2,8 +2,8 @@
 
 The characteristic function of an affine process is computed as an explicit
 power series in the symbol of the generator, with exact rational
-coefficients.  The package also provides globalized evaluation through a
-time transform, generalized series around solvable baselines, and
+coefficients.  The package also provides globalized evaluation along the
+affine semiflow, generalized series around solvable baselines, and
 independent Riccati / Levy-Khintchine oracles.
 
 The exports below are imported on first use (PEP 562), so the exact engine
@@ -59,13 +59,10 @@ _EXPORTS = {
     "series_eval": (
         "GLOBALIZED",
         "LOCAL",
-        "BetaChoice",
         "CFResult",
         "TimeTransform",
-        "choose_beta",
         "eval_globalized",
         "eval_local",
-        "rho_jet",
         "time_forward",
         "time_inverse",
     ),
@@ -83,13 +80,11 @@ _EXPORTS = {
     ),
     "symbols": (
         "AffineModel",
-        "BoundednessReport",
         "ExponentialJumps",
         "GaussianJumps",
         "NoJumps",
         "SymbolTable",
         "UserJump",
-        "classify_boundedness",
         "eval_symbol",
         "eval_symbol_table",
         "eval_symbol_table_xi",
@@ -98,7 +93,6 @@ _EXPORTS = {
         "model_from_json",
         "model_to_json",
         "save_model",
-        "sup_bound",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -140,7 +140,7 @@ def _grid_rows(args, model: AffineModel):
             if args.mode == "local":
                 res = eval_local(model, x, u, t, args.k)
             elif args.mode == "global":
-                res = eval_globalized(model, x, u, t, args.k, beta=args.beta)
+                res = eval_globalized(model, x, u, t, args.k)
             else:
                 res = eval_generalized(model, baseline, x, u, t, args.k)
         except Exception as exc:  # surfaced per row, not fatal
@@ -356,8 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--baseline", default="zero",
                         help="baseline name for generalized mode "
                              f"({sorted(BASELINES)})")
-        sp.add_argument("--beta", type=float, default=None,
-                        help="time-transform scale override (global mode)")
         add_output(sp)
 
     def add_output(sp):

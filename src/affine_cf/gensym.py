@@ -16,6 +16,7 @@ from __future__ import annotations
 import ast
 import cmath
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,13 +163,16 @@ _ALLOWED_NODES = (
     ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub,
     ast.UAdd,
 )
+# u1, u2, ...: one name per frequency component
+_COMPONENT = re.compile(r"u([1-9][0-9]*)")
 
 
 def compile_expression(src: str):
-    """Compile an arithmetic expression in variables t, u (and the imaginary
-    unit i) into a callable; only arithmetic nodes and a fixed function
-    whitelist are admitted."""
+    """Compile an arithmetic expression in t, the frequency components
+    u1 .. ud (u is u1) and the imaginary unit i into a callable; only
+    arithmetic nodes and a fixed function whitelist are admitted."""
     tree = ast.parse(src, mode="eval")
+    top = 1  # the highest frequency component the expression reads
     for node in ast.walk(tree):
         if not isinstance(node, _ALLOWED_NODES):
             raise ValueError(
@@ -178,16 +182,25 @@ def compile_expression(src: str):
             if not isinstance(node.func, ast.Name) or \
                     node.func.id not in _ALLOWED_CALLS:
                 raise ValueError(f"expression {src!r}: call not allowed")
-        if isinstance(node, ast.Name) and node.id not in (
-                "t", "u", "i", "pi", "e") and node.id not in _ALLOWED_CALLS:
-            raise ValueError(f"expression {src!r}: unknown name {node.id!r}")
+        if isinstance(node, ast.Name):
+            component = _COMPONENT.fullmatch(node.id)
+            if component:
+                top = max(top, int(component[1]))
+            elif node.id not in ("t", "u", "i", "pi", "e") and \
+                    node.id not in _ALLOWED_CALLS:
+                raise ValueError(
+                    f"expression {src!r}: unknown name {node.id!r}")
     code = compile(tree, "<baseline-expression>", "eval")
 
     def fn(t, u):
-        uu = float(np.atleast_1d(u)[0])
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        if top > u.size:
+            raise ValueError(f"expression {src!r}: u{top} beyond the "
+                             f"{u.size} frequency components")
+        components = {f"u{j}": float(v) for j, v in enumerate(u, start=1)}
         return complex(eval(code, {"__builtins__": {}}, {
-            "t": t, "u": uu, "i": 1j, "pi": math.pi, "e": math.e,
-            **_ALLOWED_CALLS,
+            "t": t, "u": components["u1"], "i": 1j, "pi": math.pi,
+            "e": math.e, **components, **_ALLOWED_CALLS,
         }))
 
     return fn

@@ -4,16 +4,13 @@ Every mode takes its coefficients from one numeric engine: the symbol
 operator L acting on polynomials in x held as dense complex coefficient
 arrays, built from the symbol table at x = 0, so that d_k = L^k 1 / k! is
 read at x after K applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
-Globalized mode maps t to tau through the tangent-log time transform t(tau);
-the transformed solution is the local one read at t(tau), so its coefficients
-are the composition e_k = sum_j C[k, j] d_j with C[k, j] = [tau^k] t(tau)^j,
-a lower-triangular matrix of numbers built from the Taylor jet of
-t'(tau) = 2 rho(tau), rho(tau) = (pi beta / 4) / cos(pi tau / 2).  Long
-horizons follow the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu)):
-each step reads the local series at x = 0 at the current complex xi and
-carries only phi and xi.  The generalized modes of :mod:`gensym` use the same
-operator on their own tables.  The exact atom algebra of :mod:`symalg` is
-not used here.
+Globalized mode follows the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu))
+from s = 0 at every horizon: each step reads the local series at x = 0 at
+the current complex xi and carries only phi and xi, so the result
+exp(phi + xi . x) is uniform in x.  The tangent-log time transform
+t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of its own.  The
+generalized modes of :mod:`gensym` use the same operator on their own
+tables.  The exact atom algebra of :mod:`symalg` is not used here.
 """
 from __future__ import annotations
 
@@ -26,67 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
-from .symbols import (
-    AffineModel,
-    BOUNDED,
-    classify_boundedness,
-    eval_symbol_table,
-    eval_symbol_table_xi,
-    sup_bound,
-)
+from .symbols import AffineModel, eval_symbol_table, eval_symbol_table_xi
 
 LOCAL = "Local"
 GLOBALIZED = "Globalized"
-
-
-# ---------------------------------------------------------------------------
-# Jets (truncated Taylor arithmetic)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class Jet:
-    """Truncated Taylor coefficients c_0 .. c_K of a scalar function."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        self.coefficients = np.asarray(self.coefficients, dtype=float)
-
-    @property
-    def order(self) -> int:
-        return self.coefficients.size - 1
-
-    def __add__(self, other: "Jet") -> "Jet":
-        return Jet(self.coefficients + other.coefficients)
-
-    def __mul__(self, other: "Jet") -> "Jet":
-        k = self.coefficients.size
-        out = np.convolve(self.coefficients, other.coefficients)[:k]
-        return Jet(out)
-
-    def scaled(self, s: float) -> "Jet":
-        return Jet(self.coefficients * s)
-
-    def reciprocal(self) -> "Jet":
-        c = self.coefficients
-        if c[0] == 0.0:
-            raise ZeroDivisionError("jet reciprocal at a zero of the function")
-        out = np.zeros_like(c)
-        out[0] = 1.0 / c[0]
-        for n in range(1, c.size):
-            out[n] = -np.dot(c[1 : n + 1], out[n - 1 :: -1]) / c[0]
-        return Jet(out)
-
-    def power(self, m: int) -> "Jet":
-        out = Jet(np.array([1.0] + [0.0] * self.order))
-        base = self
-        while m:
-            if m & 1:
-                out = out * base
-            base = base * base
-            m >>= 1
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -115,32 +55,6 @@ class TimeTransform:
             raise ValueError(f"t must be >= 0, got {t}")
         return (4.0 / math.pi) * (math.atan(math.exp(t / self.beta)) - math.pi / 4)
 
-    def rho_jet(self, tau0: float, order: int) -> Jet:
-        """Taylor jet of rho(tau) = (pi beta / 4) / cos(pi tau / 2) at tau0."""
-        if not 0.0 <= tau0 < 1.0:
-            raise ValueError(f"tau0 must lie in [0, 1), got {tau0}")
-        a = math.pi * tau0 / 2.0
-        w = math.pi / 2.0
-        cos_jet = np.array(
-            [w ** m / math.factorial(m) * math.cos(a + m * math.pi / 2.0)
-             for m in range(order + 1)]
-        )
-        return Jet(cos_jet).reciprocal().scaled(math.pi * self.beta / 4.0)
-
-    def composition_matrix(self, tau0: float, order: int) -> np.ndarray:
-        """C[k, j] = [s^k] T(s)^j for k, j <= order, T(s) = t(tau0 + s) - t(tau0).
-
-        T' = 2 rho, so T_k = 2 r_{k-1} / k from the rho jet; column j is the
-        j-th power of T.  T_0 = 0 makes C lower triangular."""
-        r = self.rho_jet(tau0, order).coefficients
-        shift = Jet(np.concatenate(([0.0], 2.0 * r[:-1] / np.arange(1, order + 1))))
-        out = np.zeros((order + 1, order + 1))
-        column = Jet(np.eye(order + 1)[0])
-        for j in range(order + 1):
-            out[:, j] = column.coefficients
-            column = column * shift
-        return out
-
 
 def time_forward(tt: TimeTransform, tau: float) -> float:
     return tt.forward(tau)
@@ -148,10 +62,6 @@ def time_forward(tt: TimeTransform, tau: float) -> float:
 
 def time_inverse(tt: TimeTransform, t: float) -> float:
     return tt.inverse(t)
-
-
-def rho_jet(tt: TimeTransform, tau0: float, order: int) -> Jet:
-    return tt.rho_jet(tau0, order)
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +111,7 @@ def _d_values(model: AffineModel, x, u, truncation: int) -> np.ndarray:
     return _operator_d_values(table.base, table.slope, x, truncation)
 
 
-def _series_result(prefactor, coefficients, t: float, mode: str,
-                   warnings=None) -> CFResult:
+def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
     """prefactor (1 + sum_k c_k t^k) with c_1 .. c_K = coefficients, summed
     from the highest order down (small terms first)."""
     truncation = len(coefficients)
@@ -213,8 +122,7 @@ def _series_result(prefactor, coefficients, t: float, mode: str,
         series += c
     value = prefactor * (1.0 + series)
     return CFResult(value, contributions, truncation,
-                    _tail_estimate(contributions, value), mode,
-                    [] if warnings is None else warnings)
+                    _tail_estimate(contributions, value), mode)
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
@@ -230,50 +138,8 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
 
 
 # ---------------------------------------------------------------------------
-# Globalized evaluation
+# Numeric x-polynomial operator (every mode)
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class BetaChoice:
-    beta: float
-    tau_at_horizon: float
-    sup_estimate: float
-
-
-def choose_beta(model: AffineModel, omega_box, u_box, horizon: float) -> BetaChoice:
-    """Heuristic transform scale: beta = min(1, 1/(2 sup|sigma|)), relaxed
-    upward when the horizon would land at tau(T) > 0.9."""
-    sb = sup_bound(model, omega_box, u_box)
-    beta = 1.0 if sb == 0.0 else min(1.0, 1.0 / (2.0 * sb))
-    tt = TimeTransform(beta)
-    tau_T = tt.inverse(horizon)
-    if tau_T > 0.9:
-        # smallest beta with tau(T) = 0.9
-        beta = horizon / math.log(math.tan(math.pi / 4 + math.pi * 0.225))
-        tau_T = TimeTransform(beta).inverse(horizon)
-    return BetaChoice(beta, tau_T, sb)
-
-
-def _default_boxes(model: AffineModel, x, u):
-    omega = []
-    for i in range(model.dimension):
-        if model.state_domain and model.state_domain[i][0] is not None \
-                and model.state_domain[i][1] is not None:
-            omega.append(tuple(model.state_domain[i]))
-        else:
-            omega.append((min(x[i], 0.0) - 1.0, max(x[i], 0.0) + 1.0))
-    ubox = [(-abs(v) - 1.0, abs(v) + 1.0) for v in u]
-    return omega, ubox
-
-
-# -- numeric x-polynomial operator (every mode) and stepping ----------------
-
-
-# Largest tau of the composed expansion; beyond it globalized mode follows
-# the semiflow.  At K = 16 the composed expansion is off by up to 2e-6 on CIR
-# short horizons that land at tau near 0.65.
-MAX_STEP = 0.3
 
 
 # Complex elements one gathered tile of the operator holds at most: a single
@@ -405,18 +271,20 @@ def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
                      for p in powers])[1:]
 
 
-def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
-                    beta: float = None) -> CFResult:
-    """Globalized-in-time evaluation through the tangent-log transform.
+# ---------------------------------------------------------------------------
+# Globalized evaluation
+# ---------------------------------------------------------------------------
 
-    The transformed solution is the local series read at t(tau): with d_k
-    the local coefficients at (x, iu), the tau-series coefficients are
-    e = C d, C the composition matrix of t(tau) at tau0 = 0.  When
-    tau(t) > MAX_STEP it follows the semiflow in t instead: f = exp(phi +
-    xi . x), stepped from (0, iu), raising MomentExplosionError when xi
-    blows up.  There the order contributions are the last step's terms of
-    the exponent times the value, and the tail estimate is the sum of the
-    per-step tails plus the rounding of the xi updates.
+
+def eval_globalized(model: AffineModel, x, u, t: float,
+                    truncation: int = 16) -> CFResult:
+    """Globalized-in-time evaluation along the affine semiflow.
+
+    f = exp(phi + xi . x) is stepped in t from (phi, xi) = (0, iu) at s = 0,
+    raising MomentExplosionError when xi blows up; t = 0 returns exp(iu . x)
+    with no contributions.  The order contributions are the last step's
+    terms of the exponent times the value, and the tail estimate is the sum
+    of the per-step tails plus the rounding of the xi updates.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
@@ -425,29 +293,10 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     d = model.dimension
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
-    warnings = []
-    if beta is None:
-        choice = choose_beta(model, *_default_boxes(model, x, u), max(t, 1e-9))
-        beta = choice.beta
-        if choice.sup_estimate * beta > 0.5 + 1e-12:
-            warnings.append(
-                "convergence risk: horizon forces beta above the contraction "
-                f"heuristic (sup bound {choice.sup_estimate:.3g}, beta {beta:.3g})"
-            )
-    # a bounded state domain classifies as BOUNDED
-    if classify_boundedness(model).classification != BOUNDED:
-        warnings.append(
-            "symbol is unbounded on an unbounded state domain; globalized "
-            "series is evaluated on heuristic boxes"
-        )
-    tt = TimeTransform(beta)
-    tau = tt.inverse(t)
-
-    if tau <= MAX_STEP:
-        dk = _d_values(model, x, u, truncation)
-        ek = tt.composition_matrix(0.0, truncation)[1:, 1:] @ dk
-        return _series_result(np.exp(1j * float(u @ x)), ek, tau, GLOBALIZED,
-                              warnings)
+    if t == 0:
+        value = complex(np.exp(1j * float(u @ x)))
+        return CFResult(value, [], truncation, ROUNDING_FLOOR * abs(value),
+                        GLOBALIZED)
 
     # Semiflow: at xi = psi(s, iu) the local series read at x = 0 gives
     # c0(h) = exp(phi(h, xi)) from its constant coefficients and
@@ -485,4 +334,4 @@ def eval_globalized(model: AffineModel, x, u, t: float, truncation: int = 16,
     rel_tail += 2 * steps * float(ulp @ np.abs(x))
     value = complex(np.exp(phi + xi @ x))
     return CFResult(value, list(value * terms), truncation,
-                    rel_tail * abs(value), GLOBALIZED, warnings)
+                    rel_tail * abs(value), GLOBALIZED)

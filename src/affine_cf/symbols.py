@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -340,15 +340,6 @@ class AffineModel:
         return cls(d, a0, a_slope, b0, b_slope, jumps, truncation,
                    tuple(map(tuple, state_domain)) if state_domain else ())
 
-    @property
-    def domain_bounded(self) -> bool:
-        if not self.state_domain:
-            return False
-        return all(
-            lo is not None and hi is not None and math.isfinite(lo) and math.isfinite(hi)
-            for lo, hi in self.state_domain
-        )
-
     def check_semielliptic(self, samples: int = 64, seed: int = 0) -> bool:
         """Sampled check that a(x) >= 0 on the state domain (corners plus
         random interior points; unbounded sides are clipped to +-10)."""
@@ -555,69 +546,6 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
 def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
     u = np.atleast_1d(np.asarray(u, dtype=float))
     return eval_symbol_table_xi(model, x, 1j * u, max_order)
-
-
-# ---------------------------------------------------------------------------
-# Boundedness classification and sup bounds
-# ---------------------------------------------------------------------------
-
-BOUNDED = "Bounded"
-BOUNDED_ON_BOUNDED = "BoundedOnlyOnBoundedOmega"
-
-
-@dataclass
-class BoundednessReport:
-    classification: str
-    reasons: list
-
-
-def classify_boundedness(model: AffineModel) -> BoundednessReport:
-    """Global boundedness of x -> sigma(x, iu).
-
-    Bounded iff the state domain is bounded, or every slope block vanishes
-    (a_slope = 0, b_slope = 0, slope jump measures absent).  Unbounded-support
-    slope jump measures (all closed-form families here) count as violations.
-    """
-    if model.domain_bounded:
-        return BoundednessReport(BOUNDED, ["state domain is bounded"])
-    reasons = []
-    for l, mat in enumerate(model.a_slope, start=1):
-        if np.any(np.asarray(mat, float) != 0.0):
-            reasons.append(f"a_slope[{l}] != 0")
-    bs = np.asarray(model.b_slope, float)
-    for i in range(model.dimension):
-        for l in range(model.dimension):
-            if bs[i, l] != 0.0:
-                reasons.append(f"b_slope[{i + 1},{l + 1}] != 0")
-    for l, jump in enumerate(model.jumps[1:], start=1):
-        if not isinstance(jump, NoJumps) and jump.total_mass > 0:
-            reasons.append(f"slope jump measure nu_{l} has unbounded support")
-    if reasons:
-        return BoundednessReport(BOUNDED_ON_BOUNDED, reasons)
-    return BoundednessReport(BOUNDED, ["all slope coefficients vanish"])
-
-
-def sup_bound(model: AffineModel, omega_box, u_box) -> float:
-    """Closed-form upper bound of |sigma(x, iu)| over x in omega_box and u in
-    u_box.
-
-    With U_i = max |u_i| and X_l = max |x_l| on the boxes, component c is
-    bounded by sum |w_ij| U_i U_j + sum |b_i| U_i, plus 2 total_mass +
-    sum |comp_j| U_j when it has jumps (|integral exp(iu.z) nu(dz)| is at
-    most the mass); the slope components are scaled by X_l."""
-    big_u = [max(abs(lo), abs(hi)) for lo, hi in u_box]
-    scale = [1.0] + [max(abs(lo), abs(hi)) for lo, hi in omega_box]
-    total = 0.0
-    for s, (quad, lin, jump_part) in zip(scale, model._compiled):
-        part = sum(abs(w) * big_u[i] * big_u[j] for i, j, w in quad)
-        part += sum(abs(bi) * big_u[i] for i, bi in lin)
-        if jump_part is not None:
-            _, mass, comp = jump_part
-            part += 2.0 * mass
-            if comp is not None:
-                part += sum(abs(cj) * uj for cj, uj in zip(comp, big_u))
-        total += s * part
-    return total
 
 
 # ---------------------------------------------------------------------------

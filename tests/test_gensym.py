@@ -240,3 +240,15 @@ class TestExpressionBaselines:
         with pytest.raises(ValueError):
             expression_baseline(AffineModel.from_arrays(dimension=1),
                                 "__import__('os')", ["i*u"])
+
+    def test_componentwise_expressions_in_d2(self):
+        # u1 .. ud name the frequency components; u is u1
+        zero2 = AffineModel.from_arrays(dimension=2)
+        baseline = expression_baseline(zero2, "0", ["i*u1", "i*u2"])
+        x, u, t = [0.1, 0.04], [1.0, 0.5], 0.3
+        gen = eval_generalized(heston(), baseline, x, u, t, 8)
+        ref = eval_generalized(heston(), zero_baseline(2), x, u, t, 8)
+        assert abs(gen.value - ref.value) <= 1e-14 * abs(ref.value)
+        beyond = expression_baseline(zero2, "0", ["i*u1", "i*u3"])
+        with pytest.raises(ValueError, match="u3"):
+            eval_generalized(heston(), beyond, x, u, t, 8)

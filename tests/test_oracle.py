@@ -20,8 +20,7 @@ from affine_cf.oracle import (
     vasicek_cf,
     vasicek_model,
 )
-from affine_cf.series_eval import _default_boxes
-from affine_cf.symbols import AffineModel, eval_symbol, load_model, sup_bound
+from affine_cf.symbols import AffineModel, eval_symbol, load_model
 
 from helpers import CIR, HESTON, VASICEK, bm_model, cir, gauss_jump_model, heston
 
@@ -79,7 +78,7 @@ def _bm_jumps():
 class TestPinnedValues:
     """Values of the integrator recorded from the per-component numpy
     right-hand side it replaced, which the compiled scalar symbol reproduces
-    bit for bit, and the closed-form ``sup_bound`` on the default boxes."""
+    bit for bit."""
 
     # (model, x, u, t, value, step_error) at the default 2000/4000 steps
     RICCATI = {
@@ -111,15 +110,6 @@ class TestPinnedValues:
         with pytest.raises(MomentExplosionError) as info:
             riccati_cf(model, [0.0], [1.0], 1.0)
         assert info.value.t_blowup == 0.61425
-
-    @pytest.mark.parametrize("model_fn, x, u, expected", [
-        (cir, [0.04], [1.0], 1.2032000000000003),
-        (heston, [0.0, 0.04], [1.0, 0.0], 4.1636),
-    ], ids=["cir", "heston"])
-    def test_sup_bound_on_default_boxes(self, model_fn, x, u, expected):
-        model = model_fn()
-        omega, ubox = _default_boxes(model, x, u)
-        assert sup_bound(model, omega, ubox) == expected
 
 
 class TestLevyKhintchine:

@@ -1,48 +1,27 @@
-"""Jet arithmetic, the time transform, and local/globalized series evaluation."""
+"""The time transform, and local/globalized series evaluation."""
 import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from affine_cf import series_eval
 from affine_cf.oracle import MomentExplosionError, cir_cf, heston_cf, riccati_cf
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
-    Jet,
     TimeTransform,
-    choose_beta,
     eval_globalized,
     eval_local,
-    rho_jet,
     time_forward,
     time_inverse,
 )
 from affine_cf.symalg import d_series
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
-                                eval_symbol, eval_symbol_table, sup_bound)
+                                eval_symbol, eval_symbol_table)
 
 from helpers import (CIR, HESTON, bm_model, cir, exponential_jumps,
                      gauss_jump_model, heston, unit_ball_gaussian, vasicek)
-
-
-class TestJet:
-    def test_multiply_is_truncated_convolution(self):
-        a = Jet(np.array([1.0, 2.0, 3.0]))
-        b = Jet(np.array([4.0, 5.0, 6.0]))
-        out = a * b
-        assert np.allclose(out.coefficients, [4.0, 13.0, 28.0])
-
-    def test_reciprocal_identity(self):
-        a = Jet(np.array([2.0, -1.0, 0.5, 0.3]))
-        prod = a * a.reciprocal()
-        assert np.allclose(prod.coefficients, [1.0, 0.0, 0.0, 0.0], atol=1e-14)
-
-    def test_power(self):
-        a = Jet(np.array([1.0, 1.0, 0.0]))
-        assert np.allclose(a.power(2).coefficients, [1.0, 2.0, 1.0])
 
 
 class TestTimeTransform:
@@ -71,73 +50,6 @@ class TestTimeTransform:
             time_inverse(tt, -0.1)
         with pytest.raises(ValueError):
             TimeTransform(0.0)
-
-
-class TestRhoJet:
-    def test_c0(self):
-        beta = 1.3
-        jet = rho_jet(TimeTransform(beta), 0.0, 4)
-        assert jet.coefficients[0] == pytest.approx(math.pi * beta / 4)
-
-    def test_c1_zero(self):
-        jet = rho_jet(TimeTransform(1.3), 0.0, 4)
-        assert jet.coefficients[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_c2(self):
-        beta = 1.3
-        jet = rho_jet(TimeTransform(beta), 0.0, 4)
-        expected = (math.pi * beta / 4) * (math.pi / 2) ** 2 / 2
-        assert jet.coefficients[2] == pytest.approx(expected)
-
-    def test_against_richardson_fd(self):
-        beta, tau0 = 0.9, 0.3
-        jet = rho_jet(TimeTransform(beta), tau0, 3)
-
-        def rho(tau):
-            return (math.pi * beta / 4) / math.cos(math.pi * tau / 2)
-
-        h = 1e-4
-        d1_h = (rho(tau0 + h) - rho(tau0 - h)) / (2 * h)
-        d1_2h = (rho(tau0 + 2 * h) - rho(tau0 - 2 * h)) / (4 * h)
-        d1 = (4 * d1_h - d1_2h) / 3  # Richardson extrapolation
-        assert jet.coefficients[1] == pytest.approx(d1, rel=1e-8)
-
-
-class TestCompositionMatrix:
-    def test_first_column_is_inverse_gudermannian(self):
-        # t(tau) = beta gd^{-1}(a tau), a = pi/2, and
-        # gd^{-1}(z) = z + z^3/6 + z^5/24 + 61 z^7/5040 + 277 z^9/72576 + ...
-        beta, a = 0.8, math.pi / 2
-        gd_inv = [0.0, 1.0, 0.0, 1 / 6, 0.0, 1 / 24, 0.0, 61 / 5040, 0.0,
-                  277 / 72576]
-        comp = TimeTransform(beta).composition_matrix(0.0, 9)
-        for k, c in enumerate(gd_inv):
-            assert comp[k, 1] == pytest.approx(beta * c * a ** k, rel=1e-13,
-                                               abs=1e-15)
-        assert comp[0, 0] == 1.0
-        assert np.all(comp[1:, 0] == 0.0)
-
-    @pytest.mark.parametrize("tau0", [0.0, 0.45])
-    def test_lower_triangular(self, tau0):
-        comp = TimeTransform(1.3).composition_matrix(tau0, 12)
-        assert np.all(np.triu(comp, 1) == 0.0)
-        assert np.all(np.diag(comp)[1:] != 0.0)
-
-    def test_constant_symbol_coefficients_are_exp_of_transform(self):
-        # sigma constant in x: d_k = sigma^k / k!, so e_k = [tau^k] exp(sigma t(tau)),
-        # here from the ODE g' = sigma t'(tau) g with t' = 2 rho.
-        model = bm_model(a0=0.6, drift=0.2)
-        beta, K, x, u = 0.5, 14, 0.3, 1.1
-        tt = TimeTransform(beta)
-        tau = 0.25  # within MAX_STEP: one expansion from the local series
-        res = eval_globalized(model, [x], [u], tt.forward(tau), K, beta=beta)
-        sigma = eval_symbol(model, [x], [u])
-        r = 2.0 * tt.rho_jet(0.0, K).coefficients
-        g = [1.0 + 0.0j]
-        for k in range(K):
-            g.append(sigma * sum(r[m] * g[k - m] for m in range(k + 1)) / (k + 1))
-        for k, contrib in enumerate(res.order_contributions, start=1):
-            assert abs(contrib / tau ** k - g[k]) <= 1e-12 * max(1.0, abs(g[k]))
 
 
 class TestEvalLocal:
@@ -185,8 +97,8 @@ class TestEvalLocal:
 
     def test_geometric_decay_bounded_symbol(self):
         model = gauss_jump_model(a0=0.3, drift=0.1)
-        u_box = ((-2.0, 2.0),)
-        sup = sup_bound(model, ((-1.0, 1.0),), u_box)
+        # |sigma(u)| <= a0 U^2 / 2 + |drift| U + 2 intensity for |u| <= U = 2
+        sup = 0.3 * 2.0 ** 2 / 2 + 0.1 * 2.0 + 2 * 0.5
         t = 0.5 / sup
         res = eval_local(model, [0.0], [1.5], t, 14)
         mags = [abs(c) for c in res.order_contributions]
@@ -307,8 +219,7 @@ class TestNumericOperatorFallback:
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
     def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
         x, v, u, t = 0.0, 0.04, 1.25, 0.3
-        kwargs = {"beta": 1.0} if evaluate is eval_globalized else {}
-        res = evaluate(heston(), [x, v], [u, 0.0], t, 16, **kwargs)
+        res = evaluate(heston(), [x, v], [u, 0.0], t, 16)
         ref = heston_cf(HESTON, x, v, u, t)
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
@@ -318,6 +229,19 @@ class TestEvalGlobalized:
         res = eval_globalized(bm_model(), [0.7], [1.3], 0.0, 10)
         assert abs(res.value - cmath.exp(1j * 0.7 * 1.3)) <= 1e-14
         assert res.mode == GLOBALIZED
+        assert res.order_contributions == []
+        assert res.tail_estimate == series_eval.ROUNDING_FLOOR * abs(res.value)
+
+    def test_short_horizons_at_k8(self):
+        # a short horizon is a few semiflow steps, each good to rounding
+        for t in (0.01, 0.05, 0.1, 0.2):
+            for u in (-2.5, 1.0, 3.0):
+                res = eval_globalized(cir(), [0.1], [u], t, 8)
+                ref = cir_cf(CIR, 0.1, u, t)
+                assert abs(res.value - ref) <= 1e-11 * abs(ref)
+                res = eval_globalized(heston(), [0.1, 0.04], [u, 0.0], t, 8)
+                ref = heston_cf(HESTON, 0.1, 0.04, u, t)
+                assert abs(res.value - ref) <= 1e-11 * abs(ref)
 
     def test_bm_long_horizon(self):
         model = bm_model(a0=1.0)
@@ -343,11 +267,10 @@ class TestEvalGlobalized:
 
     @pytest.mark.parametrize("tau", [0.29, 0.31, 0.69, 0.71])
     def test_both_sides_of_the_step_thresholds(self, tau):
-        # MAX_STEP = 0.3 ends the unstepped expansion; around 0.7 an
-        # unstepped K = 16 expansion would be off by about 1e-6.
-        beta, x, u = 0.25, 0.05, 1.0
-        t = TimeTransform(beta).forward(tau)
-        res = eval_globalized(cir(), [x], [u], t, 16, beta=beta)
+        # horizons around tau = 0.3 and 0.7 of the transform at beta = 0.25
+        x, u = 0.05, 1.0
+        t = TimeTransform(0.25).forward(tau)
+        res = eval_globalized(cir(), [x], [u], t, 16)
         ref = cir_cf(CIR, x, u, t)
         assert abs(res.value - ref) / abs(ref) <= 1e-8
 
@@ -384,7 +307,6 @@ class TestEvalGlobalized:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
     def test_tail_covers_a_short_semiflow_point(self):
-        # tau is about 0.37 at the default beta: past the composed expansion
         t, x, u = 0.189, 0.188, -0.934
         res = eval_globalized(cir(), [x], [u], t, 16)
         err = abs(res.value - cir_cf(CIR, x, u, t))
@@ -426,24 +348,3 @@ class TestEvalGlobalized:
     def test_unbounded_symbol_warning_attached(self):
         res = eval_globalized(vasicek(), [0.05], [1.0], 5.0, 16)
         assert isinstance(res.warnings, list)
-
-
-class TestChooseBeta:
-    def test_zero_model(self):
-        model = AffineModel.from_arrays(dimension=1)
-        choice = choose_beta(model, ((-1.0, 1.0),), ((-1.0, 1.0),), 1.0)
-        assert choice.beta == 1.0
-
-    def test_bm_unit_box(self):
-        choice = choose_beta(bm_model(a0=1.0), ((-1.0, 1.0),), ((-1.0, 1.0),),
-                             0.5)
-        assert choice.sup_estimate == pytest.approx(0.5)
-        assert choice.beta <= min(1.0, 1.0 / (2 * 0.5)) + 1e-12
-
-    @given(st.floats(0.5, 8.0))
-    @settings(deadline=None, max_examples=20)
-    def test_horizon_tau_bounded(self, horizon):
-        choice = choose_beta(vasicek(), ((-1.0, 1.0),), ((-2.0, 2.0),),
-                             horizon)
-        tt = TimeTransform(choice.beta)
-        assert time_inverse(tt, horizon) <= 0.9 + 1e-12

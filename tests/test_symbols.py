@@ -1,4 +1,4 @@
-"""Symbol evaluation, derivative tables, boundedness, and model I/O."""
+"""Symbol evaluation, derivative tables, and model I/O."""
 import cmath
 import json
 import math
@@ -13,15 +13,12 @@ from affine_cf import symbols
 from affine_cf.multiindex import enumerate_indices
 from affine_cf.symalg import BASE, AtomKey
 from affine_cf.symbols import (
-    BOUNDED,
-    BOUNDED_ON_BOUNDED,
     UNIT_BALL,
     AffineModel,
     ExponentialJumps,
     GaussianJumps,
     NoJumps,
     UserJump,
-    classify_boundedness,
     eval_symbol,
     eval_symbol_table,
     eval_symbol_table_xi,
@@ -29,7 +26,6 @@ from affine_cf.symbols import (
     model_from_json,
     model_to_json,
     save_model,
-    sup_bound,
     symbol_components,
 )
 
@@ -318,7 +314,6 @@ class TestCompiledOnce:
         for u in (0.5, 1.5):
             eval_symbol_table(model, [0.2, 0.1], [u, 0.0], 4)
         symbol_components(model)([1j, 0j])
-        sup_bound(model, ((0.0, 1.0),) * 2, ((-1.0, 1.0),) * 2)
         assert len(compiled) == 1 and compiled[0] is model
         eval_symbol_table(other, [0.2, 0.1], [0.5, 0.0], 4)
         assert len(compiled) == 2 and compiled[1] is other
@@ -328,79 +323,6 @@ class TestCompiledOnce:
         before = hash(model)
         eval_symbol_table(model, [0.1, 0.04], [1.0, 0.0], 4)
         assert hash(model) == before and model == heston()
-
-
-class TestBoundedness:
-    def test_levy_bounded(self):
-        report = classify_boundedness(gauss_jump_model(a0=0.3))
-        assert report.classification == BOUNDED
-
-    def test_vasicek_reasons(self):
-        report = classify_boundedness(vasicek())
-        assert report.classification == BOUNDED_ON_BOUNDED
-        assert any("b_slope" in r for r in report.reasons)
-
-    def test_bounded_domain_wins(self):
-        model = AffineModel.from_arrays(
-            a0=[[1.0]], b_slope=[[-0.5]], dimension=1,
-            state_domain=((-10.0, 10.0),))
-        assert classify_boundedness(model).classification == BOUNDED
-
-    def test_sup_grows_with_box_iff_unbounded(self):
-        u_box = ((-1.0, 1.0),)
-        small = sup_bound(vasicek(), ((-1.0, 1.0),), u_box)
-        large = sup_bound(vasicek(), ((-100.0, 100.0),), u_box)
-        assert large > 2 * small
-        lev = gauss_jump_model(a0=0.3)
-        assert sup_bound(lev, ((-100.0, 100.0),), u_box) == pytest.approx(
-            sup_bound(lev, ((-1.0, 1.0),), u_box))
-
-
-class TestSupBound:
-    def test_bm_unit_box(self):
-        model = bm_model(a0=1.0)
-        # the true sup of |u^2 / 2| on the unit box
-        est = sup_bound(model, ((-1.0, 1.0),), ((-1.0, 1.0),))
-        assert est == pytest.approx(0.5)
-
-    def test_zero_model(self):
-        model = AffineModel.from_arrays(dimension=1)
-        assert sup_bound(model, ((-1.0, 1.0),), ((-1.0, 1.0),)) == 0.0
-
-    def test_dominates_pointwise(self):
-        model = vasicek()
-        est = sup_bound(model, ((-1.0, 1.0),), ((-2.0, 2.0),))
-        rng = np.random.default_rng(1)
-        for _ in range(50):
-            x = rng.uniform(-1, 1)
-            u = rng.uniform(-2, 2)
-            assert abs(eval_symbol(model, [x], [u])) <= est
-
-    def test_pure_jump_bound_is_twice_the_mass_and_nearly_attained(self):
-        # |lam (exp(iu m - u^2 v / 2) - 1)| is close to 2 lam at u m = pi
-        model = gauss_jump_model(intensity=0.5, mean=1.0, var=1e-4)
-        est = sup_bound(model, ((-1.0, 1.0),), ((-4.0, 4.0),))
-        assert est == 1.0
-        assert 0.99 * est <= abs(eval_symbol(model, [0.0], [math.pi])) <= est
-
-    @pytest.mark.parametrize("source", COMPONENT_CASES)
-    def test_dominates_every_component_case(self, source):
-        model = component_case(source)
-        d = model.dimension
-        omega = tuple((-1.0, 2.0) for _ in range(d))
-        u_box = tuple((-3.0, 1.5) for _ in range(d))
-        est = sup_bound(model, omega, u_box)
-
-        def corners(boxes):
-            return [np.array([box[(mask >> i) & 1] for i, box in enumerate(boxes)])
-                    for mask in range(2 ** d)]
-
-        points = [(x, u) for x in corners(omega) for u in corners(u_box)]
-        rng = np.random.default_rng(2)
-        points += [(rng.uniform(-1.0, 2.0, d), rng.uniform(-3.0, 1.5, d))
-                   for _ in range(200)]
-        for x, u in points:
-            assert abs(eval_symbol(model, x, u)) <= est, (x, u)
 
 
 class TestModelIO:
