@@ -8,17 +8,17 @@ Each measurement runs in a new interpreter, as in a fresh
 default integrator (2000 steps, plus the 4000-step run of the step-halving
 estimate) on CIR, Heston and ``models/bm_jumps.json``; ``eval_local``
 per point on CIR at K = 16, on Heston at K = 8 and 16 and on 3-, 4- and
-5-d diffusions at K = 16, 16 and 12 (the dense x-polynomials hold up to
-(K + 2)^d coefficients, so the peak RSS grows with d); ``eval_local``
-per warm 16-point Fourier grid (one (t, x), 16 frequencies, 20 grids
-after one untimed grid) on CIR K = 16, Heston K = 8 and 16 and
-``bm_jumps`` K = 16, split into the symbol tables
+5-d diffusions at K = 16, 16 and 12 (the x-polynomials hold the
+C(K + d, d) coefficients of total degree <= K, so the peak RSS grows with
+d); ``eval_local`` per warm 16-point Fourier grid (one (t, x), 16
+frequencies, 20 grids after one untimed grid) on CIR K = 16, Heston K = 8
+and 16 and ``bm_jumps`` K = 16, split into the symbol tables
 (``eval_symbol_table``) and the operator (``_operator_d_values``:
 building L, its K applications and the read-out); ``eval_globalized``
-per point at K = 16 on CIR at t = 1 and 5 and on Heston at t = 5.  The
-median CPU time and the median peak RSS (``ru_maxrss``) of the fresh
-processes are printed.  Timings are reported, never asserted; the host's
-speed can swing by 20% between runs.
+per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5 and on the
+4-d diffusion at t = 2.  The median CPU time and the median peak RSS
+(``ru_maxrss``) of the fresh processes are printed.  Timings are
+reported, never asserted; the host's speed can swing by 20% between runs.
 """
 from __future__ import annotations
 
@@ -53,7 +53,7 @@ GRID = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
 GRID_POINTS = 16
 GRID_REPEATS = 20  # warm grids per process
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
-              "heston-t5": ("heston", 5.0)}
+              "heston-t5": ("heston", 5.0), "diff4-t2": ("diff4", 2.0)}
 
 
 def _diffusion(d: int):

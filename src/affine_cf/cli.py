@@ -257,8 +257,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_tables(args) -> dict:
-    if args.k > args.max_k:
-        raise CliError(f"--k {args.k} exceeds the configured cap {args.max_k}")
+    if args.k > 20:
+        raise CliError("tables rows are capped at 20")
     rows = coefficient_recursion(args.dimension, args.k)
     return {"command": "tables", "dimension": args.dimension, "k": args.k,
             "coefficients": coefficients_to_jsonable(rows)}
@@ -368,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("tables", help="dump exact series coefficients")
     sp.add_argument("--k", type=int, default=6, help="highest row")
     sp.add_argument("--dimension", type=int, default=1)
-    sp.add_argument("--max-k", type=int, default=20, dest="max_k",
-                    help="cap on the requested order")
     add_output(sp)
 
     sp = sub.add_parser("triangle", help="print the counting triangle")

@@ -290,8 +290,12 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     entry: that entry is Delta sigma = sigma - sigma0, and every other entry
     is the target's, since d^eps Delta sigma + d^eps sigma0 = d^eps sigma.
     A baseline that misses psi0(0, u) = iu (reading only part of u) is
-    refused.
+    refused, as are truncation < 1 and t < 0.
     """
+    if truncation < 1:
+        raise ValueError("truncation order must be >= 1")
+    if t < 0:
+        raise ValueError("t must be >= 0")
     _check_compatible(target, baseline)
     iu = 1j * np.atleast_1d(np.asarray(u, dtype=float))
     miss = float(np.max(np.abs(baseline.psi_vec(0.0, u) - iu)))

@@ -1,9 +1,10 @@
 """Numeric evaluation of the characteristic-function power series.
 
 Every mode takes its coefficients from one numeric engine: the symbol
-operator L acting on polynomials in x held as dense complex coefficient
-arrays, built from the symbol table at x = 0, so that d_k = L^k 1 / k! is
-read at x after K applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
+operator L acting on polynomials in x held as complex coefficient vectors
+over the multi-indices of bounded total degree, built from the symbol table
+at x = 0, so that d_k = L^k 1 / k! is read at x after K applications.
+Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
 Globalized mode follows the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu))
 from s = 0 at every horizon: each step reads the local series at x = 0 at
 the current complex xi and carries only phi and xi, so the result
@@ -15,13 +16,13 @@ tables.  The exact atom algebra of :mod:`symalg` is not used here.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from .multiindex import flattened_indices, flattened_position
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
 from .symbols import AffineModel, eval_symbol_table, eval_symbol_table_xi
 
@@ -142,133 +143,94 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
 # ---------------------------------------------------------------------------
 
 
-# Complex elements one gathered tile of the operator holds at most: a single
-# tile at d <= 2 and the orders in use; beyond, tiles over the leading axes
-# keep the temporaries a small part of the (K + 2)^d arrays.
-_GATHER_BUDGET = 1 << 16
+@lru_cache(maxsize=32)
+def _graded_plan(pattern: tuple, size: int):
+    """Integer data of the graded layout of total degree <= size for a
+    live-eps pattern: the M multi-indices m in the order of
+    :func:`flattened_indices` (degree j is the prefix of length
+    C(j + d, d)), with position M a zero entry past the end; per eps the
+    position of m + eps, M where its degree exceeds size; 1 / eps!; per
+    axis l the position of m + e_l and the weight m_l + 1; and C(j + d, d)
+    per degree j."""
+    d = len(pattern[0])
+    monos = np.array(flattened_indices(d, size + 1), dtype=np.intp)
+    M = len(monos)
+    rank = np.zeros((size + 1,) * d, dtype=np.intp)
+    rank[tuple(monos.T)] = np.arange(M)
 
+    def positions(shift):
+        target = monos + shift
+        found = rank[tuple(np.minimum(target, size).T)]
+        return np.where(target.sum(axis=1) <= size, found, M)
 
-@lru_cache(maxsize=64)
-def _gather_plan(pattern: tuple):
-    """Integer data of a live-eps pattern: its eps as one index array per
-    axis, 1 / eps! and the largest eps_i (the padding a gather needs)."""
-    index = tuple(np.array(axis, dtype=np.intp) for axis in zip(*pattern))
+    gather = np.array([positions(eps) for eps in pattern])
     inv_factorial = np.array([1.0 / math.prod(map(math.factorial, eps))
                               for eps in pattern])
-    return index, inv_factorial, max(map(max, pattern))
-
-
-@lru_cache(maxsize=256)
-def _tiles(k: int, d: int, per_point: int, pad: int) -> tuple:
-    """The tiles one application to a (k,) * d array runs over, each holding
-    at most _GATHER_BUDGET / per_point input positions (at least one): one
-    tile when that fits, else single indices on the leading h - 1 axes and
-    runs of the h-th, h the fewest axes that bring a tile within budget.
-
-    Per tile: the box of input positions m, the part of q it reads (the box
-    extended by pad) and where that lands in the zeroed slab, the slab, window
-    and row shapes, and per axis l the box shifted by e_l with its m_l."""
-    h = 0
-    while h < d and per_point * k ** (d - h) > _GATHER_BUDGET:
-        h += 1
-    # a tile's extent per axis: one index on the leading h - 1 axes, runs of
-    # step on axis h - 1, the whole axis beyond
-    step = max(1, _GATHER_BUDGET // (per_point * k ** (d - h)))
-    runs = ([1] * (h - 1) + [step] if h else []) + [k] * (d - h)
-    boxes = itertools.product(*([slice(lo, min(lo + r, k))
-                                 for lo in range(0, k, r)] for r in runs))
-    tiles = []
-    for box in boxes:
-        shape = tuple(b.stop - b.start for b in box)
-        src = tuple(slice(b.start, min(b.stop + pad, k)) for b in box)
-        shifts = []
-        for l in range(d):
-            dst = slice(box[l].start + 1, box[l].stop + 1)
-            shifts.append((box[:l] + (dst,) + box[l + 1:],
-                           (slice(None),) * l + (dst,)))
-        tiles.append((box, src, tuple(slice(0, b.stop - b.start) for b in src),
-                      tuple(e + pad for e in shape), (pad + 1,) * d + shape,
-                      (1 + d,) + shape, shifts))
-    return tuple(tiles)
+    shifts = np.array([positions(e) for e in np.eye(d, dtype=np.intp)])
+    weights = (monos.T + 1.0).astype(complex)
+    ends = [math.comb(j + d, d) for j in range(size + 1)]
+    return monos, gather, inv_factorial, shifts, weights, ends
 
 
 def _poly_step_operator(base0, slopes, size: int):
-    """L acting on x-polynomials held as dense complex arrays in the
-    Taylor-normalized basis: q of shape (k,) * d with k <= size, q[m] the
-    coefficient of x^m / m!:
-    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q,
-    of shape (k + 1,) * d to hold the degree the slope terms add.
+    """L acting on x-polynomials of total degree <= size held as graded
+    complex vectors (:func:`_graded_plan`) in the Taylor-normalized basis,
+    q[p] the coefficient of x^m / m! at the position p of m:
+    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q.
 
-    In this basis d^eps_x is the shift q[m] -> q[m + eps], and x_l maps q[m]
-    to (m_l + 1) q at m + e_l.  One application gathers q[m + eps] for every
-    eps of base0 (the table's live entries) from a zero-padded copy,
-    contracts them in one matmul with the (1 + d) x E matrix of the table
-    entries over eps! (row 0 the base, row l the slopes in direction l),
-    adds row 0 and adds row l shifted by one along axis l, times m_l.  The
-    gather runs over the tiles of :func:`_tiles`: one at d <= 2."""
-    d = len(slopes)
+    In this basis d^eps_x reads q at m + eps, and x_l moves q[m] times
+    m_l + 1 to m + e_l, so L raises the degree by at most one.
+    ``apply(q, degree)``, q of degree below size, gathers q at m + eps for
+    every eps of base0 (the table's live entries) and every m of degree
+    <= degree, contracts them in one matmul with the (1 + d) x E matrix of
+    the table entries over eps! (row 0 the base, row l the slopes in
+    direction l), and adds row 0 in place and row l at m + e_l."""
     pattern = tuple(base0)
-    index, inv_factorial, pad = _gather_plan(pattern)
+    _, gather, inv_factorial, shifts, weights, ends = \
+        _graded_plan(pattern, size)
     coef = np.array([list(base0.values())]
                     + [[s.get(eps, 0.0) for eps in pattern] for s in slopes],
                     dtype=complex) * inv_factorial
-    # m_l along axis l, complex so that the products need no cast
-    ramps = [np.arange(size + 1.0, dtype=complex).reshape(
-        [-1 if i == l else 1 for i in range(d)]) for l in range(d)]
 
-    def apply(q):
-        k = q.shape[0]
-        out = np.zeros((k + 1,) * d, dtype=complex)
-        for box, src, fill, slab_shape, window_shape, rows_shape, shifts \
-                in _tiles(k, d, len(pattern), pad):
-            slab = np.zeros(slab_shape, dtype=complex)
-            slab[fill] = q[src]
-            # window[a][m] = slab[a + m], a <= pad
-            window = np.ndarray(window_shape, dtype=complex, buffer=slab,
-                                strides=slab.strides * 2)
-            rows = coef @ window[index].reshape(len(pattern), -1)
-            rows = rows.reshape(rows_shape)
-            out[box] += rows[0]
-            for l, (dst, weight) in enumerate(shifts):
-                out[dst] += ramps[l][weight] * rows[1 + l]
+    def apply(q, degree: int):
+        n = ends[degree]
+        rows = coef @ q[gather[:, :n]]
+        out = np.zeros(len(q), dtype=complex)
+        out[:n] = rows[0]
+        for l, (shift, weight) in enumerate(zip(shifts, weights)):
+            out[shift[:n]] += weight[:n] * rows[1 + l]
         return out
 
     return apply
 
 
-def _operator_powers(L, q, order: int):
-    """Yield L^j q / j! for j = 0 .. order: one application of L per power,
-    holding only the current power."""
+def _unit_powers(base0, slopes, truncation: int):
+    """Yield L^k 1 / k! for k = 0 .. K as graded vectors of total degree
+    <= K, L the x-polynomial operator of the x = 0 tables base0 and
+    slopes, holding only the current power."""
+    L = _poly_step_operator(base0, slopes, truncation)
+    q = np.zeros(math.comb(truncation + len(slopes), truncation) + 1,
+                 dtype=complex)
+    q[0] = 1.0
     yield q
-    for j in range(1, order + 1):
-        q = L(q)
+    for j in range(1, truncation + 1):
+        q = L(q, j - 1)
         q /= j
         yield q
-
-
-def _unit_powers(base0, slopes, truncation: int):
-    """Yield L^k 1 / k! for k = 0 .. K in the Taylor-normalized basis, L
-    the x-polynomial operator of the x = 0 tables base0 and slopes; 1 is
-    held with room for the linear coefficients."""
-    d = len(slopes)
-    one = np.zeros((2,) * d, dtype=complex)
-    one[(0,) * d] = 1.0
-    L = _poly_step_operator(base0, slopes, truncation + 1)
-    return _operator_powers(L, one, truncation)
 
 
 def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
     """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
     x = 0 tables base0 and slopes: one dot per power against the monomials
-    x^m / m!, built once."""
-    n = truncation + 2
-    monomials = np.ones(())
-    for xl in x:
-        axis = np.cumprod(np.concatenate(([1.0], xl / np.arange(1.0, n))))
-        monomials = np.multiply.outer(monomials, axis)
+    x^m / m! over the graded exponents, built once."""
+    monos = _graded_plan(tuple(base0), truncation)[0]
+    monomials = np.ones(len(monos))
+    for l, xl in enumerate(x):
+        axis = np.cumprod(np.concatenate(
+            ([1.0], xl / np.arange(1.0, truncation + 1))))
+        monomials *= axis[monos[:, l]]
     powers = _unit_powers(base0, slopes, truncation)
-    return np.array([np.vdot(monomials[(slice(0, p.shape[0]),) * p.ndim], p)
-                     for p in powers])[1:]
+    return np.array([p[:-1] @ monomials for p in powers])[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +264,8 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     # c0(h) = exp(phi(h, xi)) from its constant coefficients and
     # c1(h) / c0(h) = psi(h, xi) - xi from its linear ones, so only phi and
     # xi are carried from step to step.
-    keys = [(0,) * d] + [tuple(int(i == l) for i in range(d)) for l in range(d)]
+    keys = [0] + [flattened_position(d, tuple(int(i == l) for i in range(d)))
+                  for l in range(d)]
     xi, phi, s, rel_tail, steps = 1j * u, 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
         if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
@@ -310,7 +273,7 @@ def eval_globalized(model: AffineModel, x, u, t: float,
         table = eval_symbol_table_xi(model, [0.0] * d, xi,
                                      max(truncation - 1, 0))
         powers = _unit_powers(table.base, table.slope, truncation)
-        c = np.array([[p[e] for e in keys] for p in powers])
+        c = np.array([p[keys] for p in powers])
         # The step puts the last term at the rounding floor, but is at least
         # a twentieth of the root-test radius |c_K|^(-1/K): below K = 13 the
         # last term sits at 20^-K instead, so low orders take few steps.

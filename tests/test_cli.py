@@ -154,6 +154,16 @@ class TestCompare:
         for key in ("re", "im", "tail", "rel_err"):
             assert row[key] != row[key]  # NaN
 
+    def test_generalized_order_below_one_fails_the_row(self, capsys):
+        code, out, _ = run(capsys, "compare", "--model", f"{MODELS}/cir.json",
+                           "--mode", "generalized", "--k", "0", "--t", "0.2",
+                           "--u", "2.0", "--x", "0.1", "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert "ValueError" in row["reason"] and "truncation" in row["reason"]
+        for key in ("re", "im", "tail", "rel_err"):
+            assert row[key] != row[key]  # NaN
+
     def test_oracle_err_is_the_step_halving_estimate(self, capsys):
         argv = ("compare", "--model", f"{MODELS}/cir.json", "--k", "8",
                 "--t", "0.5", "--u", "1.0:2.0:2", "--x", "0.04")
@@ -202,11 +212,6 @@ class TestTables:
         code, _, err = run(capsys, "tables", "--k", "25")
         assert code != 0
         assert json.loads(err)["error"]
-
-    def test_orders_past_one_byte_per_slot_are_refused(self, capsys):
-        code, out, err = run(capsys, "tables", "--max-k", "300", "--k", "256")
-        assert code == 2 and out == ""
-        assert json.loads(err)["error"] == "ValueError"
 
 
 class TestTriangle:

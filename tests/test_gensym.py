@@ -136,6 +136,15 @@ class TestEvalGeneralized:
             eval_generalized(heston(), heston_baseline(HESTON),
                              [0.0, 0.04], u, 0.2, 10)
 
+    @pytest.mark.parametrize("t,K,message", [(-0.2, 10, "t must be"),
+                                             (0.2, 0, "truncation order")],
+                             ids=["negative-t", "order-0"])
+    def test_negative_t_and_order_below_one_are_refused(self, t, K, message):
+        # as in eval_local and eval_globalized; K = 0 would return the bare
+        # baseline with a rounding-floor tail
+        with pytest.raises(ValueError, match=message):
+            eval_generalized(cir(), zero_baseline(1), [0.1], [2.0], t, K)
+
     def test_target_equals_baseline_is_baseline_cf(self):
         x, u, t = [0.0, 0.04], [1.0, 0.0], 1.0
         gen = eval_generalized(heston(), heston_baseline(HESTON), x, u, t, 10)

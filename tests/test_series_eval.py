@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from affine_cf import series_eval
-from affine_cf.oracle import MomentExplosionError, cir_cf, heston_cf, riccati_cf
+from affine_cf.oracle import (CIRParams, MomentExplosionError, cir_cf,
+                              cir_model, heston_cf, riccati_cf)
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
@@ -145,6 +146,38 @@ def three_factor() -> AffineModel:
         jumps=(nu0, NoJumps(), NoJumps(), NoJumps()))
 
 
+# the CIR factor on axis l has parameters FACTORS[l]
+FACTORS = [CIRParams(b0=0.04 + 0.01 * l, b1=-0.5 - 0.1 * l, s=0.2 + 0.03 * l)
+           for l in range(5)]
+
+
+def independent_cirs(d: int) -> AffineModel:
+    """d independent CIR factors: the cir_model blocks of FACTORS on the
+    diagonal of a_slope and b_slope, so the CF is the product of cir_cf."""
+    blocks = [cir_model(p) for p in FACTORS[:d]]
+    a_slope = np.zeros((d, d, d))
+    b_slope = np.zeros((d, d))
+    for l, block in enumerate(blocks):
+        a_slope[l, l, l] = block.a_slope[0][0][0]
+        b_slope[l, l] = block.b_slope[0][0]
+    return AffineModel.from_arrays(
+        a_slope=a_slope, b0=[block.b0[0] for block in blocks],
+        b_slope=b_slope, state_domain=[(0.0, None)] * d)
+
+
+class TestIndependentFactors:
+    @pytest.mark.parametrize("d,K", [(3, 16), (4, 16), (5, 12)])
+    @pytest.mark.parametrize("evaluate,t", [(eval_local, 0.3),
+                                            (eval_globalized, 2.0)])
+    def test_product_of_cir_closed_forms(self, d, K, evaluate, t):
+        x = [0.04, 0.1, 0.02, 0.06, 0.08][:d]
+        u = [1.0, -0.5, 0.3, 0.8, -0.2][:d]
+        res = evaluate(independent_cirs(d), x, u, t, K)
+        ref = math.prod(cir_cf(p, xl, ul, t)
+                        for p, xl, ul in zip(FACTORS, x, u))
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+
 class TestNumericOperatorFallback:
     def test_matches_the_compiled_series_at_a_reachable_order(self):
         # the numeric operator against the exact atom-algebra series, read
@@ -155,7 +188,7 @@ class TestNumericOperatorFallback:
             (gauss_jump_model(intensity=0.3, a0=0.4, drift=0.2),
              np.array([0.1]), np.array([2.0]), 12),
             (heston(), np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8),
-            # the smallest dense arrays
+            # the smallest graded vectors
             (cir(), np.array([0.04]), np.array([1.5]), 1),
             (cir(), np.array([0.04]), np.array([1.5]), 2),
             (three_factor(), np.array([0.2, 0.1, -0.3]),
@@ -171,46 +204,18 @@ class TestNumericOperatorFallback:
             exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
             assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("budget", [1, 40, 400])
-    def test_tiled_gather_matches_one_tile(self, monkeypatch, budget):
-        # tiles of the leading axes (as at d >= 4) give the one-tile values
-        cases = [(heston(), np.array([0.1, 0.04]), np.array([1.25, 0.3]), 8),
-                 (three_factor(), np.array([0.2, 0.1, -0.3]),
-                  np.array([0.7, -1.1, 0.4]), 5)]
-        whole = [series_eval._d_values(*case) for case in cases]
-        monkeypatch.setattr(series_eval, "_GATHER_BUDGET", budget)
-        # the tilings cached at the default budget are dropped, and the
-        # small-budget ones after the test
-        series_eval._tiles.cache_clear()
-        try:
-            for case, ref in zip(cases, whole):
-                model, _, u, K = case
-                d = len(u)
-                base = eval_symbol_table(model, [0.0] * d, u, K - 1).base
-                pad = max(map(max, base))
-                # the last application, to an array of extent K + 1, is tiled
-                assert len(series_eval._tiles(K + 1, d, len(base), pad)) > 1
-                got = series_eval._d_values(*case)
-                assert np.allclose(got, ref, rtol=1e-14, atol=0.0)
-        finally:
-            series_eval._tiles.cache_clear()
-
-    def test_gather_plans_are_integer_keyed_and_do_not_grow(self):
-        # the operator's caches are keyed on the tables' integer eps pattern
-        # and on integer sizes: one plan per pattern and one tiling per
-        # (pattern, k) however many points are evaluated
-        series_eval._gather_plan.cache_clear()
-        series_eval._tiles.cache_clear()
+    def test_graded_plans_are_integer_keyed_and_do_not_grow(self):
+        # the operator's plans are keyed on the tables' integer eps pattern
+        # and an integer size: one plan per (pattern, size) however many
+        # points are evaluated
+        series_eval._graded_plan.cache_clear()
         grids = [(cir(), [0.04], 16), (heston(), [0.0, 0.04], 8)]
         for _ in range(50):
             for model, x, K in grids:
                 for u in np.linspace(-2.5, 2.5, 16):
                     eval_local(model, x, [u] + [0.0] * (len(x) - 1), 0.3, K)
-        plans = series_eval._gather_plan.cache_info()
+        plans = series_eval._graded_plan.cache_info()
         assert plans.currsize == plans.misses == len(grids)
-        # L is applied to arrays of extent k = 2 .. K + 1
-        tilings = series_eval._tiles.cache_info()
-        assert tilings.currsize == tilings.misses == sum(K for *_, K in grids)
         for model, x, K in grids:
             table = eval_symbol_table(model, [0.0] * len(x),
                                       [1.0] + [0.0] * (len(x) - 1), K - 1)
@@ -283,9 +288,9 @@ class TestEvalGlobalized:
         def counting_operator(*args):
             apply = make_operator(*args)
 
-            def wrapped(q):
+            def wrapped(*args):
                 counts["apply"] += 1
-                return apply(q)
+                return apply(*args)
             return wrapped
 
         def counting_table(*args):
