@@ -15,8 +15,9 @@ frequencies, 20 grids after one untimed grid) on CIR K = 16, Heston K = 8
 and 16 and ``bm_jumps`` K = 16, split into the symbol tables
 (``eval_symbol_table``) and the operator (``_operator_d_values``:
 building L, its K applications and the read-out); ``eval_globalized``
-per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5 and on the
-4-d diffusion at t = 2.  The median CPU time and the median peak RSS
+per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5, on the
+4-d diffusion at t = 2 and on two jump models at t = 2 (``expj``, 1-d, and
+``ubg``, 2-d, whose flow jets run over every eps up to K - 1).  The median CPU time and the median peak RSS
 (``ru_maxrss``) of the fresh processes are printed.  Timings are
 reported, never asserted; the host's speed can swing by 20% between runs.
 """
@@ -41,6 +42,8 @@ CASES = {
     "diff3": ([0.04] * 3, [[1.0, -0.5, 0.3], [2.0, 0.1, -1.0]], 0.5),
     "diff4": ([0.04] * 4, [[1.0, -0.5, 0.3, 0.8], [2.0, 0.1, -1.0, 0.4]], 0.5),
     "diff5": ([0.04] * 5, [[1.0, -0.5, 0.3, 0.8, -0.2]], 0.5),
+    "expj": ([0.2], [[1.7], [0.5], [-1.0]], 0.5),
+    "ubg": ([0.3, -0.2], [[1.1, -0.6], [0.5, 0.2]], 0.5),
 }
 RICCATI = ("cir", "heston", "bm_jumps")
 # eval_local case -> (model case, K); eval_globalized case -> (model case, t)
@@ -53,7 +56,8 @@ GRID = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
 GRID_POINTS = 16
 GRID_REPEATS = 20  # warm grids per process
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
-              "heston-t5": ("heston", 5.0), "diff4-t2": ("diff4", 2.0)}
+              "heston-t5": ("heston", 5.0), "diff4-t2": ("diff4", 2.0),
+              "expj-t2": ("expj", 2.0), "ubg-t2": ("ubg", 2.0)}
 
 
 def _diffusion(d: int):
@@ -72,10 +76,37 @@ def _diffusion(d: int):
         state_domain=[(0.0, None)] * d)
 
 
+def _jumps(case: str):
+    """Jumps on every live component: ``expj`` a 1-d square-root factor with
+    exponential jumps in the constant part and the slope, ``ubg`` a 2-d model
+    with Gaussian jumps in the constant part and the first slope under
+    unit-ball truncation.  Every eps up to K - 1 is live in their tables."""
+    from affine_cf.symbols import (AffineModel, ExponentialJumps,
+                                   GaussianJumps, NoJumps)
+
+    if case == "expj":
+        return AffineModel.from_arrays(
+            a0=[[0.1]], a_slope=[[[0.2]]], b0=[0.05], b_slope=[[-0.4]],
+            jumps=(ExponentialJumps(intensity=0.4, rates=[3.0]),
+                   ExponentialJumps(intensity=0.2, rates=[5.0])))
+    return AffineModel.from_arrays(
+        a0=[[0.3, 0.1], [0.1, 0.2]],
+        a_slope=[[[0.5, -0.2], [-0.2, 0.4]], [[0.0, 0.0], [0.0, 0.0]]],
+        b0=[0.1, -0.2], b_slope=[[-0.4, 0.1], [0.0, -0.7]],
+        jumps=(GaussianJumps(intensity=0.4, mean=[0.2, -0.1],
+                             cov=[[0.05, 0.0], [0.0, 0.02]]),
+               GaussianJumps(intensity=0.3, mean=[0.1, 0.3],
+                             cov=[[0.04, 0.0], [0.0, 0.01]]),
+               NoJumps()),
+        truncation="unit_ball")
+
+
 def _model(case: str):
     from affine_cf import oracle
     from affine_cf.symbols import load_model
 
+    if case in ("expj", "ubg"):
+        return _jumps(case)
     if case == "cir":
         return oracle.cir_model(oracle.CIRParams(b0=0.04, b1=-0.5, s=0.2))
     if case == "heston":

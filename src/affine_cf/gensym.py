@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series_eval import CFResult, _operator_d_values, _series_result
+from .series_eval import (CFResult, _checked_point, _operator_d_values,
+                          _series_result)
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
 from .symbols import AffineModel, eval_symbol_table_xi
 
@@ -290,21 +291,19 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     entry: that entry is Delta sigma = sigma - sigma0, and every other entry
     is the target's, since d^eps Delta sigma + d^eps sigma0 = d^eps sigma.
     A baseline that misses psi0(0, u) = iu (reading only part of u) is
-    refused, as are truncation < 1 and t < 0.
+    refused, as are truncation < 1, t < 0 and a non-finite t, x or u.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    x, u = _checked_point(x, u, t)
     _check_compatible(target, baseline)
-    iu = 1j * np.atleast_1d(np.asarray(u, dtype=float))
+    iu = 1j * u
     miss = float(np.max(np.abs(baseline.psi_vec(0.0, u) - iu)))
     if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
         raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
                          f"by {miss:.3e}")
     d = target.dimension
     zero = tuple(0 for _ in range(d))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     psi = baseline.psi_vec(t, u)
     table0 = eval_symbol_table_xi(baseline.model, np.zeros(d), psi, 0)
     table = eval_symbol_table_xi(target, np.zeros(d), psi,

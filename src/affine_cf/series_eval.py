@@ -1,28 +1,33 @@
 """Numeric evaluation of the characteristic-function power series.
 
-Every mode takes its coefficients from one numeric engine: the symbol
-operator L acting on polynomials in x held as complex coefficient vectors
-over the multi-indices of bounded total degree, built from the symbol table
-at x = 0, so that d_k = L^k 1 / k! is read at x after K applications.
-Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
+Local and generalized modes take their coefficients from one numeric
+engine: the symbol operator L acting on polynomials in x held as complex
+coefficient vectors over the multi-indices of bounded total degree, built
+from the symbol table at x = 0, so that d_k = L^k 1 / k! is read at x after
+K applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
 Globalized mode follows the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu))
-from s = 0 at every horizon: each step reads the local series at x = 0 at
-the current complex xi and carries only phi and xi, so the result
-exp(phi + xi . x) is uniform in x.  The tangent-log time transform
+from s = 0 at every horizon.  Since f = exp(phi + psi . x), it needs only
+degrees 0 and 1 in x of that series: each step takes the flow jet, the
+Taylor coefficients of phi(h, xi) and psi(h, xi) - xi, from the same symbol
+table at the current complex xi (:func:`_flow_jet`), and carries only phi
+and xi, so the result exp(phi + xi . x) is uniform in x.  Each jet
+coefficient is a polynomial in the symbol's derivatives with rational
+weights, as every d_k is.  The tangent-log time transform
 t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of its own.  The
 generalized modes of :mod:`gensym` use the same operator on their own
 tables.  The exact atom algebra of :mod:`symalg` is not used here.
 """
 from __future__ import annotations
 
-import cmath
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
-from .multiindex import flattened_indices, flattened_position
+from .multiindex import flattened_indices
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
 from .symbols import AffineModel, eval_symbol_table, eval_symbol_table_xi
 
@@ -126,14 +131,25 @@ def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
                     _tail_estimate(contributions, value), mode)
 
 
-def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
-    """exp(iux) (1 + sum_{k=1..K} d_k(x, iu) t^k)."""
-    if truncation < 1:
-        raise ValueError("truncation order must be >= 1")
+def _checked_point(x, u, t: float):
+    """x and u as float vectors; a negative t and a non-finite t, x or u are
+    refused with a ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be >= 0")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
+    return x, u
+
+
+def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
+    """exp(iux) (1 + sum_{k=1..K} d_k(x, iu) t^k)."""
+    if truncation < 1:
+        raise ValueError("truncation order must be >= 1")
+    x, u = _checked_point(x, u, t)
     dk = _d_values(model, x, u, truncation)
     return _series_result(np.exp(1j * float(u @ x)), dk, t, LOCAL)
 
@@ -204,38 +220,87 @@ def _poly_step_operator(base0, slopes, size: int):
     return apply
 
 
-def _unit_powers(base0, slopes, truncation: int):
-    """Yield L^k 1 / k! for k = 0 .. K as graded vectors of total degree
-    <= K, L the x-polynomial operator of the x = 0 tables base0 and
-    slopes, holding only the current power."""
-    L = _poly_step_operator(base0, slopes, truncation)
-    q = np.zeros(math.comb(truncation + len(slopes), truncation) + 1,
-                 dtype=complex)
-    q[0] = 1.0
-    yield q
-    for j in range(1, truncation + 1):
-        q = L(q, j - 1)
-        q /= j
-        yield q
-
-
 def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
     """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
-    x = 0 tables base0 and slopes: one dot per power against the monomials
-    x^m / m! over the graded exponents, built once."""
+    x = 0 tables base0 and slopes, holding only the current power: one dot
+    per power against the monomials x^m / m! over the graded exponents,
+    built once."""
     monos = _graded_plan(tuple(base0), truncation)[0]
     monomials = np.ones(len(monos))
     for l, xl in enumerate(x):
         axis = np.cumprod(np.concatenate(
             ([1.0], xl / np.arange(1.0, truncation + 1))))
         monomials *= axis[monos[:, l]]
-    powers = _unit_powers(base0, slopes, truncation)
-    return np.array([p[:-1] @ monomials for p in powers])[1:]
+    L = _poly_step_operator(base0, slopes, truncation)
+    q = np.zeros(len(monos) + 1, dtype=complex)
+    q[0] = 1.0
+    dk = np.empty(truncation, dtype=complex)
+    for j in range(1, truncation + 1):
+        q = L(q, j - 1)
+        q /= j
+        dk[j - 1] = q[:-1] @ monomials
+    return dk
 
 
 # ---------------------------------------------------------------------------
 # Globalized evaluation
 # ---------------------------------------------------------------------------
+
+
+@lru_cache(maxsize=32)
+def _jet_plan(pattern: tuple, truncation: int):
+    """Integer data of the flow jet for a live-eps pattern in graded order
+    (eps = 0 first, every eps - e_j of a live eps live too): per eps the
+    position of its parent eps - e_j, j its first nonzero axis, the axis j,
+    the degree |eps| and 1 / eps!; and per order k < K the number of eps of
+    degree <= k, a prefix of the pattern."""
+    index = {eps: p for p, eps in enumerate(pattern)}
+    axes = tuple(next((j for j, e in enumerate(eps) if e), 0)
+                 for eps in pattern)
+    parents = tuple(index[eps[:j] + (eps[j] - 1,) + eps[j + 1:]]
+                    if any(eps) else 0 for eps, j in zip(pattern, axes))
+    degrees = tuple(sum(eps) for eps in pattern)
+    inv_factorial = tuple(1.0 / math.prod(map(math.factorial, eps))
+                          for eps in pattern)
+    ends = tuple(bisect_right(degrees, k) for k in range(truncation))
+    return parents, axes, degrees, inv_factorial, ends
+
+
+def _flow_jet(base0, slopes, truncation: int) -> np.ndarray:
+    """Taylor coefficients in h of phi(h, xi) and delta(h) = psi(h, xi) - xi
+    to order K, from the x = 0 tables base0 and slopes at xi.
+
+    phi' = sigma(psi) and psi_l' = sigma_l(psi) expanded at xi give
+    (k+1) [h^(k+1)](phi, delta_l) = sum_eps T[eps] / eps! [h^k] delta^eps,
+    T the base table for phi and slope l for delta_l.  delta starts at order
+    1, so [h^k] delta^eps vanishes for |eps| > k: order k reads the prefix
+    of the graded pattern up to degree k, and [h^k] delta^eps is the
+    truncated product of the parent power delta^(eps - e_j) and delta_j.
+    Returns a (1 + d) x (K + 1) array, row 0 phi and row 1 + l delta_l,
+    column k the coefficient of h^k (column 0 zero)."""
+    pattern = tuple(base0)
+    parents, axes, degrees, inv_factorial, ends = \
+        _jet_plan(pattern, truncation)
+    rows = [[v * w for v, w in zip(base0.values(), inv_factorial)]]
+    rows += [[slope.get(eps, 0j) * w
+              for eps, w in zip(pattern, inv_factorial)] for slope in slopes]
+    jet = [[0j] * (truncation + 1) for _ in rows]
+    # powers[p][k] = [h^k] delta^eps for the eps at position p
+    powers = [[0j] * truncation for _ in pattern]
+    powers[0][0] = 1.0 + 0j
+    links = [(powers[p], powers[parent], jet[1 + j], degree)
+             for p, parent, j, degree in zip(range(1, len(pattern)),
+                                             parents[1:], axes[1:],
+                                             degrees[1:])]
+    for k, n in enumerate(ends):
+        # sum_{i=1..k-|eps|+1} delta_j[i] parent[k - i]
+        for power, parent, axis, degree in links[:n - 1]:
+            power[k] = sum(map(mul, axis[1:k - degree + 2],
+                               parent[degree - 1:k][::-1]))
+        column = [power[k] for power in powers[:n]]
+        for coefficients, row in zip(jet, rows):
+            coefficients[k + 1] = sum(map(mul, row[:n], column)) / (k + 1)
+    return np.array(jet)
 
 
 def eval_globalized(model: AffineModel, x, u, t: float,
@@ -250,42 +315,37 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
-    if t < 0:
-        raise ValueError("t must be >= 0")
+    x, u = _checked_point(x, u, t)
     d = model.dimension
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
     if t == 0:
         value = complex(np.exp(1j * float(u @ x)))
         return CFResult(value, [], truncation, ROUNDING_FLOOR * abs(value),
                         GLOBALIZED)
 
-    # Semiflow: at xi = psi(s, iu) the local series read at x = 0 gives
-    # c0(h) = exp(phi(h, xi)) from its constant coefficients and
-    # c1(h) / c0(h) = psi(h, xi) - xi from its linear ones, so only phi and
-    # xi are carried from step to step.
-    keys = [0] + [flattened_position(d, tuple(int(i == l) for i in range(d)))
-                  for l in range(d)]
+    # Semiflow: at xi = psi(s, iu) the flow jet of the table at xi gives
+    # phi(h, xi) and psi(h, xi) - xi, so only phi and xi are carried from
+    # step to step.
+    weights = np.concatenate(([1.0], x))
     xi, phi, s, rel_tail, steps = 1j * u, 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
         if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
             raise MomentExplosionError(s)
         table = eval_symbol_table_xi(model, [0.0] * d, xi,
                                      max(truncation - 1, 0))
-        powers = _unit_powers(table.base, table.slope, truncation)
-        c = np.array([p[keys] for p in powers])
+        jet = _flow_jet(table.base, table.slope, truncation)
         # The step puts the last term at the rounding floor, but is at least
-        # a twentieth of the root-test radius |c_K|^(-1/K): below K = 13 the
-        # last term sits at 20^-K instead, so low orders take few steps.
-        last = np.max(np.abs(c[-1]))
+        # a twentieth of the jet's root-test radius |jet_K|^(-1/K): below
+        # K = 13 the last term sits at 20^-K instead, so low orders take few
+        # steps.
+        last = np.max(np.abs(jet[:, -1]))
         reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
         h = t - s if last == 0.0 else \
             min(t - s, reach * last ** (-1.0 / truncation))
         hk = h ** np.arange(truncation + 1)
-        a = hk @ c
-        terms = c[1:] @ np.concatenate(([1.0], x)) * hk[1:] / a[0]
-        phi += cmath.log(a[0])
-        xi = xi + a[1:] / a[0]
+        increment = jet @ hk
+        terms = weights @ jet[:, 1:] * hk[1:]
+        phi += increment[0]
+        xi = xi + increment[1:]
         # rounding is relative to the exponent phi + xi . x
         rel_tail += _tail_estimate(list(terms), 1.0 + abs(phi + xi @ x))
         s = t if h == t - s else s + h

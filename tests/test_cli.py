@@ -112,6 +112,17 @@ class TestEval:
         assert code == 0 and out == ""
         assert path.read_text().startswith("# affine-cf v1")
 
+    def test_infinite_horizon_fails_the_row(self, capsys):
+        # the semiflow would step forever; the row carries the refusal
+        code, out, _ = run(capsys, "eval", "--model", f"{MODELS}/cir.json",
+                           "--mode", "global", "--t=inf", "--u=1", "--x=0.1",
+                           "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert "ValueError" in row["reason"] and "finite" in row["reason"]
+        for key in ("re", "im", "tail"):
+            assert row[key] != row[key]  # NaN
+
 
 class TestCompare:
     def test_levy_model_uses_levy_oracle(self, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from affine_cf import series_eval
+from affine_cf.gensym import eval_generalized, zero_baseline
 from affine_cf.oracle import (CIRParams, MomentExplosionError, cir_cf,
                               cir_model, heston_cf, riccati_cf)
 from affine_cf.series_eval import (
@@ -19,7 +20,8 @@ from affine_cf.series_eval import (
 )
 from affine_cf.symalg import d_series
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
-                                eval_symbol, eval_symbol_table)
+                                eval_symbol, eval_symbol_table,
+                                eval_symbol_table_xi)
 
 from helpers import (CIR, HESTON, bm_model, cir, exponential_jumps,
                      gauss_jump_model, heston, unit_ball_gaussian, vasicek)
@@ -279,30 +281,29 @@ class TestEvalGlobalized:
         ref = cir_cf(CIR, x, u, t)
         assert abs(res.value - ref) / abs(ref) <= 1e-8
 
-    def test_each_step_applies_the_operator_k_times(self, monkeypatch):
-        # every semiflow step builds one symbol table and applies L K times
-        counts = {"apply": 0, "steps": 0}
-        make_operator = series_eval._poly_step_operator
+    def test_each_step_builds_one_table_and_one_jet(self, monkeypatch):
+        # every semiflow step builds one symbol table and one flow jet; the
+        # x-polynomial operator is never built
+        counts = {"tables": 0, "jets": 0, "operators": 0}
         build_table = series_eval.eval_symbol_table_xi
+        build_jet = series_eval._flow_jet
+        build_operator = series_eval._poly_step_operator
 
-        def counting_operator(*args):
-            apply = make_operator(*args)
-
+        def counting(key, build):
             def wrapped(*args):
-                counts["apply"] += 1
-                return apply(*args)
+                counts[key] += 1
+                return build(*args)
             return wrapped
 
-        def counting_table(*args):
-            counts["steps"] += 1
-            return build_table(*args)
-
-        monkeypatch.setattr(series_eval, "_poly_step_operator", counting_operator)
-        monkeypatch.setattr(series_eval, "eval_symbol_table_xi", counting_table)
-        K = 12
-        res = eval_globalized(cir(), [0.05], [1.0], 4.0, K)
-        assert counts["steps"] >= 2
-        assert counts["apply"] == K * counts["steps"]
+        monkeypatch.setattr(series_eval, "eval_symbol_table_xi",
+                            counting("tables", build_table))
+        monkeypatch.setattr(series_eval, "_flow_jet",
+                            counting("jets", build_jet))
+        monkeypatch.setattr(series_eval, "_poly_step_operator",
+                            counting("operators", build_operator))
+        res = eval_globalized(cir(), [0.05], [1.0], 4.0, 12)
+        assert counts["tables"] == counts["jets"] >= 2
+        assert counts["operators"] == 0
         ref = cir_cf(CIR, 0.05, 1.0, 4.0)
         assert abs(res.value - ref) / abs(ref) <= 1e-4
 
@@ -353,3 +354,66 @@ class TestEvalGlobalized:
     def test_unbounded_symbol_warning_attached(self):
         res = eval_globalized(vasicek(), [0.05], [1.0], 5.0, 16)
         assert isinstance(res.warnings, list)
+
+    @pytest.mark.parametrize("model,x,u", [
+        (exponential_jumps(), [0.2], [1.7]),
+        (unit_ball_gaussian(), [0.3, -0.2], [1.1, -0.6]),
+    ], ids=["exponential-jumps", "unit-ball-gaussian"])
+    @pytest.mark.parametrize("t", [0.5, 2.0])
+    def test_jump_models_match_riccati(self, model, x, u, t):
+        # jumps make every eps up to K - 1 live in the flow jet
+        res = eval_globalized(model, x, u, t, 16)
+        ref = riccati_cf(model, x, u, t).value
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+
+class TestFlowJet:
+    @pytest.mark.parametrize("model,x,xi,K", [
+        (cir(), [0.04], [-0.3 + 1.2j], 12),
+        (heston(), [0.1, 0.04], [-0.1 + 1.25j, -0.3 + 0.2j], 10),
+        (gauss_jump_model(intensity=0.3, a0=0.4, drift=0.2), [0.1],
+         [0.2 - 2.0j], 12),
+        (exponential_jumps(), [0.2], [-0.4 + 1.7j], 10),
+        (unit_ball_gaussian(), [0.3, -0.2], [-0.2 + 1.1j, 0.1 - 0.6j], 8),
+        (three_factor(), [0.2, 0.1, -0.3],
+         [0.1 + 0.7j, -0.2 - 1.1j, 0.05 + 0.4j], 6),
+    ], ids=["cir", "heston", "gauss-jumps", "exponential-jumps",
+            "unit-ball-gaussian", "three-factor"])
+    def test_the_jet_is_the_local_series(self, model, x, xi, K):
+        # exp(phi(h) + delta(h) . x) = 1 + sum_k d_k(x, xi) h^k: the jet
+        # expanded through the exponential is the paper's series L^k 1 / k!
+        table = eval_symbol_table_xi(model, [0.0] * len(x), xi, K - 1)
+        jet = series_eval._flow_jet(table.base, table.slope, K)
+        assert jet.shape == (1 + len(x), K + 1)
+        exponent = np.concatenate(([1.0], x)) @ jet
+        series = [1.0 + 0.0j]
+        for k in range(1, K + 1):
+            series.append(sum(j * exponent[j] * series[k - j]
+                              for j in range(1, k + 1)) / k)
+        d_values = series_eval._operator_d_values(table.base, table.slope,
+                                                  np.array(x), K)
+        assert np.allclose(series[1:], d_values, rtol=1e-13, atol=0.0)
+
+    def test_jet_plans_are_integer_keyed(self):
+        series_eval._jet_plan.cache_clear()
+        for u in np.linspace(-2.0, 2.0, 9):
+            eval_globalized(heston(), [0.1, 0.04], [u, 0.0], 2.0, 12)
+        plans = series_eval._jet_plan.cache_info()
+        assert plans.currsize == plans.misses == 1
+
+
+class TestNonFinitePoints:
+    @pytest.mark.parametrize("evaluate", [
+        eval_local, eval_globalized,
+        lambda model, x, u, t, K: eval_generalized(model, zero_baseline(1),
+                                                   x, u, t, K),
+    ], ids=["local", "globalized", "generalized"])
+    @pytest.mark.parametrize("x,u,t", [
+        ([0.1], [1.0], math.inf), ([0.1], [1.0], math.nan),
+        ([math.nan], [1.0], 0.5), ([0.1], [math.inf], 0.5),
+    ], ids=["t-inf", "t-nan", "x-nan", "u-inf"])
+    def test_refused(self, evaluate, x, u, t):
+        # an infinite horizon would step forever, and a NaN would come back
+        # as a silent NaN (or as 0 at an infinite x)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(cir(), x, u, t, 8)
