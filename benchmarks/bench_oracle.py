@@ -7,14 +7,16 @@ Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
 default integrator (2000 steps, plus the 4000-step run of the step-halving
 estimate) on CIR, Heston and ``models/bm_jumps.json``; ``eval_local``
-per point on CIR at K = 16, on Heston at K = 8 and 16 and on 3-, 4- and
-5-d diffusions at K = 16, 16 and 12 (the x-polynomials hold the
-C(K + d, d) coefficients of total degree <= K, so the peak RSS grows with
-d); ``eval_local`` per warm 16-point Fourier grid (one (t, x), 16
+per point on CIR at K = 16, on Heston at K = 8 and 16, on 3-, 4- and
+5-d diffusions at K = 16, 16 and 12 and on a 3-d model with full-covariance
+Gaussian jumps at K = 16 (``jump3``: every eps up to K - 1 is live,
+E = C(K - 1 + d, d) = 816 of them, and the flow jet holds K coefficients
+per live eps);
+``eval_local`` per warm 16-point Fourier grid (one (t, x), 16
 frequencies, 20 grids after one untimed grid) on CIR K = 16, Heston K = 8
 and 16 and ``bm_jumps`` K = 16, split into the symbol tables
-(``eval_symbol_table``) and the operator (``_operator_d_values``:
-building L, its K applications and the read-out); ``eval_globalized``
+(``eval_symbol_table``) and the jet (``_jet_d_values``: the flow jet of
+the table and its power-series exponential); ``eval_globalized``
 per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5, on the
 4-d diffusion at t = 2 and on two jump models at t = 2 (``expj``, 1-d, and
 ``ubg``, 2-d, whose flow jets run over every eps up to K - 1).  The median CPU time and the median peak RSS
@@ -44,12 +46,14 @@ CASES = {
     "diff5": ([0.04] * 5, [[1.0, -0.5, 0.3, 0.8, -0.2]], 0.5),
     "expj": ([0.2], [[1.7], [0.5], [-1.0]], 0.5),
     "ubg": ([0.3, -0.2], [[1.1, -0.6], [0.5, 0.2]], 0.5),
+    "jump3": ([0.2, 0.1, -0.3], [[0.7, -1.1, 0.4], [1.5, 0.3, -0.8]], 0.3),
 }
 RICCATI = ("cir", "heston", "bm_jumps")
 # eval_local case -> (model case, K); eval_globalized case -> (model case, t)
 LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
          "heston-K16": ("heston", 16), "diff3-K16": ("diff3", 16),
-         "diff4-K16": ("diff4", 16), "diff5-K12": ("diff5", 12)}
+         "diff4-K16": ("diff4", 16), "diff5-K12": ("diff5", 12),
+         "jump3-K16": ("jump3", 16)}
 # warm Fourier-grid case -> (model case, K)
 GRID = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
         "heston-K16": ("heston", 16), "bm_jumps-K16": ("bm_jumps", 16)}
@@ -80,10 +84,25 @@ def _jumps(case: str):
     """Jumps on every live component: ``expj`` a 1-d square-root factor with
     exponential jumps in the constant part and the slope, ``ubg`` a 2-d model
     with Gaussian jumps in the constant part and the first slope under
-    unit-ball truncation.  Every eps up to K - 1 is live in their tables."""
+    unit-ball truncation, ``jump3`` a 3-d model with cross-diffusion and
+    full-covariance Gaussian jumps in the constant part.  Every eps up to
+    K - 1 is live in their tables."""
     from affine_cf.symbols import (AffineModel, ExponentialJumps,
                                    GaussianJumps, NoJumps)
 
+    if case == "jump3":
+        return AffineModel.from_arrays(
+            a0=[[0.3, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, 0.1]],
+            a_slope=[[[0.2, 0.05, 0.0], [0.05, 0.1, 0.0], [0.0, 0.0, 0.0]],
+                     [[0.0, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.1, 0.2]],
+                     [[0.0] * 3] * 3],
+            b0=[0.1, -0.05, 0.2],
+            b_slope=[[-0.5, 0.1, 0.0], [0.2, -0.3, 0.0], [0.0, 0.4, 0.0]],
+            jumps=(GaussianJumps(intensity=0.3, mean=[0.1, -0.2, 0.05],
+                                 cov=[[0.04, 0.01, 0.005],
+                                      [0.01, 0.02, 0.004],
+                                      [0.005, 0.004, 0.03]]),
+                   NoJumps(), NoJumps(), NoJumps()))
     if case == "expj":
         return AffineModel.from_arrays(
             a0=[[0.1]], a_slope=[[[0.2]]], b0=[0.05], b_slope=[[-0.4]],
@@ -105,7 +124,7 @@ def _model(case: str):
     from affine_cf import oracle
     from affine_cf.symbols import load_model
 
-    if case in ("expj", "ubg"):
+    if case in ("expj", "ubg", "jump3"):
         return _jumps(case)
     if case == "cir":
         return oracle.cir_model(oracle.CIRParams(b0=0.04, b1=-0.5, s=0.2))
@@ -118,11 +137,11 @@ def _model(case: str):
 
 
 def _split_timers(series_eval) -> dict:
-    """Wrap the symbol table and the operator of ``series_eval`` so that
-    each adds its CPU seconds to the returned totals."""
-    totals = {"table_s": 0.0, "operator_s": 0.0}
+    """Wrap the symbol table and the jet of ``series_eval`` so that each
+    adds its CPU seconds to the returned totals."""
+    totals = {"table_s": 0.0, "jet_s": 0.0}
     for key, name in (("table_s", "eval_symbol_table"),
-                      ("operator_s", "_operator_d_values")):
+                      ("jet_s", "_jet_d_values")):
         def timed(*args, _fn=getattr(series_eval, name), _key=key):
             start = time.process_time()
             try:
@@ -135,7 +154,7 @@ def _split_timers(series_eval) -> dict:
 
 def measure(what: str, case: str, n: int) -> dict:
     """CPU seconds per point (riccati_cf, eval_local, eval_globalized) or per
-    warm grid (grid, with the table and operator shares), measured inside
+    warm grid (grid, with the table and jet shares), measured inside
     the fresh interpreter, and its peak RSS in MB; model building is
     untimed."""
     from affine_cf import series_eval
@@ -208,14 +227,14 @@ def main() -> None:
     jobs += [("grid", case, GRID_REPEATS) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
     print(f"{'what':<15} {'case':<12} {'n':>3} {'ms each (median)':>17} "
-          f"{'rss MB':>7}  all runs (ms)  [grid: median table / operator ms]")
+          f"{'rss MB':>7}  all runs (ms)  [grid: median table / jet ms]")
     for what, case, n in jobs:
         runs = [fresh(what, case, n) for _ in range(args.repeats)]
         times = [r["cpu_s"] * 1e3 for r in runs]
         rss = statistics.median(r["rss_mb"] for r in runs)
         split = "".join(
             f"  {key[:-2]} {statistics.median(r[key] for r in runs) * 1e3:.2f}"
-            for key in ("table_s", "operator_s") if key in runs[0])
+            for key in ("table_s", "jet_s") if key in runs[0])
         print(f"{what:<15} {case:<12} {n:>3} {statistics.median(times):>17.2f} "
               f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times) + split)
 

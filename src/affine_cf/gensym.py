@@ -6,8 +6,8 @@ represented as exp(phi0 + psi0.x) (1 + sum_k d_k t^k), with the symbols
 evaluated along the baseline trajectory xi = psi0(t,u).  The d_k follow
 the difference recursion: the target's generator recursion with its
 eps = 0 atom read as Delta sigma = sigma - sigma0.  :func:`eval_generalized`
-runs it through the numeric symbol operator of :mod:`series_eval`, which
-changes only the eps = 0 entries of the target's symbol table;
+reads them from the flow jet of :mod:`series_eval`, applied to the target's
+symbol table with only its eps = 0 entries changed;
 :func:`correction_series` builds it exactly on the integer engine of
 :mod:`symalg`, for the nilpotency claim and as a reference.
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series_eval import (CFResult, _checked_point, _operator_d_values,
+from .series_eval import (CFResult, _checked_point, _jet_d_values,
                           _series_result)
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
 from .symbols import AffineModel, eval_symbol_table_xi
@@ -290,6 +290,10 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     along xi = psi0(t, u) with the baseline's symbol taken off its eps = 0
     entry: that entry is Delta sigma = sigma - sigma0, and every other entry
     is the target's, since d^eps Delta sigma + d^eps sigma0 = d^eps sigma.
+    The d_k are read from the flow jet of that table
+    (:func:`series_eval._jet_d_values`).  The table is frozen at the
+    baseline's end point psi0(t, u), which is exact only when psi0 does not
+    move (the zero baseline) or the entries do not change along its path.
     A baseline that misses psi0(0, u) = iu (reading only part of u) is
     refused, as are truncation < 1, t < 0 and a non-finite t, x or u.
     """
@@ -311,6 +315,6 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     table.base[zero] -= table0.base[zero]
     for slope, slope0 in zip(table.slope, table0.slope):
         slope[zero] -= slope0[zero]
-    dk = _operator_d_values(table.base, table.slope, x, truncation)
+    dk = _jet_d_values(table.base, table.slope, x, truncation)
     return _series_result(eval_baseline_cf(baseline, x, u, t), dk, t,
                           GENERALIZED)

@@ -1,21 +1,21 @@
 """Numeric evaluation of the characteristic-function power series.
 
-Local and generalized modes take their coefficients from one numeric
-engine: the symbol operator L acting on polynomials in x held as complex
-coefficient vectors over the multi-indices of bounded total degree, built
-from the symbol table at x = 0, so that d_k = L^k 1 / k! is read at x after
-K applications.  Local mode evaluates exp(iux) (1 + sum_k d_k(x, iu) t^k).
-Globalized mode follows the affine semiflow psi(s + h, iu) = psi(h, psi(s, iu))
-from s = 0 at every horizon.  Since f = exp(phi + psi . x), it needs only
-degrees 0 and 1 in x of that series: each step takes the flow jet, the
-Taylor coefficients of phi(h, xi) and psi(h, xi) - xi, from the same symbol
-table at the current complex xi (:func:`_flow_jet`), and carries only phi
-and xi, so the result exp(phi + xi . x) is uniform in x.  Each jet
-coefficient is a polynomial in the symbol's derivatives with rational
-weights, as every d_k is.  The tangent-log time transform
-t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of its own.  The
-generalized modes of :mod:`gensym` use the same operator on their own
-tables.  The exact atom algebra of :mod:`symalg` is not used here.
+Every mode takes its numbers from one numeric engine, the flow jet
+(:func:`_flow_jet`): from the symbol table at x = 0 and a complex xi it
+gives the Taylor coefficients of phi(h, xi) and delta(h) = psi(h, xi) - xi.
+Each jet coefficient is a polynomial in the symbol's derivatives with
+rational weights, as every d_k is.  Since f = exp(phi + psi . x) for an
+affine process, the paper's coefficients are d_k(x, xi) = L^k 1 / k! =
+[h^k] exp(phi(h) + delta(h) . x), read from the jet through the
+power-series exponential (:func:`_jet_d_values`).  Local mode evaluates
+exp(iux) (1 + sum_k d_k(x, iu) t^k).  Globalized mode follows the affine
+semiflow psi(s + h, iu) = psi(h, psi(s, iu)) from s = 0 at every horizon:
+each step takes the jet of the table at the current xi and carries only phi
+and xi, so the result exp(phi + xi . x) is uniform in x.  The tangent-log
+time transform t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of
+its own.  The generalized modes of :mod:`gensym` read their d_k from the
+jet of their own tables.  The exact atom algebra of :mod:`symalg` is not
+used here.
 """
 from __future__ import annotations
 
@@ -27,7 +27,6 @@ from operator import mul
 
 import numpy as np
 
-from .multiindex import flattened_indices
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
 from .symbols import AffineModel, eval_symbol_table, eval_symbol_table_xi
 
@@ -110,11 +109,10 @@ def _tail_estimate(contributions, value) -> float:
 
 
 def _d_values(model: AffineModel, x, u, truncation: int) -> np.ndarray:
-    """d_1 .. d_K at (x, iu) as L^k 1 / k!, L the numeric x-polynomial
-    operator of the x = 0 symbol table."""
+    """d_1 .. d_K at (x, iu) from the flow jet of the x = 0 symbol table."""
     d = model.dimension
     table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
-    return _operator_d_values(table.base, table.slope, x, truncation)
+    return _jet_d_values(table.base, table.slope, x, truncation)
 
 
 def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
@@ -155,95 +153,7 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
 
 
 # ---------------------------------------------------------------------------
-# Numeric x-polynomial operator (every mode)
-# ---------------------------------------------------------------------------
-
-
-@lru_cache(maxsize=32)
-def _graded_plan(pattern: tuple, size: int):
-    """Integer data of the graded layout of total degree <= size for a
-    live-eps pattern: the M multi-indices m in the order of
-    :func:`flattened_indices` (degree j is the prefix of length
-    C(j + d, d)), with position M a zero entry past the end; per eps the
-    position of m + eps, M where its degree exceeds size; 1 / eps!; per
-    axis l the position of m + e_l and the weight m_l + 1; and C(j + d, d)
-    per degree j."""
-    d = len(pattern[0])
-    monos = np.array(flattened_indices(d, size + 1), dtype=np.intp)
-    M = len(monos)
-    rank = np.zeros((size + 1,) * d, dtype=np.intp)
-    rank[tuple(monos.T)] = np.arange(M)
-
-    def positions(shift):
-        target = monos + shift
-        found = rank[tuple(np.minimum(target, size).T)]
-        return np.where(target.sum(axis=1) <= size, found, M)
-
-    gather = np.array([positions(eps) for eps in pattern])
-    inv_factorial = np.array([1.0 / math.prod(map(math.factorial, eps))
-                              for eps in pattern])
-    shifts = np.array([positions(e) for e in np.eye(d, dtype=np.intp)])
-    weights = (monos.T + 1.0).astype(complex)
-    ends = [math.comb(j + d, d) for j in range(size + 1)]
-    return monos, gather, inv_factorial, shifts, weights, ends
-
-
-def _poly_step_operator(base0, slopes, size: int):
-    """L acting on x-polynomials of total degree <= size held as graded
-    complex vectors (:func:`_graded_plan`) in the Taylor-normalized basis,
-    q[p] the coefficient of x^m / m! at the position p of m:
-    L[q] = sum_eps (base0_eps + sum_l x_l slope_{l,eps}) (1/eps!) d^eps_x q.
-
-    In this basis d^eps_x reads q at m + eps, and x_l moves q[m] times
-    m_l + 1 to m + e_l, so L raises the degree by at most one.
-    ``apply(q, degree)``, q of degree below size, gathers q at m + eps for
-    every eps of base0 (the table's live entries) and every m of degree
-    <= degree, contracts them in one matmul with the (1 + d) x E matrix of
-    the table entries over eps! (row 0 the base, row l the slopes in
-    direction l), and adds row 0 in place and row l at m + e_l."""
-    pattern = tuple(base0)
-    _, gather, inv_factorial, shifts, weights, ends = \
-        _graded_plan(pattern, size)
-    coef = np.array([list(base0.values())]
-                    + [[s.get(eps, 0.0) for eps in pattern] for s in slopes],
-                    dtype=complex) * inv_factorial
-
-    def apply(q, degree: int):
-        n = ends[degree]
-        rows = coef @ q[gather[:, :n]]
-        out = np.zeros(len(q), dtype=complex)
-        out[:n] = rows[0]
-        for l, (shift, weight) in enumerate(zip(shifts, weights)):
-            out[shift[:n]] += weight[:n] * rows[1 + l]
-        return out
-
-    return apply
-
-
-def _operator_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
-    """d_1 .. d_K at x as L^k 1 / k!, L the x-polynomial operator of the
-    x = 0 tables base0 and slopes, holding only the current power: one dot
-    per power against the monomials x^m / m! over the graded exponents,
-    built once."""
-    monos = _graded_plan(tuple(base0), truncation)[0]
-    monomials = np.ones(len(monos))
-    for l, xl in enumerate(x):
-        axis = np.cumprod(np.concatenate(
-            ([1.0], xl / np.arange(1.0, truncation + 1))))
-        monomials *= axis[monos[:, l]]
-    L = _poly_step_operator(base0, slopes, truncation)
-    q = np.zeros(len(monos) + 1, dtype=complex)
-    q[0] = 1.0
-    dk = np.empty(truncation, dtype=complex)
-    for j in range(1, truncation + 1):
-        q = L(q, j - 1)
-        q /= j
-        dk[j - 1] = q[:-1] @ monomials
-    return dk
-
-
-# ---------------------------------------------------------------------------
-# Globalized evaluation
+# Flow jet (every mode)
 # ---------------------------------------------------------------------------
 
 
@@ -301,6 +211,29 @@ def _flow_jet(base0, slopes, truncation: int) -> np.ndarray:
         for coefficients, row in zip(jet, rows):
             coefficients[k + 1] = sum(map(mul, row[:n], column)) / (k + 1)
     return np.array(jet)
+
+
+def _jet_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
+    """d_1 .. d_K at x from the x = 0 tables base0 and slopes at xi.
+
+    The symbol is affine in x, so 1 + sum_k d_k(x, xi) h^k =
+    exp(phi(h) + delta(h) . x) with phi and delta the flow jet of the
+    tables, whatever they hold (the generalized modes' too): d_k = L^k 1 / k!
+    is the coefficient b_k of the exponential of a_j = phi_j + delta_j . x,
+    b_0 = 1 and k b_k = sum_{j=1..k} j a_j b_(k-j)."""
+    jet = _flow_jet(base0, slopes, truncation)
+    exponent = np.concatenate(([1.0], x)) @ jet
+    # j a_j for j = 1..K
+    weighted = [j * a for j, a in enumerate(exponent.tolist())][1:]
+    b = [1.0 + 0.0j]
+    for k in range(1, truncation + 1):
+        b.append(sum(map(mul, weighted[:k], b[::-1])) / k)
+    return np.array(b[1:])
+
+
+# ---------------------------------------------------------------------------
+# Globalized evaluation
+# ---------------------------------------------------------------------------
 
 
 def eval_globalized(model: AffineModel, x, u, t: float,

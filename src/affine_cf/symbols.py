@@ -501,8 +501,10 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
             )
     comps = model._compiled
     xs = [complex(z) for z in xi]
+    jumps = any(jump_part is not None for _, _, jump_part in comps)
     low = flattened_indices(d, min(max_order, 2) + 1)
-    full = flattened_indices(d, max_order + 1)
+    # only a component with jumps has entries above order 2
+    full = flattened_indices(d, max_order + 1) if jumps else low
     zero = (0,) * d
     unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     tabs = []
@@ -534,8 +536,7 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
                 tab[eps] = complex(val)
         tabs.append(tab)
     base_tab = {}
-    jumps = any(jump_part is not None for _, _, jump_part in comps)
-    for eps in full if jumps else low:
+    for eps in full:
         total = tabs[0].get(eps, 0j)
         for l in range(d):
             total += x[l] * tabs[l + 1].get(eps, 0j)

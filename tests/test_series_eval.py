@@ -180,6 +180,18 @@ class TestIndependentFactors:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
+class TestJumpsInThreeDimensions:
+    @pytest.mark.parametrize("K", [12, 16])
+    @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
+    def test_three_factor_matches_riccati(self, evaluate, K):
+        # Gaussian jumps on the constant part make every eps up to K - 1
+        # live in the table at d = 3
+        x, u, t = [0.2, 0.1, -0.3], [0.7, -1.1, 0.4], 0.3
+        res = evaluate(three_factor(), x, u, t, K)
+        ref = riccati_cf(three_factor(), x, u, t).value
+        assert abs(res.value - ref) <= 1e-12 * abs(ref)
+
+
 class TestNumericOperatorFallback:
     def test_matches_the_compiled_series_at_a_reachable_order(self):
         # the numeric operator against the exact atom-algebra series, read
@@ -206,17 +218,17 @@ class TestNumericOperatorFallback:
             exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
             assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
 
-    def test_graded_plans_are_integer_keyed_and_do_not_grow(self):
-        # the operator's plans are keyed on the tables' integer eps pattern
-        # and an integer size: one plan per (pattern, size) however many
+    def test_jet_plans_are_integer_keyed_and_do_not_grow(self):
+        # the flow jet's plans are keyed on the tables' integer eps pattern
+        # and an integer order: one plan per (pattern, K) however many
         # points are evaluated
-        series_eval._graded_plan.cache_clear()
+        series_eval._jet_plan.cache_clear()
         grids = [(cir(), [0.04], 16), (heston(), [0.0, 0.04], 8)]
         for _ in range(50):
             for model, x, K in grids:
                 for u in np.linspace(-2.5, 2.5, 16):
                     eval_local(model, x, [u] + [0.0] * (len(x) - 1), 0.3, K)
-        plans = series_eval._graded_plan.cache_info()
+        plans = series_eval._jet_plan.cache_info()
         assert plans.currsize == plans.misses == len(grids)
         for model, x, K in grids:
             table = eval_symbol_table(model, [0.0] * len(x),
@@ -282,12 +294,10 @@ class TestEvalGlobalized:
         assert abs(res.value - ref) / abs(ref) <= 1e-8
 
     def test_each_step_builds_one_table_and_one_jet(self, monkeypatch):
-        # every semiflow step builds one symbol table and one flow jet; the
-        # x-polynomial operator is never built
-        counts = {"tables": 0, "jets": 0, "operators": 0}
+        # every semiflow step builds one symbol table and one flow jet
+        counts = {"tables": 0, "jets": 0}
         build_table = series_eval.eval_symbol_table_xi
         build_jet = series_eval._flow_jet
-        build_operator = series_eval._poly_step_operator
 
         def counting(key, build):
             def wrapped(*args):
@@ -299,11 +309,8 @@ class TestEvalGlobalized:
                             counting("tables", build_table))
         monkeypatch.setattr(series_eval, "_flow_jet",
                             counting("jets", build_jet))
-        monkeypatch.setattr(series_eval, "_poly_step_operator",
-                            counting("operators", build_operator))
         res = eval_globalized(cir(), [0.05], [1.0], 4.0, 12)
         assert counts["tables"] == counts["jets"] >= 2
-        assert counts["operators"] == 0
         ref = cir_cf(CIR, 0.05, 1.0, 4.0)
         assert abs(res.value - ref) / abs(ref) <= 1e-4
 
@@ -381,7 +388,8 @@ class TestFlowJet:
             "unit-ball-gaussian", "three-factor"])
     def test_the_jet_is_the_local_series(self, model, x, xi, K):
         # exp(phi(h) + delta(h) . x) = 1 + sum_k d_k(x, xi) h^k: the jet
-        # expanded through the exponential is the paper's series L^k 1 / k!
+        # expanded through the exponential is the paper's series L^k 1 / k!,
+        # here the exact atom-algebra series read at the table of (x, xi)
         table = eval_symbol_table_xi(model, [0.0] * len(x), xi, K - 1)
         jet = series_eval._flow_jet(table.base, table.slope, K)
         assert jet.shape == (1 + len(x), K + 1)
@@ -390,9 +398,9 @@ class TestFlowJet:
         for k in range(1, K + 1):
             series.append(sum(j * exponent[j] * series[k - j]
                               for j in range(1, k + 1)) / k)
-        d_values = series_eval._operator_d_values(table.base, table.slope,
-                                                  np.array(x), K)
-        assert np.allclose(series[1:], d_values, rtol=1e-13, atol=0.0)
+        values = eval_symbol_table_xi(model, x, xi, K - 1).atom_values()
+        exact = [p.eval(values) for p in d_series(len(x), K)[1:]]
+        assert np.allclose(series[1:], exact, rtol=1e-13, atol=0.0)
 
     def test_jet_plans_are_integer_keyed(self):
         series_eval._jet_plan.cache_clear()

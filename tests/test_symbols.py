@@ -295,6 +295,24 @@ class TestSymbolTable:
             exact = table.base[eps]
             assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact))
 
+    def test_jump_free_table_enumerates_to_order_two_only(self, monkeypatch):
+        # above order 2 only jumps give entries, so a jump-free table never
+        # enumerates the multi-indices of degree up to its order
+        orders = []
+        enumerate_to = symbols.flattened_indices
+
+        def recording(d, max_order):
+            orders.append(max_order)
+            return enumerate_to(d, max_order)
+
+        monkeypatch.setattr(symbols, "flattened_indices", recording)
+        table = eval_symbol_table(heston(), [0.0, 0.0], [1.0, 0.0], 15)
+        assert max(orders) == 3
+        assert max(map(sum, table.base)) == 2
+        orders.clear()
+        eval_symbol_table(gauss_jump_model(), [0.0], [1.0], 15)
+        assert max(orders) == 16
+
     def test_user_jump_capability_error(self):
         jump = UserJump(transform=lambda eps, xi: 0.0, total_mass=0.0,
                         max_order=2)
