@@ -27,19 +27,7 @@ _EXPORTS = {
         "vasicek_baseline",
         "zero_baseline",
     ),
-    "kernels": ("USING_NUMBA", "CompiledSeries", "compile_series", "evaluate_compiled"),
-    "multiindex": (
-        "Enumeration",
-        "ExponentPair",
-        "enumerate_indices",
-        "flattened_indices",
-        "flattened_position",
-        "index_order",
-        "is_member",
-        "project",
-        "shift_alpha",
-        "shift_beta",
-    ),
+    "multiindex": ("enumerate_indices", "flattened_indices", "flattened_position"),
     "oracle": (
         "CIRParams",
         "HestonParams",

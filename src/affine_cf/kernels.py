@@ -1,141 +1,9 @@
-"""Flat-array evaluation kernels for compiled series polynomials.
+"""Retired: the compiled-series evaluator.
 
-A list of SymPoly (typically d_1 .. d_K) is compiled once into contiguous
-arrays; repeated numeric evaluation over grids of atom values then runs as a
-tight triple loop.  Two backends are provided:
-
-* a numba @njit kernel (default when numba imports cleanly), and
-* a pure-numpy fallback built on segmented reduceat products.
-
-Set the environment variable ``AFFINE_CF_NO_NUMBA`` to any non-empty value to
-force the numpy path; ``USING_NUMBA`` reports the active backend.
+Every evaluation mode runs on the flow jet of :mod:`series_eval`, and the
+exact series of :mod:`symalg` are read through ``SymPoly.eval``.  Only
+``USING_NUMBA`` is left, for the benchmark's machine facts; no path of the
+package uses numba.
 """
-from __future__ import annotations
-
-import os
-from dataclasses import dataclass
-
-import numpy as np
 
 USING_NUMBA = False
-if not os.environ.get("AFFINE_CF_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        USING_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is an optional extra
-        USING_NUMBA = False
-
-
-@dataclass
-class CompiledSeries:
-    """Flattened term data for a list of polynomials over indexed atoms.
-
-    Polynomial p owns terms term_off[p]:term_off[p+1]; term t owns factors
-    factor_off[t]:factor_off[t+1] as (atom_idx, atom_pow) pairs.
-    """
-
-    n_polys: int
-    n_atoms: int
-    coeffs: np.ndarray      # float64 [n_terms]
-    term_off: np.ndarray    # int64  [n_polys + 1]
-    atom_idx: np.ndarray    # int64  [n_factors]
-    atom_pow: np.ndarray    # int64  [n_factors]
-    factor_off: np.ndarray  # int64  [n_terms + 1]
-    atoms: tuple            # AtomKey per column, for building value vectors
-
-
-def compile_series(polys, atom_order=None) -> CompiledSeries:
-    """Compile SymPoly objects into a CompiledSeries.
-
-    ``atom_order`` fixes the atom-column order; by default the atoms are
-    collected from the polynomials in sorted order.
-    """
-    if atom_order is None:
-        seen = set()
-        for p in polys:
-            for mono in p.terms:
-                for a, _ in mono:
-                    seen.add(a)
-        atom_order = tuple(sorted(seen))
-    index = {a: i for i, a in enumerate(atom_order)}
-    coeffs, term_off, atom_idx, atom_pow, factor_off = [], [0], [], [], [0]
-    for p in polys:
-        for mono, c in sorted(p.terms.items()):
-            if not mono:
-                raise ValueError("constant terms are not kernel-compilable")
-            coeffs.append(float(c))
-            for a, e in mono:
-                atom_idx.append(index[a])
-                atom_pow.append(e)
-            factor_off.append(len(atom_idx))
-        term_off.append(len(coeffs))
-    return CompiledSeries(
-        n_polys=len(polys),
-        n_atoms=len(atom_order),
-        coeffs=np.asarray(coeffs, dtype=np.float64),
-        term_off=np.asarray(term_off, dtype=np.int64),
-        atom_idx=np.asarray(atom_idx, dtype=np.int64),
-        atom_pow=np.asarray(atom_pow, dtype=np.int64),
-        factor_off=np.asarray(factor_off, dtype=np.int64),
-        atoms=tuple(atom_order),
-    )
-
-
-def _eval_numpy(coeffs, term_off, atom_idx, atom_pow, factor_off, values):
-    """values: complex [n_points, n_atoms] -> complex [n_points, n_polys]."""
-    npts = values.shape[0]
-    if coeffs.size == 0:
-        return np.zeros((npts, term_off.size - 1), dtype=np.complex128)
-    factors = values[:, atom_idx] ** atom_pow
-    term_prod = np.multiply.reduceat(factors, factor_off[:-1], axis=1)
-    weighted = term_prod * coeffs
-    out = np.empty((npts, term_off.size - 1), dtype=np.complex128)
-    for p in range(term_off.size - 1):
-        lo, hi = term_off[p], term_off[p + 1]
-        out[:, p] = weighted[:, lo:hi].sum(axis=1) if hi > lo else 0.0
-    return out
-
-
-if USING_NUMBA:
-
-    @njit(cache=True)
-    def _eval_numba(coeffs, term_off, atom_idx, atom_pow, factor_off, values):
-        npts = values.shape[0]
-        npolys = term_off.size - 1
-        out = np.zeros((npts, npolys), dtype=np.complex128)
-        for i in range(npts):
-            for p in range(npolys):
-                acc = 0.0 + 0.0j
-                for t in range(term_off[p], term_off[p + 1]):
-                    prod = coeffs[t] + 0.0j
-                    for f in range(factor_off[t], factor_off[t + 1]):
-                        prod *= values[i, atom_idx[f]] ** atom_pow[f]
-                    acc += prod
-                out[i, p] = acc
-        return out
-
-
-def evaluate_compiled(cs: CompiledSeries, values) -> np.ndarray:
-    """Evaluate all polynomials at one or many atom-value vectors.
-
-    ``values`` has shape [n_atoms] or [n_points, n_atoms]; the result has the
-    matching shape with the atom axis replaced by a polynomial axis.
-    """
-    values = np.asarray(values, dtype=np.complex128)
-    single = values.ndim == 1
-    if single:
-        values = values[None, :]
-    if values.shape[1] != cs.n_atoms:
-        raise ValueError(
-            f"expected {cs.n_atoms} atom values, got {values.shape[1]}"
-        )
-    fn = _eval_numba if USING_NUMBA else _eval_numpy
-    out = fn(cs.coeffs, cs.term_off, cs.atom_idx, cs.atom_pow,
-             cs.factor_off, values)
-    return out[0] if single else out
-
-
-def atom_vector(cs: CompiledSeries, atom_values: dict) -> np.ndarray:
-    """Arrange an AtomKey -> complex map into the compiled column order."""
-    return np.array([atom_values[a] for a in cs.atoms], dtype=np.complex128)

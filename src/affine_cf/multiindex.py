@@ -1,90 +1,50 @@
-"""Multi-index enumeration and exponent-tuple bookkeeping.
+"""Multi-index enumeration in graded reverse-lexicographic order.
 
-Multi-indices of a fixed dimension are ordered graded reverse-lexicographic
-(grevlex) within each total order.  Exponent pairs (alpha, beta) describe
-monomials in the symbol atoms: alpha counts powers of base-symbol
-derivatives, beta counts powers of slope-symbol derivatives.  Two layouts
-exist:
-
-* univariate: alpha[j], beta[j] are indexed by the scalar derivative order
-  j = 0 .. k-1;
-* multivariate: alpha is indexed by a flattened enumeration of all
-  multi-indices of order 0 .. k-1 (orders concatenated, grevlex within each
-  order) and beta by the same enumeration crossed with the slope direction
-  l = 1 .. d.
-
-Negative entries are representable (the coefficient recursions shift entries
-down transiently) but such pairs are never admissible.
+Multi-indices of a fixed dimension are ordered by total order, and graded
+reverse-lexicographic (grevlex) within each total order: the last entry
+descending, ties broken the same way on the entries before it.  The
+flattened layout concatenates the orders 0, 1, ..., k - 1; it is the slot
+order of the symbol tables and of :func:`symalg.coefficient_recursion`'s
+(alpha, beta) keys.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb
 
 
 MultiIndex = tuple[int, ...]
 
 
-def index_order(eps: MultiIndex) -> int:
-    """Total order |eps| of a multi-index."""
-    return sum(eps)
-
-
-def _grevlex_key(eps: MultiIndex) -> tuple:
-    # Within equal total order: grevlex, i.e. compare reversed entries
-    # with flipped sign (smallest trailing entry first).
-    return (sum(eps), tuple(-e for e in reversed(eps)))
-
-
-@dataclass(frozen=True)
-class Enumeration:
-    """All multi-indices of dimension ``d`` and order exactly ``k``, sorted."""
-
-    dimension: int
-    order: int
-    indices: tuple[MultiIndex, ...] = field(default=())
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-def _compositions(total: int, parts: int):
-    """Yield all tuples of `parts` nonnegative ints summing to `total`."""
+def _grevlex(total: int, parts: int):
+    """Yield the `parts`-tuples of nonnegative ints summing to `total`, in
+    grevlex order: the last entry descending, then the prefix's order."""
     if parts == 1:
         yield (total,)
         return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for last in range(total, -1, -1):
+        for prefix in _grevlex(total - last, parts - 1):
+            yield prefix + (last,)
 
 
 @lru_cache(maxsize=None)
-def enumerate_indices(d: int, k: int) -> Enumeration:
-    """Enumerate the d-dimensional multi-indices of order exactly k.
+def enumerate_indices(d: int, k: int) -> tuple[MultiIndex, ...]:
+    """The d-dimensional multi-indices of order exactly k, in grevlex order.
 
-    The count is the stars-and-bars number C(k + d - 1, d - 1).
+    There are C(k + d - 1, d - 1) of them (stars and bars).
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
     if k < 0:
         raise ValueError(f"order must be >= 0, got {k}")
-    indices = sorted(_compositions(k, d), key=_grevlex_key)
-    enum = Enumeration(d, k, tuple(indices))
-    assert enum.size == comb(k + d - 1, d - 1)
-    return enum
+    return tuple(_grevlex(k, d))
 
 
 @lru_cache(maxsize=None)
 def flattened_indices(d: int, max_order: int) -> tuple[MultiIndex, ...]:
-    """Concatenated enumerations of orders 0, 1, ..., max_order - 1.
-
-    This is the positional layout used for multivariate alpha tuples.
-    """
+    """Concatenated enumerations of orders 0, 1, ..., max_order - 1."""
     out: list[MultiIndex] = []
     for k in range(max_order):
-        out.extend(enumerate_indices(d, k).indices)
+        out.extend(enumerate_indices(d, k))
     return tuple(out)
 
 
@@ -92,112 +52,4 @@ def flattened_indices(d: int, max_order: int) -> tuple[MultiIndex, ...]:
 def flattened_position(d: int, eps: MultiIndex) -> int:
     """Position of a multi-index in the flattened layout."""
     k = sum(eps)
-    offset = sum(enumerate_indices(d, m).size for m in range(k))
-    return offset + enumerate_indices(d, k).indices.index(eps)
-
-
-@dataclass(frozen=True)
-class ExponentPair:
-    """An (alpha, beta) exponent pair of series order k.
-
-    ``layout`` is "uni" or "multi".  In the univariate layout alpha and beta
-    are plain k-tuples.  In the multivariate layout alpha is a tuple indexed
-    by the flattened multi-index enumeration and beta is a tuple of d-tuples
-    over the same enumeration.
-    """
-
-    k: int
-    alpha: tuple
-    beta: tuple
-    layout: str = "uni"
-    dimension: int = 1
-
-    def __post_init__(self):
-        if self.layout not in ("uni", "multi"):
-            raise ValueError(f"unknown layout {self.layout!r}")
-
-    @property
-    def has_negative(self) -> bool:
-        if self.layout == "uni":
-            return any(a < 0 for a in self.alpha) or any(b < 0 for b in self.beta)
-        return any(a < 0 for a in self.alpha) or any(
-            x < 0 for row in self.beta for x in row
-        )
-
-
-def project(pair: ExponentPair, target_order: int) -> ExponentPair:
-    """Truncate alpha/beta to a lower series order.
-
-    Univariate tuples are cut to length ``target_order``; multivariate
-    tuples are cut to the flattened enumeration of orders < target_order.
-    """
-    if target_order > pair.k:
-        raise ValueError(
-            f"cannot project order-{pair.k} pair to higher order {target_order}"
-        )
-    if target_order == pair.k:
-        return pair
-    if pair.layout == "uni":
-        n = target_order
-        return ExponentPair(
-            target_order, pair.alpha[:n], pair.beta[:n], "uni", pair.dimension
-        )
-    n = len(flattened_indices(pair.dimension, target_order))
-    return ExponentPair(
-        target_order, pair.alpha[:n], pair.beta[:n], "multi", pair.dimension
-    )
-
-
-def shift_alpha(pair: ExponentPair, position: int, delta: int) -> ExponentPair:
-    """Change alpha[position] by delta.  Negative results are representable."""
-    alpha = list(pair.alpha)
-    alpha[position] += delta
-    return ExponentPair(pair.k, tuple(alpha), pair.beta, pair.layout, pair.dimension)
-
-
-def shift_beta(pair: ExponentPair, position, delta: int) -> ExponentPair:
-    """Change a beta entry by delta.
-
-    ``position`` is an int in the univariate layout and an (index, l) pair
-    with 1 <= l <= d in the multivariate one.
-    """
-    beta = list(pair.beta)
-    if pair.layout == "uni":
-        beta[position] += delta
-    else:
-        j, l = position
-        row = list(beta[j])
-        row[l - 1] += delta
-        beta[j] = tuple(row)
-    return ExponentPair(pair.k, pair.alpha, tuple(beta), pair.layout, pair.dimension)
-
-
-def is_member(pair: ExponentPair) -> bool:
-    """Admissibility of an exponent pair.
-
-    Requires nonnegative entries, total degree equal to the series order,
-    at least one base factor (every series monomial carries a base-symbol
-    power, so pairs with zero alpha weight are inadmissible for k >= 1),
-    and slope dominance: the total beta weight must be at least the total
-    alpha weight carried by derivative-bearing (order >= 1) positions.
-    """
-    if pair.has_negative:
-        return False
-    if pair.layout == "uni":
-        total = sum(pair.alpha) + sum(pair.beta)
-        if total != pair.k:
-            return False
-        if pair.k >= 1 and sum(pair.alpha) == 0:
-            return False
-        return sum(pair.beta) >= sum(pair.alpha[1:])
-    flat = flattened_indices(pair.dimension, pair.k)
-    if len(pair.alpha) != len(flat) or len(pair.beta) != len(flat):
-        raise ValueError("pair tuples do not match the flattened layout")
-    beta_total = sum(x for row in pair.beta for x in row)
-    total = sum(pair.alpha) + beta_total
-    if total != pair.k:
-        return False
-    if pair.k >= 1 and sum(pair.alpha) == 0:
-        return False
-    derived = sum(a for a, eps in zip(pair.alpha, flat) if sum(eps) >= 1)
-    return beta_total >= derived
+    return len(flattened_indices(d, k)) + enumerate_indices(d, k).index(eps)

@@ -86,14 +86,16 @@ class CFResult:
     warnings: list = field(default_factory=list)
 
 
-# Relative rounding error of a summed value: no tail estimate is below it.
-ROUNDING_FLOOR = 1e-16
+# Relative rounding error of a summed value, a few ulps: no tail estimate
+# is below it.
+ROUNDING_FLOOR = 4 * np.finfo(float).eps
 
 
 def _tail_estimate(contributions, value) -> float:
     """|last term| inflated by 1/(1-r), r the last observed term ratio
-    clipped to [0, 0.9]; at least ROUNDING_FLOOR * |value|."""
-    floor = ROUNDING_FLOOR * abs(value)
+    clipped to [0, 0.9]; at least ROUNDING_FLOOR * |value| (1 + sum |terms|),
+    the rounding of the summed terms."""
+    floor = ROUNDING_FLOOR * abs(value) * (1.0 + sum(map(abs, contributions)))
     if not contributions:
         return floor
     last = abs(contributions[-1])
@@ -268,7 +270,7 @@ def eval_globalized(model: AffineModel, x, u, t: float,
         jet = _flow_jet(table.base, table.slope, truncation)
         # The step puts the last term at the rounding floor, but is at least
         # a twentieth of the jet's root-test radius |jet_K|^(-1/K): below
-        # K = 13 the last term sits at 20^-K instead, so low orders take few
+        # K = 12 the last term sits at 20^-K instead, so low orders take few
         # steps.
         last = np.max(np.abs(jet[:, -1]))
         reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)

@@ -205,7 +205,7 @@ def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
     dmap: dict[MultiIndex, dict] = {(0,) * d: poly.terms}
     for order in range(max_order + 1):
         next_map: dict[MultiIndex, dict] = {}
-        for eps in enumerate_indices(d, order).indices:
+        for eps in enumerate_indices(d, order):
             dp = dmap.get(eps)
             if not dp:
                 continue

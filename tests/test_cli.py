@@ -63,9 +63,9 @@ class TestEval:
         assert first == second
 
     def test_default_order_heston_grid_matches_closed_form(self, capsys):
-        # The grid of test_deterministic_output.  At the default K = 16 the
-        # exact 2-d series is beyond its term budget, so the rows come from
-        # the numeric operator.
+        # The grid of test_deterministic_output at the default K = 16, an
+        # order the exact 2-d series would take long to build; the rows
+        # come from the flow jet.
         code, out, _ = run(capsys, "eval", "--model", f"{MODELS}/heston.json",
                            "--t", "0.2:1:3", "--u", "0.5:2:3;0",
                            "--x", "0;0.04", "--format", "json")

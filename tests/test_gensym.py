@@ -191,8 +191,8 @@ _EXPANSIONS = {
 }
 
 
-class TestNumericOperatorMatchesExactSeries:
-    """d_k of the numeric evaluation against the exact atom-algebra series
+class TestFlowJetMatchesExactSeries:
+    """d_k read from the flow jets against the exact atom-algebra series
     read at the atom values of the same point."""
 
     @staticmethod

@@ -68,11 +68,16 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules}}))
     "sums = symalg.counting_triangle(4).row_sums\n"
     "print(json.dumps({'code': 0 if sums == [1, 2, 6, 24] else 1,"
     " 'numpy': 'numpy' in sys.modules}))",
+    # the retired evaluator's stub, which the benchmark's machine facts read
+    "import json, sys\n"
+    "from affine_cf import kernels\n"
+    "print(json.dumps({'code': 0 if kernels.USING_NUMBA is False else 1,"
+    " 'numpy': 'numpy' in sys.modules}))",
     CLI_RUN.format(argv=["triangle", "--k", "8"]),
     CLI_RUN.format(argv=["tables", "--k", "4", "--dimension", "2"]),
     CLI_RUN.format(argv=["--version"]),
     CLI_RUN.format(argv=["--help"]),
-], ids=["symalg", "triangle", "tables", "version", "help"])
+], ids=["symalg", "kernels", "triangle", "tables", "version", "help"])
 def test_exact_paths_load_no_numpy(code):
     assert fresh(code) == {"code": 0, "numpy": False}
 

@@ -1,38 +1,36 @@
-"""Multi-index enumeration, projection, shifting, and M_k membership."""
+"""Multi-index enumeration in grevlex order and the flattened layout."""
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
 from affine_cf.multiindex import (
-    ExponentPair,
     enumerate_indices,
     flattened_indices,
     flattened_position,
-    index_order,
-    is_member,
-    project,
-    shift_alpha,
-    shift_beta,
 )
 
 
 class TestEnumerate:
     def test_univariate_single_index_per_order(self):
-        enum = enumerate_indices(1, 3)
-        assert enum.indices == ((3,),)
-        assert enum.size == 1
+        assert enumerate_indices(1, 3) == ((3,),)
 
     def test_d2_order2(self):
-        enum = enumerate_indices(2, 2)
-        assert set(enum.indices) == {(2, 0), (1, 1), (0, 2)}
-        assert enum.size == 3
+        assert set(enumerate_indices(2, 2)) == {(2, 0), (1, 1), (0, 2)}
+        assert len(enumerate_indices(2, 2)) == 3
 
     def test_d3_order2_count(self):
-        assert enumerate_indices(3, 2).size == 6
+        assert len(enumerate_indices(3, 2)) == 6
+
+    def test_d3_grevlex_order(self):
+        # the last entry descending, ties broken the same way on the prefix
+        assert enumerate_indices(3, 2) == (
+            (0, 0, 2), (0, 1, 1), (1, 0, 1), (0, 2, 0), (1, 1, 0), (2, 0, 0))
+        assert flattened_indices(3, 2) == (
+            (0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
 
     def test_order_zero(self):
-        assert enumerate_indices(4, 0).indices == ((0, 0, 0, 0),)
+        assert enumerate_indices(4, 0) == ((0, 0, 0, 0),)
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -42,112 +40,13 @@ class TestEnumerate:
 
     @given(st.integers(1, 4), st.integers(0, 6))
     def test_stars_and_bars_count_and_uniqueness(self, d, k):
-        enum = enumerate_indices(d, k)
-        assert enum.size == comb(k + d - 1, d - 1)
-        assert len(set(enum.indices)) == enum.size
-        assert all(index_order(eps) == k for eps in enum.indices)
+        indices = enumerate_indices(d, k)
+        assert len(indices) == comb(k + d - 1, d - 1)
+        assert len(set(indices)) == len(indices)
+        assert all(len(eps) == d and sum(eps) == k for eps in indices)
 
     @given(st.integers(1, 3), st.integers(1, 5))
     def test_flattened_position_round_trip(self, d, max_order):
         flat = flattened_indices(d, max_order)
         for pos, eps in enumerate(flat):
             assert flattened_position(d, eps) == pos
-
-
-class TestProject:
-    def test_univariate_example(self):
-        pair = ExponentPair(2, (2, 0), (0, 0))
-        out = project(pair, 1)
-        assert out.alpha == (2,) and out.beta == (0,) and out.k == 1
-
-    def test_multivariate_prefix(self):
-        flat2 = flattened_indices(2, 2)  # orders 0 and 1 -> 3 entries
-        alpha = tuple(range(len(flat2)))
-        beta = tuple((i, -i) for i in range(len(flat2)))
-        pair = ExponentPair(2, alpha, beta, "multi", 2)
-        out = project(pair, 1)
-        n1 = len(flattened_indices(2, 1))
-        assert out.alpha == alpha[:n1] and out.beta == beta[:n1]
-
-    def test_identity(self):
-        pair = ExponentPair(3, (1, 1, 1), (0, 0, 0))
-        assert project(pair, 3) is pair
-
-    def test_higher_order_rejected(self):
-        with pytest.raises(ValueError):
-            project(ExponentPair(2, (2, 0), (0, 0)), 3)
-
-    @given(st.integers(1, 6), st.data())
-    def test_projection_composes(self, k, data):
-        alpha = tuple(data.draw(st.integers(0, 3)) for _ in range(k))
-        beta = tuple(data.draw(st.integers(0, 3)) for _ in range(k))
-        pair = ExponentPair(k, alpha, beta)
-        l = data.draw(st.integers(0, k))
-        m = data.draw(st.integers(0, l))
-        assert project(project(pair, l), m) == project(pair, m)
-
-
-class TestShift:
-    def test_decrement(self):
-        pair = ExponentPair(1, (1, 0), (0, 0))
-        assert shift_alpha(pair, 0, -1).alpha == (0, 0)
-
-    def test_negative_flagged(self):
-        pair = shift_alpha(ExponentPair(1, (0, 1), (0, 0)), 0, -1)
-        assert pair.alpha == (-1, 1)
-        assert pair.has_negative
-        assert not is_member(pair)
-
-    def test_increment(self):
-        assert shift_alpha(ExponentPair(2, (2, 0), (0, 0)), 1, 3).alpha == (2, 3)
-
-    def test_beta_multivariate(self):
-        flat = flattened_indices(2, 1)
-        beta = tuple((0, 0) for _ in flat)
-        pair = ExponentPair(1, (0,) * len(flat), beta, "multi", 2)
-        out = shift_beta(pair, (0, 2), 1)
-        assert out.beta[0] == (0, 1)
-
-    @given(st.integers(1, 5), st.data())
-    def test_shift_round_trip(self, k, data):
-        alpha = tuple(data.draw(st.integers(0, 3)) for _ in range(k))
-        pair = ExponentPair(k, alpha, (0,) * k)
-        j = data.draw(st.integers(0, k - 1))
-        n = data.draw(st.integers(1, 4))
-        assert shift_alpha(shift_alpha(pair, j, n), j, -n) == pair
-
-
-class TestIsMember:
-    def test_pure_sigma_row2(self):
-        assert is_member(ExponentPair(2, (2, 0), (0, 0)))
-
-    def test_mixed_row2(self):
-        assert is_member(ExponentPair(2, (0, 1), (1, 0)))
-
-    def test_pure_slope_rejected(self):
-        assert not is_member(ExponentPair(1, (0,), (1,)))
-
-    def test_degree_constraint(self):
-        assert not is_member(ExponentPair(3, (2, 0, 0), (0, 0, 0)))
-
-    def test_dominance_constraint(self):
-        # two derived base factors but only one slope factor
-        assert not is_member(ExponentPair(3, (1, 2, 0), (1, 0, 0)))
-
-    def test_multivariate_member(self):
-        flat = flattened_indices(2, 2)
-        alpha = [0] * len(flat)
-        alpha[0] = 2
-        beta = tuple((0, 0) for _ in flat)
-        assert is_member(ExponentPair(2, tuple(alpha), beta, "multi", 2))
-
-    @given(st.integers(1, 6), st.data())
-    def test_member_implies_constraints(self, k, data):
-        alpha = tuple(data.draw(st.integers(0, k)) for _ in range(k))
-        beta = tuple(data.draw(st.integers(0, k)) for _ in range(k))
-        pair = ExponentPair(k, alpha, beta)
-        if is_member(pair):
-            assert all(a >= 0 for a in alpha) and all(b >= 0 for b in beta)
-            assert sum(alpha) + sum(beta) == k
-            assert sum(alpha) >= 1
-            assert sum(beta) >= sum(alpha[1:])

@@ -192,17 +192,17 @@ class TestJumpsInThreeDimensions:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
-class TestNumericOperatorFallback:
-    def test_matches_the_compiled_series_at_a_reachable_order(self):
-        # the numeric operator against the exact atom-algebra series, read
-        # at the symbol table of the same point; the jump model is the
+class TestJetDValues:
+    def test_matches_the_exact_series(self):
+        # d_k read from the flow jet against the exact atom-algebra series,
+        # read at the symbol table of the same point; the jump model is the
         # models/bm_jumps.json example
         cases = [
             (cir(), np.array([0.04]), np.array([1.5]), 12),
             (gauss_jump_model(intensity=0.3, a0=0.4, drift=0.2),
              np.array([0.1]), np.array([2.0]), 12),
             (heston(), np.array([0.0, 0.04]), np.array([1.25, 0.0]), 8),
-            # the smallest graded vectors
+            # the shortest jets
             (cir(), np.array([0.04]), np.array([1.5]), 1),
             (cir(), np.array([0.04]), np.array([1.5]), 2),
             (three_factor(), np.array([0.2, 0.1, -0.3]),
@@ -236,7 +236,7 @@ class TestNumericOperatorFallback:
             assert all(type(e) is int for eps in table.base for e in eps)
 
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
-    def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
+    def test_order_16_matches_heston_closed_form(self, evaluate):
         x, v, u, t = 0.0, 0.04, 1.25, 0.3
         res = evaluate(heston(), [x, v], [u, 0.0], t, 16)
         ref = heston_cf(HESTON, x, v, u, t)
@@ -327,7 +327,7 @@ class TestEvalGlobalized:
 
     @pytest.mark.parametrize("K", [2, 4, 6, 8])
     def test_summed_tail_covers_low_orders(self, K):
-        # below K = 13 the steps leave last terms far above the rounding
+        # below K = 12 the steps leave last terms far above the rounding
         # floor; the tail adds up every step's, not only the last one's
         res = eval_globalized(cir(), [0.05], [2.0], 5.0, K)
         assert abs(res.value - cir_cf(CIR, 0.05, 2.0, 5.0)) <= res.tail_estimate
@@ -425,3 +425,23 @@ class TestNonFinitePoints:
         # as a silent NaN (or as 0 at an infinite x)
         with pytest.raises(ValueError, match="finite"):
             evaluate(cir(), x, u, t, 8)
+
+
+class TestTailCoversSeededPoints:
+    @pytest.mark.parametrize("evaluate,t_max,n", [(eval_local, 0.1, 300),
+                                                  (eval_globalized, 1.0, 200)],
+                             ids=["local", "globalized"])
+    def test_err_within_tail(self, evaluate, t_max, n):
+        # converged points, whose only error is rounding: the tail must
+        # cover the rounding of the summed terms, not one ulp of the value
+        rng = np.random.default_rng(4242)
+        for K in (8, 12, 16):
+            for _ in range(n):
+                t, u = rng.uniform(0.0, t_max), rng.uniform(-3.0, 3.0)
+                x = rng.uniform(0.0, 0.2)
+                res = evaluate(cir(), [x], [u], t, K)
+                assert abs(res.value - cir_cf(CIR, x, u, t)) <= res.tail_estimate
+                x, v = rng.uniform(-0.2, 0.2), rng.uniform(0.01, 0.1)
+                res = evaluate(heston(), [x, v], [u, 0.0], t, K)
+                assert abs(res.value - heston_cf(HESTON, x, v, u, t)) \
+                    <= res.tail_estimate

@@ -194,7 +194,7 @@ class TestSymbolComponents:
         model = model_fn()
         d = model.dimension
         table = eval_symbol_table(model, np.full(d, 0.3), np.full(d, 0.8), 6)
-        keys = [eps for k in range(7) for eps in enumerate_indices(d, k).indices]
+        keys = [eps for k in range(7) for eps in enumerate_indices(d, k)]
         live = [eps for eps in keys if sum(eps) <= 2]
         for tab in (table.base, *table.slope):
             assert list(tab) == live
@@ -265,7 +265,7 @@ class TestSymbolTable:
         model = component_case(source)
         d = model.dimension
         keys = [eps for k in range(1, 13 // d + 1)
-                for eps in enumerate_indices(d, k).indices]
+                for eps in enumerate_indices(d, k)]
         rng = np.random.default_rng(3)
         for jump in model.jumps:
             if not isinstance(jump, GaussianJumps):
