@@ -191,7 +191,7 @@ _EXPANSIONS = {
 }
 
 
-class TestFlowJetMatchesExactSeries:
+class TestNumericOperatorMatchesExactSeries:
     """d_k read from the flow jets against the exact atom-algebra series
     read at the atom values of the same point."""
 

@@ -192,7 +192,7 @@ class TestJumpsInThreeDimensions:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
-class TestJetDValues:
+class TestNumericOperatorFallback:
     def test_matches_the_exact_series(self):
         # d_k read from the flow jet against the exact atom-algebra series,
         # read at the symbol table of the same point; the jump model is the
@@ -236,7 +236,7 @@ class TestJetDValues:
             assert all(type(e) is int for eps in table.base for e in eps)
 
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
-    def test_order_16_matches_heston_closed_form(self, evaluate):
+    def test_order_beyond_the_budget_matches_heston_closed_form(self, evaluate):
         x, v, u, t = 0.0, 0.04, 1.25, 0.3
         res = evaluate(heston(), [x, v], [u, 0.0], t, 16)
         ref = heston_cf(HESTON, x, v, u, t)
