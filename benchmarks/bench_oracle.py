@@ -6,7 +6,9 @@ Run:  python3 benchmarks/bench_oracle.py [--points 2] [--repeats 3]
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
 default integrator (2000 steps, plus the 4000-step run of the step-halving
-estimate) on CIR, Heston and ``models/bm_jumps.json``; ``eval_local``
+estimate, building its unrolled RK4 loop once per point) on CIR, Heston,
+``models/bm_jumps.json`` and the 3-d cross-term diffusion (``diff3``,
+so that the loop is timed beyond d = 2); ``eval_local``
 per point on CIR at K = 16, on Heston at K = 8 and 16, on 3-, 4- and
 5-d diffusions at K = 16, 16 and 12 and on a 3-d model with full-covariance
 Gaussian jumps at K = 16 (``jump3``: every eps up to K - 1 is live,
@@ -48,7 +50,7 @@ CASES = {
     "ubg": ([0.3, -0.2], [[1.1, -0.6], [0.5, 0.2]], 0.5),
     "jump3": ([0.2, 0.1, -0.3], [[0.7, -1.1, 0.4], [1.5, 0.3, -0.8]], 0.3),
 }
-RICCATI = ("cir", "heston", "bm_jumps")
+RICCATI = ("cir", "heston", "bm_jumps", "diff3")
 # eval_local case -> (model case, K); eval_globalized case -> (model case, t)
 LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
          "heston-K16": ("heston", 16), "diff3-K16": ("diff3", 16),

@@ -21,10 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series_eval import (CFResult, _checked_point, _jet_d_values,
-                          _series_result)
+from .series_eval import CFResult, _jet_d_values, _series_result
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
-from .symbols import AffineModel, eval_symbol_table_xi
+from .symbols import AffineModel, _checked_point, eval_symbol_table_xi
 
 GENERALIZED = "Generalized"
 

@@ -1,8 +1,14 @@
 """Independent reference implementations for validating series evaluations.
 
 The Riccati integrator and the closed forms below never touch the series
-machinery: they share only the symbol-component decomposition of the model,
-so a disagreement isolates the series computation itself.
+machinery: they share only the symbol-component decomposition of the model
+and the check of the evaluation point, so a disagreement isolates the series
+computation itself.  The integrator is classical RK4 on the generalized
+Riccati system phi' = sigma_0(psi), psi' = sigma_l(psi) (Duffie, Filipovic
+and Schachermayer 2003), run by one Python function built per call from the
+model's compiled components: phi and psi_1..psi_d are scalar locals and
+each stage is straight-line code.  Like the series modes, both oracles
+refuse a negative t and a non-finite t, x or u with a ValueError.
 """
 from __future__ import annotations
 
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import AffineModel, eval_symbol, symbol_components
+from .symbols import AffineModel, _checked_point, _jump_symbol, eval_symbol
 
 BLOWUP_LIMIT = 1e8
 
@@ -44,38 +50,84 @@ class RiccatiResult:
     step_error: float  # step-halving estimate on the final CF value
 
 
-def _integrate(rhs, psi0: list, t: float, steps: int):
-    """Classical RK4 on the scalars phi and psi_1..psi_d; returns (phi, psi).
+def _rk4_program(model: AffineModel) -> tuple:
+    """(source, namespace) of ``rk4(psi0, t, steps) -> (phi, [psi_1, ...])``:
+    classical RK4 on phi' = sigma_0(psi), psi_l' = sigma_l(psi) from
+    (0, psi0), unrolled for this model's compiled symbol components.
 
-    ``rhs(psi)`` is [F, R_1, ..., R_d]: phi' = F(psi) = sigma(0, psi) and
-    psi_l' = R_l(psi) = sigma_l(psi)."""
-    h = t / steps
-    phi, psi = 0.0 + 0.0j, list(psi0)
-    for n in range(steps):
-        if max(map(abs, psi), default=0.0) > BLOWUP_LIMIT:
-            raise MomentExplosionError(n * h)
-        k1 = rhs(psi)
-        k2 = rhs([p + 0.5 * h * k for p, k in zip(psi, k1[1:])])
-        k3 = rhs([p + 0.5 * h * k for p, k in zip(psi, k2[1:])])
-        k4 = rhs([p + h * k for p, k in zip(psi, k3[1:])])
-        inc = [(h / 6.0) * (a + 2 * b + 2 * c + e)
-               for a, b, c, e in zip(k1, k2, k3, k4)]
-        phi += inc[0]
-        psi = [p + q for p, q in zip(psi, inc[1:])]
-    return phi, np.array(psi)
+    psi_1..psi_d are the scalar locals p0..p{d-1}, and each stage evaluates
+    the d + 1 components as straight-line expressions in the order of
+    ``symbols._order0``, so the arithmetic is the same operation for
+    operation.  Each coefficient is a name bound in ``namespace``, as is the
+    ``symbols._jump_symbol`` helper of each component with jumps; the source
+    holds generated identifiers and the method's own constants only."""
+    d = model.dimension
+    namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT,
+                 "MomentExplosionError": MomentExplosionError}
+    # component c at the stage's state {v}0..{v}(d-1)
+    sigma = []
+    for c, (quad, lin, jump_part) in enumerate(model._compiled):
+        terms = ["0j"]
+        for n, (i, j, w) in enumerate(quad):
+            namespace[f"a{c}_{n}"] = w
+            terms.append(f"a{c}_{n} * {{v}}{i} * {{v}}{j}")
+        for n, (i, b) in enumerate(lin):
+            namespace[f"b{c}_{n}"] = b
+            terms.append(f"b{c}_{n} * {{v}}{i}")
+        expr = " + ".join(terms)
+        if jump_part is not None:
+            namespace[f"jump{c}"] = _jump_symbol(jump_part, d)
+            state = "".join(f"{{v}}{i}, " for i in range(d))
+            expr = f"jump{c}({expr}, ({state}))"
+        sigma.append(expr)
+    psi = ", ".join(f"p{i}" for i in range(d))
+    # max(|psi_1|, ..., |psi_d|), in the order max(map(abs, psi)) reads it
+    sizes = ", ".join(f"abs(p{i})" for i in range(d))
+    size = f"max({sizes})" if d > 1 else sizes
+    lines = [
+        "def rk4(psi0, t, steps):",
+        "    h = t / steps",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {psi}, = psi0",
+        "    phi = 0.0 + 0.0j",
+        "    for n in range(steps):",
+        f"        if {size} > BLOWUP_LIMIT:",
+        "            raise MomentExplosionError(n * h)",
+    ]
+    # stage s reads the state p + (half, half, h)[s - 2] * k(s-1)
+    for s, (v, scale) in enumerate((("p", None), ("q", "half"),
+                                    ("q", "half"), ("q", "h")), start=1):
+        if scale:
+            lines += [f"        q{i} = p{i} + {scale} * k{s - 1}_{i + 1}"
+                      for i in range(d)]
+        lines += [f"        k{s}_{c} = {expr.format(v=v)}"
+                  for c, expr in enumerate(sigma)]
+    increment = "sixth * (k1_{0} + 2 * k2_{0} + 2 * k3_{0} + k4_{0})"
+    lines.append(f"        phi += {increment.format(0)}")
+    lines += [f"        p{i} = p{i} + {increment.format(i + 1)}"
+              for i in range(d)]
+    lines.append(f"    return phi, [{psi}]")
+    return "\n".join(lines) + "\n", namespace
 
 
 def riccati_cf(model: AffineModel, x, u, t: float,
                config: IntegratorConfig = IntegratorConfig()) -> RiccatiResult:
-    """CF via RK4 integration of the generalized Riccati system."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    """CF via RK4 integration of the generalized Riccati system.
+
+    Raises ValueError for a negative t and a non-finite t, x or u, and
+    MomentExplosionError when |psi| passes BLOWUP_LIMIT at the start of a
+    step."""
+    x, u = _checked_point(x, u, t)
     if t == 0.0:
         return RiccatiResult(np.exp(1j * (u @ x)), 0.0 + 0.0j, 1j * u, 0.0)
-    rhs = symbol_components(model)
+    source, namespace = _rk4_program(model)
+    exec(compile(source, "<riccati-rk4>", "exec"), namespace)
+    rk4 = namespace["rk4"]
     psi0 = [1j * float(v) for v in u]
-    phi_fine, psi_fine = _integrate(rhs, psi0, t, 2 * config.steps)
-    phi_coarse, psi_coarse = _integrate(rhs, psi0, t, config.steps)
+    phi_fine, psi_fine = rk4(psi0, t, 2 * config.steps)
+    phi_coarse, psi_coarse = rk4(psi0, t, config.steps)
+    psi_fine, psi_coarse = np.array(psi_fine), np.array(psi_coarse)
     val_fine = np.exp(phi_fine + psi_fine @ x)
     val_coarse = np.exp(phi_coarse + psi_coarse @ x)
     # Richardson: RK4 halving reduces the error ~16x, so the difference is
@@ -92,8 +144,7 @@ def levy_khintchine_cf(model: AffineModel, x, u, t: float) -> complex:
     for jump in model.jumps[1:]:
         if getattr(jump, "total_mass", 0.0) > 0.0:
             raise ValueError("Levy-Khintchine form requires no slope jumps")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x, u = _checked_point(x, u, t)
     return np.exp(1j * (u @ x) + t * eval_symbol(model, x, u))
 
 

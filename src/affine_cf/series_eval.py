@@ -28,7 +28,8 @@ from operator import mul
 import numpy as np
 
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
-from .symbols import AffineModel, eval_symbol_table, eval_symbol_table_xi
+from .symbols import (AffineModel, _checked_point, eval_symbol_table,
+                      eval_symbol_table_xi)
 
 LOCAL = "Local"
 GLOBALIZED = "Globalized"
@@ -129,20 +130,6 @@ def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
     value = prefactor * (1.0 + series)
     return CFResult(value, contributions, truncation,
                     _tail_estimate(contributions, value), mode)
-
-
-def _checked_point(x, u, t: float):
-    """x and u as float vectors; a negative t and a non-finite t, x or u are
-    refused with a ValueError."""
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
-        raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
-    return x, u
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:

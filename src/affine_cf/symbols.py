@@ -262,6 +262,15 @@ def _zero_mat(d: int) -> tuple:
     return tuple(tuple(0.0 for _ in range(d)) for _ in range(d))
 
 
+def _finite(name: str, block) -> np.ndarray:
+    """``block`` as a float array; a NaN or infinite entry is refused with a
+    ValueError naming the block."""
+    arr = np.asarray(block, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {block}")
+    return arr
+
+
 @dataclass(frozen=True)
 class AffineModel:
     """Coefficient data of an affine generator.
@@ -284,17 +293,19 @@ class AffineModel:
         d = self.dimension
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        a0 = np.asarray(self.a0, dtype=float)
+        a0 = _finite("a0", self.a0)
         if a0.shape != (d, d) or not np.allclose(a0, a0.T, atol=1e-12):
             raise ValueError("a0 must be a symmetric d x d matrix")
         if len(self.a_slope) != d or len(self.b_slope) != d:
             raise ValueError("need one slope block per coordinate")
         for mat in self.a_slope:
-            m = np.asarray(mat, dtype=float)
+            m = _finite("a_slope", mat)
             if m.shape != (d, d) or not np.allclose(m, m.T, atol=1e-12):
                 raise ValueError("each a_slope block must be symmetric d x d")
-        if len(self.b0) != d:
+        if len(_finite("b0", self.b0)) != d:
             raise ValueError("b0 must have length d")
+        for row in self.b_slope:
+            _finite("b_slope", row)
         if len(self.jumps) != d + 1:
             raise ValueError("need d + 1 jump specs (nu_0 and nu_l)")
         if self.truncation not in _TRUNCATIONS:
@@ -404,26 +415,39 @@ def _compile(model: AffineModel) -> tuple:
     return tuple(comps)
 
 
+def _jump_symbol(jump_part: tuple, d: int):
+    """``(val, xi) -> val + J(0, xi) - mass``, minus the unit-ball
+    compensator sum_j xi_j comp_j when there is one: the jump part of one
+    compiled component added to its polynomial part ``val``."""
+    jump, mass, comp = jump_part
+    zero = (0,) * d
+
+    def add(val, xi) -> complex:
+        val += jump.moment(zero, np.asarray(xi, dtype=complex)) - mass
+        if comp is not None:
+            val -= sum(z * cj for z, cj in zip(xi, comp))
+        return complex(val)
+
+    return add
+
+
 def _order0(comps: tuple, d: int):
     """``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` in plain complex
     arithmetic over the compiled components; only components with jumps
     call ``jump.moment``."""
-    zero = (0,) * d
+    parts = [(quad, lin, None if jump_part is None
+              else _jump_symbol(jump_part, d))
+             for quad, lin, jump_part in comps]
 
     def sigma(xi) -> list:
         out = []
-        for quad, lin, jump_part in comps:
+        for quad, lin, jump in parts:
             val = 0.0 + 0.0j
             for i, j, w in quad:
                 val += w * xi[i] * xi[j]
             for i, bi in lin:
                 val += bi * xi[i]
-            if jump_part is not None:
-                jump, mass, comp = jump_part
-                val += jump.moment(zero, np.asarray(xi, dtype=complex)) - mass
-                if comp is not None:
-                    val -= sum(z * cj for z, cj in zip(xi, comp))
-            out.append(complex(val))
+            out.append(complex(val) if jump is None else jump(val, xi))
         return out
 
     return sigma
@@ -434,6 +458,20 @@ def symbol_components(model: AffineModel):
     ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence xi of
     Python complex scalars."""
     return _order0(model._compiled, model.dimension)
+
+
+def _checked_point(x, u, t: float):
+    """x and u as float vectors; a negative t and a non-finite t, x or u are
+    refused with a ValueError."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+        raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
+    return x, u
 
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:

@@ -175,6 +175,18 @@ class TestCompare:
         for key in ("re", "im", "tail", "rel_err"):
             assert row[key] != row[key]  # NaN
 
+    def test_negative_t_row_carries_the_oracles_refusal(self, capsys):
+        code, out, _ = run(capsys, "compare", "--model", f"{MODELS}/cir.json",
+                           "--t=-0.5", "--u", "1.0", "--x", "0.04",
+                           "--format", "json")
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        assert row["reason"] == ("ValueError: t must be >= 0; "
+                                 "oracle ValueError: t must be >= 0")
+        for key in ("re", "oracle_re", "oracle_im", "abs_err", "rel_err",
+                    "oracle_err"):
+            assert row[key] != row[key]  # NaN
+
     def test_oracle_err_is_the_step_halving_estimate(self, capsys):
         argv = ("compare", "--model", f"{MODELS}/cir.json", "--k", "8",
                 "--t", "0.5", "--u", "1.0:2.0:2", "--x", "0.04")

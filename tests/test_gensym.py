@@ -191,7 +191,7 @@ _EXPANSIONS = {
 }
 
 
-class TestNumericOperatorMatchesExactSeries:
+class TestFlowJetMatchesExactSeries:
     """d_k read from the flow jets against the exact atom-algebra series
     read at the atom values of the same point."""
 

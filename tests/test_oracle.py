@@ -1,16 +1,19 @@
 """Independent oracles: Riccati RK4 vs the closed forms, and their contracts."""
 import cmath
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from affine_cf.oracle import (
+    BLOWUP_LIMIT,
     CIRParams,
     HestonParams,
     IntegratorConfig,
     MomentExplosionError,
     VasicekParams,
+    _rk4_program,
     cir_cf,
     cir_model,
     heston_cf,
@@ -20,9 +23,11 @@ from affine_cf.oracle import (
     vasicek_cf,
     vasicek_model,
 )
-from affine_cf.symbols import AffineModel, eval_symbol, load_model
+from affine_cf.symbols import (AffineModel, eval_symbol, load_model,
+                               symbol_components)
 
-from helpers import CIR, HESTON, VASICEK, bm_model, cir, gauss_jump_model, heston
+from helpers import (CIR, HESTON, VASICEK, bm_model, cir, exponential_jumps,
+                     gauss_jump_model, heston, unit_ball_gaussian)
 
 MODEL_DIR = Path(__file__).resolve().parent.parent / "models"
 
@@ -110,6 +115,125 @@ class TestPinnedValues:
         with pytest.raises(MomentExplosionError) as info:
             riccati_cf(model, [0.0], [1.0], 1.0)
         assert info.value.t_blowup == 0.61425
+
+
+def textbook_rk4(model, u, t, steps):
+    """Classical RK4 on phi' = sigma_0(psi), psi_l' = sigma_l(psi) from
+    (0, iu), written over the generic per-component right-hand side
+    ``symbol_components``, with the oracle's blow-up rule; returns
+    (phi, psi)."""
+    rhs = symbol_components(model)
+    h = t / steps
+    phi, psi = 0.0 + 0.0j, [1j * v for v in u]
+    for n in range(steps):
+        if max(map(abs, psi), default=0.0) > BLOWUP_LIMIT:
+            raise MomentExplosionError(n * h)
+        k1 = rhs(psi)
+        k2 = rhs([p + 0.5 * h * k for p, k in zip(psi, k1[1:])])
+        k3 = rhs([p + 0.5 * h * k for p, k in zip(psi, k2[1:])])
+        k4 = rhs([p + h * k for p, k in zip(psi, k3[1:])])
+        inc = [(h / 6.0) * (a + 2 * b + 2 * c + e)
+               for a, b, c, e in zip(k1, k2, k3, k4)]
+        phi += inc[0]
+        psi = [p + q for p, q in zip(psi, inc[1:])]
+    return phi, np.array(psi)
+
+
+def cross_diffusion3() -> AffineModel:
+    """A 3-d diffusion with cross terms in the constant and slope diffusion
+    blocks and a coupled drift."""
+    return AffineModel.from_arrays(
+        a0=[[0.3, 0.1, -0.05], [0.1, 0.2, 0.05], [-0.05, 0.05, 0.1]],
+        a_slope=[[[0.2, 0.05, 0.0], [0.05, 0.1, 0.02], [0.0, 0.02, 0.0]],
+                 [[0.0, 0.0, 0.0], [0.0, 0.3, 0.1], [0.0, 0.1, 0.2]],
+                 [[0.1, 0.0, 0.03], [0.0, 0.0, 0.0], [0.03, 0.0, 0.15]]],
+        b0=[0.1, -0.05, 0.2],
+        b_slope=[[-0.5, 0.1, 0.0], [0.2, -0.3, 0.05], [0.0, 0.4, -0.6]],
+        state_domain=[(0.0, None)] * 3)
+
+
+class TestGeneratedLoop:
+    """The unrolled RK4 loop against the textbook integrator above."""
+
+    # (model, x, u, t)
+    CASES = {
+        "cir": (cir, [0.04], [1.3], 0.5),
+        "heston": (heston, [0.0, 0.04], [2.0, -0.3], 1.0),
+        "cross-diffusion-3d": (cross_diffusion3, [0.04, 0.1, 0.02],
+                               [1.0, -0.5, 0.3], 0.5),
+        "unit-ball-jumps": (unit_ball_gaussian, [0.3, -0.2], [1.1, -0.6],
+                            0.5),
+        "exponential-jumps": (exponential_jumps, [0.2], [-1.7], 0.5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_textbook_integrator(self, case):
+        model_fn, x, u, t = self.CASES[case]
+        model = model_fn()
+        # the loop does not depend on the step count; 500 keeps this quick
+        res = riccati_cf(model, x, u, t, IntegratorConfig(steps=500))
+        phi, psi = textbook_rk4(model, u, t, 1000)
+        value = np.exp(phi + psi @ x)
+        phi_c, psi_c = textbook_rk4(model, u, t, 500)
+        step_error = abs(value - np.exp(phi_c + psi_c @ x))
+        assert abs(res.phi - phi) <= 1e-14 * abs(phi)
+        assert np.all(np.abs(res.psi - psi) <= 1e-14 * np.abs(psi))
+        assert abs(res.value - value) <= 1e-14 * abs(value)
+        assert abs(res.step_error - step_error) <= 1e-14 * abs(value)
+
+    def test_blow_up_time_matches_the_textbook_integrator(self):
+        model = AffineModel.from_arrays(
+            a0=[[0.1, 0.0], [0.0, 0.2]], b0=[0.0, 0.1],
+            b_slope=[[12.0, 0.5], [0.0, 30.0]])
+        with pytest.raises(MomentExplosionError) as ref:
+            textbook_rk4(model, [1.0, 0.5], 1.0, 2000)
+        with pytest.raises(MomentExplosionError) as info:
+            riccati_cf(model, [0.0, 0.0], [1.0, 0.5], 1.0)
+        assert info.value.t_blowup == ref.value.t_blowup
+
+    def test_no_model_number_reaches_the_source(self):
+        """The source depends only on which coefficients are nonzero: two
+        models of one pattern give one source, holding none of their
+        numbers."""
+        first = cross_diffusion3()
+        scaled = AffineModel.from_arrays(
+            a0=np.asarray(first.a0) * math.pi,
+            a_slope=np.asarray(first.a_slope) * math.e,
+            b0=np.asarray(first.b0) * 1.7,
+            b_slope=np.asarray(first.b_slope) * 3.1)
+        source, namespace = _rk4_program(first)
+        assert _rk4_program(scaled)[0] == source
+        for model in (first, scaled):
+            for block in (model.a0, model.a_slope, model.b0, model.b_slope):
+                for v in np.ravel(block):
+                    if v not in (0.0, 0.5, 2.0, 6.0):
+                        assert repr(float(v)) not in source
+        assert len([v for v in namespace.values()
+                    if isinstance(v, float)]) > 10
+
+
+class TestRefusals:
+    """Both oracles refuse what the series modes refuse."""
+
+    POINTS = {
+        "negative-t": ([0.04], [1.0], -0.5, "t must be >= 0"),
+        "nan-t": ([0.04], [1.0], math.nan, "t must be finite"),
+        "inf-t": ([0.04], [1.0], math.inf, "t must be finite"),
+        "nan-x": ([math.nan], [1.0], 0.5, "x and u must be finite"),
+        "inf-u": ([0.04], [-math.inf], 0.5, "x and u must be finite"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(POINTS))
+    def test_riccati(self, case):
+        x, u, t, message = self.POINTS[case]
+        with pytest.raises(ValueError, match=message):
+            riccati_cf(cir(), x, u, t)
+
+    @pytest.mark.parametrize("case", sorted(POINTS))
+    def test_levy_khintchine(self, case):
+        x, u, t, message = self.POINTS[case]
+        with pytest.raises(ValueError, match=message):
+            levy_khintchine_cf(bm_model(), x, u, t)
 
 
 class TestLevyKhintchine:

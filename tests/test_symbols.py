@@ -375,6 +375,29 @@ class TestModelIO:
             model_from_json({"dimension": 1, "a0": [[1.0]]})
 
 
+class TestNonFiniteCoefficients:
+    BLOCKS = {
+        "a0": dict(a0=[[math.inf]]),
+        "a_slope": dict(a_slope=[[[math.nan]]]),
+        "b0": dict(b0=[math.nan]),
+        "b_slope": dict(b_slope=[[-math.inf]]),
+    }
+
+    @pytest.mark.parametrize("block", sorted(BLOCKS))
+    def test_refused_naming_the_block(self, block):
+        with pytest.raises(ValueError, match=f"^{block} must be finite"):
+            AffineModel.from_arrays(dimension=1, **self.BLOCKS[block])
+
+    def test_a_json_file_holding_nan_is_refused(self, tmp_path):
+        obj = model_to_json(cir())
+        obj["b_slope"][0][0] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(obj))
+        assert "NaN" in path.read_text()
+        with pytest.raises(ValueError, match="b_slope must be finite"):
+            load_model(path)
+
+
 class TestSemiellipticity:
     def test_positive_models_pass(self):
         assert bm_model().check_semielliptic()
