@@ -21,7 +21,10 @@ and 16 and ``bm_jumps`` K = 16, split into the symbol tables
 the table and its power-series exponential); ``eval_globalized``
 per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5, on the
 4-d diffusion at t = 2 and on two jump models at t = 2 (``expj``, 1-d, and
-``ubg``, 2-d, whose flow jets run over every eps up to K - 1).  The median CPU time and the median peak RSS
+``ubg``, 2-d, whose flow jets run over every eps up to K - 1);
+``eval_generalized`` per point at K = 16 on CIR around the Vasicek process
+of its drift and on Heston with b21 = 2, s = 0.5 around the Heston
+baseline (two flow jets per point, the target's and the baseline's).  The median CPU time and the median peak RSS
 (``ru_maxrss``) of the fresh processes are printed.  Timings are
 reported, never asserted; the host's speed can swing by 20% between runs.
 """
@@ -64,6 +67,8 @@ GRID_REPEATS = 20  # warm grids per process
 GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
               "heston-t5": ("heston", 5.0), "diff4-t2": ("diff4", 2.0),
               "expj-t2": ("expj", 2.0), "ubg-t2": ("ubg", 2.0)}
+# eval_generalized case (K = 16) -> model case, whose points it reads
+GENERALIZED = {"cir-vasicek": "cir", "heston-b21": "heston"}
 
 
 def _diffusion(d: int):
@@ -131,11 +136,33 @@ def _model(case: str):
     if case == "cir":
         return oracle.cir_model(oracle.CIRParams(b0=0.04, b1=-0.5, s=0.2))
     if case == "heston":
-        return oracle.heston_model(oracle.HestonParams(
-            b00=0.0, b10=0.0, b11=0.0, b20=0.04, b21=1.5, s=0.3, rho=-0.7))
+        return oracle.heston_model(_heston_params())
     if case.startswith("diff"):
         return _diffusion(int(case[4:]))
     return load_model(os.path.join(ROOT, "models", f"{case}.json"))
+
+
+def _heston_params():
+    from affine_cf import oracle
+
+    return oracle.HestonParams(b00=0.0, b10=0.0, b11=0.0, b20=0.04, b21=1.5,
+                               s=0.3, rho=-0.7)
+
+
+def _generalized(case: str):
+    """(target, baseline) of an ``eval_generalized`` case: CIR around the
+    Vasicek process of its drift, or Heston with b21 = 2, s = 0.5 around the
+    Heston baseline."""
+    from dataclasses import replace
+
+    from affine_cf import gensym, oracle
+
+    if case == "cir-vasicek":
+        return _model("cir"), gensym.vasicek_baseline(
+            oracle.VasicekParams(a0=0.0, b0=0.04, b1=-0.5))
+    params = _heston_params()
+    return (oracle.heston_model(replace(params, b21=2.0, s=0.5)),
+            gensym.heston_baseline(params))
 
 
 def _split_timers(series_eval) -> dict:
@@ -155,19 +182,24 @@ def _split_timers(series_eval) -> dict:
 
 
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati_cf, eval_local, eval_globalized) or per
-    warm grid (grid, with the table and jet shares), measured inside
-    the fresh interpreter, and its peak RSS in MB; model building is
-    untimed."""
+    """CPU seconds per point (riccati_cf, eval_local, eval_globalized,
+    eval_generalized) or per warm grid (grid, with the table and jet
+    shares), measured inside the fresh interpreter, and its peak RSS in MB;
+    model building is untimed."""
     from affine_cf import series_eval
+    from affine_cf.gensym import eval_generalized
     from affine_cf.oracle import riccati_cf
     from affine_cf.series_eval import eval_globalized, eval_local
 
-    if what == "eval_globalized":
-        case, horizon = GLOBALIZED[case]
-    elif what in ("eval_local", "grid"):
-        case, order = (LOCAL if what == "eval_local" else GRID)[case]
-    model = _model(case)
+    if what == "eval_generalized":
+        model, baseline = _generalized(case)
+        case = GENERALIZED[case]
+    else:
+        if what == "eval_globalized":
+            case, horizon = GLOBALIZED[case]
+        elif what in ("eval_local", "grid"):
+            case, order = (LOCAL if what == "eval_local" else GRID)[case]
+        model = _model(case)
     x, us, t = CASES[case]
     split = {}
     if what == "grid":
@@ -189,6 +221,10 @@ def measure(what: str, case: str, n: int) -> dict:
         start = time.process_time()
         for i in range(n):
             eval_local(model, x, us[i % len(us)], t, order)
+    elif what == "eval_generalized":
+        start = time.process_time()
+        for i in range(n):
+            eval_generalized(model, baseline, x, us[i % len(us)], t, 16)
     else:
         start = time.process_time()
         for i in range(n):
@@ -213,8 +249,8 @@ def fresh(what: str, case: str, n: int) -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser()
     ap.add_argument("--points", type=int, default=2,
-                    help="riccati_cf, eval_local and eval_globalized points "
-                         "per process")
+                    help="riccati_cf, eval_local, eval_globalized and "
+                         "eval_generalized points per process")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--one", nargs=3, metavar=("WHAT", "CASE", "N"),
                     help=argparse.SUPPRESS)
@@ -228,7 +264,8 @@ def main() -> None:
     jobs += [("eval_local", case, args.points) for case in LOCAL]
     jobs += [("grid", case, GRID_REPEATS) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
-    print(f"{'what':<15} {'case':<12} {'n':>3} {'ms each (median)':>17} "
+    jobs += [("eval_generalized", case, args.points) for case in GENERALIZED]
+    print(f"{'what':<16} {'case':<12} {'n':>3} {'ms each (median)':>17} "
           f"{'rss MB':>7}  all runs (ms)  [grid: median table / jet ms]")
     for what, case, n in jobs:
         runs = [fresh(what, case, n) for _ in range(args.repeats)]
@@ -237,7 +274,7 @@ def main() -> None:
         split = "".join(
             f"  {key[:-2]} {statistics.median(r[key] for r in runs) * 1e3:.2f}"
             for key in ("table_s", "jet_s") if key in runs[0])
-        print(f"{what:<15} {case:<12} {n:>3} {statistics.median(times):>17.2f} "
+        print(f"{what:<16} {case:<12} {n:>3} {statistics.median(times):>17.2f} "
               f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times) + split)
 
 

@@ -1,15 +1,14 @@
 """Generalized-symbol expansions around solvable baselines.
 
 Given a baseline affine model A0 whose characteristic function is known in
-closed form exp(phi0(t,u) + psi0(t,u).x), the CF of a target model A is
-represented as exp(phi0 + psi0.x) (1 + sum_k d_k t^k), with the symbols
-evaluated along the baseline trajectory xi = psi0(t,u).  The d_k follow
-the difference recursion: the target's generator recursion with its
-eps = 0 atom read as Delta sigma = sigma - sigma0.  :func:`eval_generalized`
-reads them from the flow jet of :mod:`series_eval`, applied to the target's
-symbol table with only its eps = 0 entries changed;
-:func:`correction_series` builds it exactly on the integer engine of
-:mod:`symalg`, for the nilpotency claim and as a reference.
+closed form f0 = exp(phi0(t,u) + psi0(t,u).x), the CF of a target model A
+is represented as f0 (1 + sum_k w_k t^k).  For affine processes the
+correction is f / f0 = exp((phi - phi0) + (delta - delta0).x), the
+difference of the two models' flow jets at xi = iu: :func:`eval_generalized`
+reads both from :mod:`series_eval` and takes the power-series exponential
+of their difference.  :func:`correction_series` builds the difference
+recursion, whose eps = 0 atom is Delta sigma = sigma - sigma0, exactly on
+the integer engine of :mod:`symalg`, for the nilpotency claim.
 """
 from __future__ import annotations
 
@@ -21,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .series_eval import CFResult, _jet_d_values, _series_result
+from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
 from .symbols import AffineModel, _checked_point, eval_symbol_table_xi
 
@@ -283,18 +282,17 @@ def correction_series(target: AffineModel, baseline: BaselineSolution,
 
 def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
                      t: float, truncation: int = 10) -> CFResult:
-    """exp(phi0 + psi0 x) (1 + sum_k d_k(x, psi0(t,u)) t^k).
+    """exp(phi0(t, u) + psi0(t, u) . x) (1 + sum_k w_k t^k).
 
-    d_k = L^k 1 / k!, L the operator of the target's symbol table at x = 0
-    along xi = psi0(t, u) with the baseline's symbol taken off its eps = 0
-    entry: that entry is Delta sigma = sigma - sigma0, and every other entry
-    is the target's, since d^eps Delta sigma + d^eps sigma0 = d^eps sigma.
-    The d_k are read from the flow jet of that table
-    (:func:`series_eval._jet_d_values`).  The table is frozen at the
-    baseline's end point psi0(t, u), which is exact only when psi0 does not
-    move (the zero baseline) or the entries do not change along its path.
-    A baseline that misses psi0(0, u) = iu (reading only part of u) is
-    refused, as are truncation < 1, t < 0 and a non-finite t, x or u.
+    For affine processes f / f0 = exp((phi - phi0) + (delta - delta0) . x),
+    with (phi, delta) the flow jet at xi = iu of the target's x = 0 table
+    and (phi0, delta0) that of the baseline model's
+    (:func:`series_eval._flow_jet`): the w_k are the power-series
+    exponential of the difference of the two jets
+    (:func:`series_eval._exp_jet`), and the closed form is read only at t,
+    for the prefactor.  A baseline that misses psi0(0, u) = iu (reading
+    only part of u) is refused, as are truncation < 1, t < 0 and a
+    non-finite t, x or u.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
@@ -305,15 +303,9 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
         raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
                          f"by {miss:.3e}")
-    d = target.dimension
-    zero = tuple(0 for _ in range(d))
-    psi = baseline.psi_vec(t, u)
-    table0 = eval_symbol_table_xi(baseline.model, np.zeros(d), psi, 0)
-    table = eval_symbol_table_xi(target, np.zeros(d), psi,
-                                 max(truncation - 1, 0))
-    table.base[zero] -= table0.base[zero]
-    for slope, slope0 in zip(table.slope, table0.slope):
-        slope[zero] -= slope0[zero]
-    dk = _jet_d_values(table.base, table.slope, x, truncation)
-    return _series_result(eval_baseline_cf(baseline, x, u, t), dk, t,
-                          GENERALIZED)
+    tables = [eval_symbol_table_xi(m, np.zeros(target.dimension), iu,
+                                   truncation - 1)
+              for m in (target, baseline.model)]
+    jet, jet0 = [_flow_jet(tab.base, tab.slope, truncation) for tab in tables]
+    return _series_result(eval_baseline_cf(baseline, x, u, t),
+                          _exp_jet(jet - jet0, x), t, GENERALIZED)

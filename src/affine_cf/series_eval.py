@@ -7,15 +7,15 @@ Each jet coefficient is a polynomial in the symbol's derivatives with
 rational weights, as every d_k is.  Since f = exp(phi + psi . x) for an
 affine process, the paper's coefficients are d_k(x, xi) = L^k 1 / k! =
 [h^k] exp(phi(h) + delta(h) . x), read from the jet through the
-power-series exponential (:func:`_jet_d_values`).  Local mode evaluates
+power-series exponential (:func:`_exp_jet`).  Local mode evaluates
 exp(iux) (1 + sum_k d_k(x, iu) t^k).  Globalized mode follows the affine
 semiflow psi(s + h, iu) = psi(h, psi(s, iu)) from s = 0 at every horizon:
 each step takes the jet of the table at the current xi and carries only phi
 and xi, so the result exp(phi + xi . x) is uniform in x.  The tangent-log
 time transform t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of
-its own.  The generalized modes of :mod:`gensym` read their d_k from the
-jet of their own tables.  The exact atom algebra of :mod:`symalg` is not
-used here.
+its own.  The generalized mode of :mod:`gensym` takes the same exponential
+of the difference of two jets at iu, the target's and its baseline's.  The
+exact atom algebra of :mod:`symalg` is not used here.
 """
 from __future__ import annotations
 
@@ -207,10 +207,15 @@ def _jet_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
 
     The symbol is affine in x, so 1 + sum_k d_k(x, xi) h^k =
     exp(phi(h) + delta(h) . x) with phi and delta the flow jet of the
-    tables, whatever they hold (the generalized modes' too): d_k = L^k 1 / k!
-    is the coefficient b_k of the exponential of a_j = phi_j + delta_j . x,
-    b_0 = 1 and k b_k = sum_{j=1..k} j a_j b_(k-j)."""
-    jet = _flow_jet(base0, slopes, truncation)
+    tables: d_k = L^k 1 / k!, read by :func:`_exp_jet`."""
+    return _exp_jet(_flow_jet(base0, slopes, truncation), x)
+
+
+def _exp_jet(jet, x) -> np.ndarray:
+    """b_1 .. b_K of exp(sum_j a_j h^j), a_j = phi_j + delta_j . x read from
+    a (1 + d) x (K + 1) jet (or a difference of jets): b_0 = 1 and
+    k b_k = sum_{j=1..k} j a_j b_(k-j)."""
+    truncation = jet.shape[1] - 1
     exponent = np.concatenate(([1.0], x)) @ jet
     # j a_j for j = 1..K
     weighted = [j * a for j, a in enumerate(exponent.tolist())][1:]

@@ -151,6 +151,16 @@ class TestCompare:
         payload = json.loads(out)
         assert payload["summary"]["max_rel_err"] <= 1e-7
 
+    def test_generalized_cir_around_vasicek(self, capsys):
+        # the Vasicek baseline moves along its path, psi0(t) != iu
+        _, out, _ = run(capsys, "compare", "--model", f"{MODELS}/cir.json",
+                        "--mode", "generalized", "--baseline", "vasicek",
+                        "--k", "12", "--t=0.5", "--u=2", "--x=0.1",
+                        "--format", "json")
+        (row,) = json.loads(out)["rows"]
+        assert row["abs_err"] <= row["tail"]
+        assert row["rel_err"] <= 1e-12
+
     def test_baseline_missing_the_initial_condition_fails_the_row(
             self, capsys):
         # the Heston baseline reads only u1, so u2 = 0.5 is refused

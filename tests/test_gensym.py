@@ -15,14 +15,15 @@ from affine_cf.gensym import (
     vasicek_baseline,
     zero_baseline,
 )
-from affine_cf.oracle import heston_cf, heston_model, riccati_cf, vasicek_model
+from affine_cf.oracle import (VasicekParams, cir_cf, heston_cf, heston_model,
+                              riccati_cf, vasicek_model)
 from affine_cf.series_eval import eval_local
 from affine_cf.symalg import (BASE, DBASE, DSLOPE, SLOPE, AtomKey, SymPoly,
                               d_series, monomial)
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
                                eval_symbol_table_xi)
 
-from helpers import HESTON, VASICEK, bm_model, cir, heston, vasicek
+from helpers import CIR, HESTON, VASICEK, bm_model, cir, heston, vasicek
 
 
 class TestBaselines:
@@ -165,6 +166,36 @@ class TestEvalGeneralized:
         assert abs(gen.value - ref) / abs(ref) <= 1e-5
 
 
+class TestErrorFallsWithK:
+    """Around a baseline that moves along its path, the correction converges
+    to the closed form: the error falls with K, inside the tail estimate."""
+
+    @pytest.mark.parametrize("case,t,last", [
+        ("cir-vasicek", 0.5, 1e-13),
+        ("heston-b21", 0.2, 1e-14),
+        ("heston-b21", 0.5, 1e-12),
+    ], ids=["cir-vasicek-t0.5", "heston-b21-t0.2", "heston-b21-t0.5"])
+    def test_against_closed_form(self, case, t, last):
+        if case == "cir-vasicek":
+            target = cir()
+            baseline = vasicek_baseline(VasicekParams(a0=0.0, b0=CIR.b0,
+                                                      b1=CIR.b1))
+            x, u = [0.1], [2.0]
+            ref = cir_cf(CIR, 0.1, 2.0, t)
+        else:
+            params = replace(HESTON, b21=2.0, s=0.5)
+            target, baseline = heston_model(params), heston_baseline(HESTON)
+            x, u = [0.0, 0.04], [1.0, 0.0]
+            ref = heston_cf(params, 0.0, 0.04, 1.0, t)
+        errors = []
+        for K in (4, 8, 12, 16):
+            res = eval_generalized(target, baseline, x, u, t, K)
+            errors.append(abs(res.value - ref))
+            assert errors[-1] <= res.tail_estimate
+        assert all(b < a for a, b in zip(errors, errors[1:]))
+        assert errors[-1] <= last
+
+
 def _heston_with_jumps() -> AffineModel:
     m = heston()
     jump = GaussianJumps(intensity=0.05, mean=[0.05, 0.0],
@@ -191,24 +222,30 @@ _EXPANSIONS = {
 }
 
 
+def _quotient(num, den):
+    """[t^k] num / den to the length of num, den[0] = 1."""
+    q = []
+    for k, n in enumerate(num):
+        q.append(n - sum(den[j] * q[k - j] for j in range(1, k + 1)))
+    return q
+
+
 class TestFlowJetMatchesExactSeries:
-    """d_k read from the flow jets against the exact atom-algebra series
-    read at the atom values of the same point."""
+    """Corrections read from the two flow jets against the exact quotient
+    of the target's and the baseline model's series at the same point:
+    w_k = [t^k] D / D0, D = 1 + sum_k d_k t^k of the exact d_series read at
+    the atom values of the table at (x, iu)."""
 
     @staticmethod
-    def _atom_values(target, baseline, x, u, t, K):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        psi = baseline.psi_vec(t, u)
-        # every key to order K - 1, with the tables' exact zeros filled in
-        tab = eval_symbol_table_xi(target, x, psi, K - 1).atom_values()
-        tab0 = eval_symbol_table_xi(baseline.model, x, psi, K - 1) \
-            .atom_values()
-        vals = {}
-        for atom, v in tab.items():
-            diff = DBASE if atom.kind == BASE else DSLOPE
-            vals[AtomKey(diff, atom.l, atom.deriv)] = v - tab0[atom]
-            vals[atom] = v
-        return vals
+    def _d_values(model, x, iu, K):
+        """d_0 .. d_K and their magnitudes |d_k|, the exact polynomial read
+        with absolute coefficients at the absolute atom values."""
+        vals = eval_symbol_table_xi(model, x, iu, K - 1).atom_values()
+        abs_vals = {a: abs(v) for a, v in vals.items()}
+        polys = d_series(model.dimension, K)
+        return ([p.eval(vals) for p in polys],
+                [SymPoly({m: abs(c) for m, c in p.terms.items()})
+                 .eval(abs_vals).real for p in polys])
 
     @pytest.mark.parametrize("case", sorted(_EXPANSIONS),
                              ids=lambda case: f"generalized-{case}")
@@ -216,16 +253,16 @@ class TestFlowJetMatchesExactSeries:
         target_fn, baseline_fn, x, u, t, K = _EXPANSIONS[case]
         target, baseline = target_fn(), baseline_fn()
         res = eval_generalized(target, baseline, x, u, t, K)
-        vals = self._atom_values(target, baseline, x, u, t, K)
-        abs_vals = {a: abs(v) for a, v in vals.items()}
-        polys = correction_series(target, baseline, K)
+        iu = 1j * np.atleast_1d(np.asarray(u, dtype=float))
+        dk, abs_dk = self._d_values(target, x, iu, K)
+        dk0, abs_dk0 = self._d_values(baseline.model, x, iu, K)
+        exact = _quotient(dk, dk0)
+        # the float reading of the exact quotient is good to rounding of
+        # its majorant |D| / (1 - sum_k |d0_k| t^k)
+        scale = _quotient(abs_dk, [1.0] + [-a for a in abs_dk0[1:]])
         for k in range(1, K + 1):
-            exact = polys[k].eval(vals) * t ** k
-            # the float reading of the exact series is good to rounding of
-            # the summed term magnitudes
-            scale = SymPoly({m: abs(c) for m, c in polys[k].terms.items()}) \
-                .eval(abs_vals).real * t ** k
-            assert abs(res.order_contributions[k - 1] - exact) <= 1e-13 * scale
+            assert abs(res.order_contributions[k - 1] - exact[k] * t ** k) \
+                <= 1e-13 * scale[k] * t ** k
 
     def test_heston_around_itself_is_the_baseline_exactly(self):
         baseline = heston_baseline(HESTON)

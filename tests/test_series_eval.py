@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from affine_cf import series_eval
-from affine_cf.gensym import eval_generalized, zero_baseline
-from affine_cf.oracle import (CIRParams, MomentExplosionError, cir_cf,
-                              cir_model, heston_cf, riccati_cf)
+from affine_cf.gensym import (eval_generalized, heston_baseline,
+                              vasicek_baseline, zero_baseline)
+from affine_cf.oracle import (CIRParams, MomentExplosionError, VasicekParams,
+                              cir_cf, cir_model, heston_cf, riccati_cf)
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
@@ -427,10 +428,22 @@ class TestNonFinitePoints:
             evaluate(cir(), x, u, t, 8)
 
 
+def _generalized(model, x, u, t, K):
+    """Generalized mode around a baseline that moves along its path: CIR
+    around the Vasicek process of its drift, Heston around itself."""
+    if model.dimension == 1:
+        baseline = vasicek_baseline(VasicekParams(a0=0.0, b0=CIR.b0,
+                                                  b1=CIR.b1))
+    else:
+        baseline = heston_baseline(HESTON)
+    return eval_generalized(model, baseline, x, u, t, K)
+
+
 class TestTailCoversSeededPoints:
     @pytest.mark.parametrize("evaluate,t_max,n", [(eval_local, 0.1, 300),
-                                                  (eval_globalized, 1.0, 200)],
-                             ids=["local", "globalized"])
+                                                  (eval_globalized, 1.0, 200),
+                                                  (_generalized, 0.5, 200)],
+                             ids=["local", "globalized", "generalized"])
     def test_err_within_tail(self, evaluate, t_max, n):
         # converged points, whose only error is rounding: the tail must
         # cover the rounding of the summed terms, not one ulp of the value
