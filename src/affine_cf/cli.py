@@ -95,33 +95,16 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_baseline(name: str, model: AffineModel):
-    import numpy as np
-
     from .gensym import heston_baseline, vasicek_baseline, zero_baseline
-    from .oracle import HestonParams, VasicekParams
+    from .oracle import heston_params, vasicek_params
 
     if name not in BASELINES:
         raise CliError(f"unknown baseline {name!r}; available: {sorted(BASELINES)}")
     if name == "zero":
         return zero_baseline(model.dimension)
     if name == "vasicek":
-        if model.dimension != 1:
-            raise CliError("vasicek baseline requires a 1-d model")
-        return vasicek_baseline(VasicekParams(
-            a0=0.5 * model.a0[0][0], b0=model.b0[0], b1=model.b_slope[0][0]))
-    # heston: extract the solvable diffusion core from a Heston-shaped model
-    if model.dimension != 2:
-        raise CliError("heston baseline requires a 2-d model")
-    a_v = np.asarray(model.a_slope[1], float)
-    s = float(np.sqrt(a_v[1, 1]))
-    if s <= 0 or a_v[0, 0] != 1.0:
-        raise CliError("model is not Heston-shaped (need a_slope[2] = "
-                       "[[1, rho s],[rho s, s^2]])")
-    rho = float(a_v[0, 1] / s)
-    bs = np.asarray(model.b_slope, float)
-    return heston_baseline(HestonParams(
-        b00=model.b0[0], b10=model.b0[0], b11=bs[0, 1],
-        b20=model.b0[1], b21=-bs[1, 1], s=s, rho=rho))
+        return vasicek_baseline(vasicek_params(model))
+    return heston_baseline(heston_params(model))
 
 
 def _grid_rows(args, model: AffineModel):
@@ -153,16 +136,9 @@ def _grid_rows(args, model: AffineModel):
 def _oracle_for(model: AffineModel):
     """(name, oracle) with oracle(x, u, t) -> (value, the oracle's own error
     estimate): RK4 step halving, or 0.0 for the closed form."""
-    import numpy as np
+    from .oracle import levy_khintchine_cf, slopes_vanish
 
-    from .oracle import levy_khintchine_cf
-
-    slopes_zero = all(
-        not np.any(np.asarray(m, float)) for m in model.a_slope
-    ) and not np.any(np.asarray(model.b_slope, float)) and all(
-        getattr(j, "total_mass", 0.0) == 0.0 for j in model.jumps[1:]
-    )
-    if slopes_zero:
+    if slopes_vanish(model):
         return "levy-khintchine", \
             lambda x, u, t: (levy_khintchine_cf(model, x, u, t), 0.0)
 

@@ -2,13 +2,17 @@
 
 Given a baseline affine model A0 whose characteristic function is known in
 closed form f0 = exp(phi0(t,u) + psi0(t,u).x), the CF of a target model A
-is represented as f0 (1 + sum_k w_k t^k).  For affine processes the
-correction is f / f0 = exp((phi - phi0) + (delta - delta0).x), the
-difference of the two models' flow jets at xi = iu: :func:`eval_generalized`
-reads both from :mod:`series_eval` and takes the power-series exponential
-of their difference.  :func:`correction_series` builds the difference
-recursion, whose eps = 0 atom is Delta sigma = sigma - sigma0, exactly on
-the integer engine of :mod:`symalg`, for the nilpotency claim.
+is represented as f0 (1 + sum_k w_k t^k).  A baseline is its model plus
+one exponent(t, u) -> (phi0, psi0): the Vasicek and Heston baselines read
+theirs from :mod:`oracle`, the one home of each closed form, and an
+expression baseline is built only once its residual check passes.  For
+affine processes the correction is f / f0 = exp((phi - phi0) +
+(delta - delta0).x), the difference of the two models' flow jets at
+xi = iu: :func:`eval_generalized` reads both from :mod:`series_eval` and
+takes the power-series exponential of their difference.
+:func:`correction_series` builds the difference recursion, whose eps = 0
+atom is Delta sigma = sigma - sigma0, exactly on the integer engine of
+:mod:`symalg`, for the nilpotency claim.
 """
 from __future__ import annotations
 
@@ -22,7 +26,8 @@ import numpy as np
 
 from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
-from .symbols import AffineModel, _checked_point, eval_symbol_table_xi
+from .symbols import (AffineModel, _checked_point, eval_symbol_table_xi,
+                      eval_symbol_xi)
 
 GENERALIZED = "Generalized"
 
@@ -34,37 +39,34 @@ GENERALIZED = "Generalized"
 
 @dataclass
 class BaselineSolution:
-    """A solvable baseline: closed-form exponent plus its generator model.
+    """A solvable baseline: its generator model and the exponent of its
+    closed-form CF f0 = exp(phi0(t, u) + psi0(t, u).x).
 
-    phi0(t, u) -> complex and psi0(t, u) -> complex d-vector must satisfy
-    phi0(0,u) = 0, psi0(0,u) = iu.
+    ``exponent(t, u)`` returns (phi0, psi0), phi0 complex and psi0 a complex
+    d-vector, with phi0(0, u) = 0 and psi0(0, u) = iu.
     """
 
     name: str
     model: AffineModel
-    phi0: object
-    psi0: object
-
-    def psi_vec(self, t: float, u) -> np.ndarray:
-        return np.atleast_1d(np.asarray(self.psi0(t, u), dtype=complex))
+    exponent: object
 
     def residual_check(self, points, tol: float = 1e-6) -> float:
         """Finite-difference verification that exp(phi0 + psi0.x) solves the
-        baseline Cauchy problem; returns the worst relative residual."""
+        baseline Cauchy problem, d/dt (phi0 + psi0.x) = sigma(x, psi0), at
+        each (t, x, u) of ``points``; returns the worst relative residual."""
         h = 1e-6  # central-difference step in t
         worst = 0.0
-        zero = tuple(0 for _ in range(self.model.dimension))
         for t, x, u in points:
             x = np.atleast_1d(np.asarray(x, dtype=float))
-            psi = self.psi_vec(t, u)
-            val = cmath.exp(complex(self.phi0(t, u)) + complex(psi @ x))
+            phi, psi = self.exponent(t, u)
+            val = cmath.exp(complex(phi) + complex(psi @ x))
             t0 = max(t - h, 0.0)
             dt = t + h - t0
-            dphi = (self.phi0(t + h, u) - self.phi0(t0, u)) / dt
-            dpsi = (self.psi_vec(t + h, u) - self.psi_vec(t0, u)) / dt
-            lhs = (complex(dphi) + dpsi @ x) * val
-            table = eval_symbol_table_xi(self.model, x, psi, 0)
-            rhs = table.base[zero] * val
+            phi_hi, psi_hi = self.exponent(t + h, u)
+            phi_lo, psi_lo = self.exponent(t0, u)
+            lhs = (complex(phi_hi - phi_lo) / dt
+                   + (psi_hi - psi_lo) / dt @ x) * val
+            rhs = eval_symbol_xi(self.model, x, psi) * val
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(val)))
         if worst > tol:
             raise ValueError(
@@ -76,77 +78,44 @@ class BaselineSolution:
 
 def eval_baseline_cf(baseline: BaselineSolution, x, u, t: float) -> complex:
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = baseline.psi_vec(t, u)
-    return cmath.exp(complex(baseline.phi0(t, u)) + complex(psi @ x))
+    phi, psi = baseline.exponent(t, u)
+    return cmath.exp(complex(phi) + complex(psi @ x))
 
 
 def zero_baseline(dimension: int) -> BaselineSolution:
     """The zero generator: phi0 = 0, psi0 = iu frozen; the correction series
     then reduces exactly to the plain local series."""
-    model = AffineModel.from_arrays(dimension=dimension)
 
-    def phi0(t, u):
-        return 0.0 + 0.0j
+    def exponent(t, u):
+        return 0.0 + 0.0j, 1j * np.atleast_1d(np.asarray(u, dtype=float))
 
-    def psi0(t, u):
-        return 1j * np.atleast_1d(np.asarray(u, dtype=float))
-
-    return BaselineSolution("zero", model, phi0, psi0)
+    return BaselineSolution(
+        "zero", AffineModel.from_arrays(dimension=dimension), exponent)
 
 
 def vasicek_baseline(params) -> BaselineSolution:
-    """Ornstein-Uhlenbeck baseline from oracle.VasicekParams."""
-    from .oracle import vasicek_model
+    """Ornstein-Uhlenbeck baseline from oracle.VasicekParams: the exponent of
+    :func:`oracle.vasicek_exponent` at u[0]."""
+    from .oracle import vasicek_exponent, vasicek_model
 
-    a0, b0, b1 = params.a0, params.b0, params.b1
+    def exponent(t, u):
+        phi, psi = vasicek_exponent(params, float(np.atleast_1d(u)[0]), t)
+        return phi, np.array([psi])
 
-    def helpers(t):
-        if abs(b1) < 1e-12:
-            return t * (1.0 + 0.5 * b1 * t), t * (1.0 + b1 * t)
-        return ((math.exp(b1 * t) - 1.0) / b1,
-                (math.exp(2.0 * b1 * t) - 1.0) / (2.0 * b1))
-
-    def phi0(t, u):
-        uu = float(np.atleast_1d(u)[0])
-        dr, va = helpers(t)
-        return 1j * uu * b0 * dr - uu * uu * a0 * va
-
-    def psi0(t, u):
-        uu = float(np.atleast_1d(u)[0])
-        return np.array([1j * uu * math.exp(b1 * t)], dtype=complex)
-
-    return BaselineSolution("vasicek", vasicek_model(params), phi0, psi0)
+    return BaselineSolution("vasicek", vasicek_model(params), exponent)
 
 
 def heston_baseline(params) -> BaselineSolution:
-    """Heston baseline from oracle.HestonParams; psi0 = (iu, psi01) on the
-    state ordering (x, v)."""
-    from .oracle import heston_cf, heston_model
+    """Heston baseline from oracle.HestonParams: the exponent of
+    :func:`oracle.heston_exponent` at u[0], psi0 = (iu, psi01) on the state
+    ordering (x, v).  At the log singularity it raises ZeroDivisionError."""
+    from .oracle import heston_exponent, heston_model
 
-    def phi_psi(t, u):
-        uu = float(np.atleast_1d(u)[0])
-        if uu == 0.0:
-            return 0.0 + 0.0j, np.zeros(2, dtype=complex)
-        iu = 1j * uu
-        s, rho = params.s, params.rho
-        beta = params.b21 - rho * s * iu
-        d = cmath.sqrt(beta * beta - s * s * (2.0 * params.b11 * iu - uu * uu))
-        G = (beta - d) / (beta + d)
-        emdt = cmath.exp(-d * t)
-        denom = 1.0 - G * emdt
-        psi01 = (beta - d) / (s * s) * (1.0 - emdt) / denom
-        phi = params.b00 * iu * t + (params.b20 / (s * s)) * (
-            (beta - d) * t - 2.0 * cmath.log(denom / (1.0 - G))
-        )
-        return phi, np.array([iu, psi01], dtype=complex)
+    def exponent(t, u):
+        phi, psi = heston_exponent(params, float(np.atleast_1d(u)[0]), t)
+        return phi, np.array(psi)
 
-    def phi0(t, u):
-        return phi_psi(t, u)[0]
-
-    def psi0(t, u):
-        return phi_psi(t, u)[1]
-
-    return BaselineSolution("heston", heston_model(params), phi0, psi0)
+    return BaselineSolution("heston", heston_model(params), exponent)
 
 
 # -- expression-defined baselines -------------------------------------------
@@ -207,15 +176,20 @@ def compile_expression(src: str):
 
 def expression_baseline(model: AffineModel, phi0_src: str,
                         psi0_srcs) -> BaselineSolution:
-    """Baseline from user expression strings for phi0 and each psi0 component;
-    validated by the residual check before first use."""
+    """Baseline from user expression strings for phi0 and each psi0
+    component, refused with a ValueError unless its residual check passes
+    at t in {0.1, 0.5}, u = (1, ..., 1) and x = 0 and each unit vector."""
     phi0 = compile_expression(phi0_src)
     comps = [compile_expression(s) for s in psi0_srcs]
 
-    def psi0(t, u):
-        return np.array([c(t, u) for c in comps], dtype=complex)
+    def exponent(t, u):
+        return phi0(t, u), np.array([c(t, u) for c in comps], dtype=complex)
 
-    return BaselineSolution("expression", model, phi0, psi0)
+    baseline = BaselineSolution("expression", model, exponent)
+    d = model.dimension
+    baseline.residual_check([(t, x, np.ones(d)) for t in (0.1, 0.5)
+                             for x in (np.zeros(d), *np.eye(d))])
+    return baseline
 
 
 BASELINE_REGISTRY = {
@@ -299,7 +273,7 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     x, u = _checked_point(x, u, t)
     _check_compatible(target, baseline)
     iu = 1j * u
-    miss = float(np.max(np.abs(baseline.psi_vec(0.0, u) - iu)))
+    miss = float(np.max(np.abs(baseline.exponent(0.0, u)[1] - iu)))
     if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
         raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
                          f"by {miss:.3e}")

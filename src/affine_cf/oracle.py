@@ -136,14 +136,19 @@ def riccati_cf(model: AffineModel, x, u, t: float,
                          abs(val_fine - val_coarse))
 
 
+def slopes_vanish(model: AffineModel) -> bool:
+    """Whether every slope block is zero and no slope component jumps: then
+    psi stays at iu and the CF is the Levy-Khintchine form."""
+    return not any(np.any(np.asarray(m, float)) for m in model.a_slope) and \
+        not np.any(np.asarray(model.b_slope, float)) and \
+        all(j.total_mass == 0.0 for j in model.jumps[1:])
+
+
 def levy_khintchine_cf(model: AffineModel, x, u, t: float) -> complex:
-    """exp(iux + t sigma(iu)) for models with vanishing slope blocks."""
-    if any(np.any(np.asarray(m, float) != 0.0) for m in model.a_slope) or \
-            np.any(np.asarray(model.b_slope, float) != 0.0):
-        raise ValueError("Levy-Khintchine form requires zero slope coefficients")
-    for jump in model.jumps[1:]:
-        if getattr(jump, "total_mass", 0.0) > 0.0:
-            raise ValueError("Levy-Khintchine form requires no slope jumps")
+    """exp(iux + t sigma(iu)) for models whose slopes vanish."""
+    if not slopes_vanish(model):
+        raise ValueError("Levy-Khintchine form requires zero slope "
+                         "coefficients and no slope jumps")
     x, u = _checked_point(x, u, t)
     return np.exp(1j * (u @ x) + t * eval_symbol(model, x, u))
 
@@ -163,9 +168,10 @@ class VasicekParams:
     b1: float
 
 
-def vasicek_cf(params: VasicekParams, x: float, u: float, t: float) -> complex:
-    """Closed-form CF: exp(iu x e^{b1 t} + iu b0 (e^{b1 t} - 1)/b1
-    - u^2 a0 (e^{2 b1 t} - 1)/(2 b1)), with the b1 -> 0 limit."""
+def vasicek_exponent(params: VasicekParams, u: float, t: float) -> tuple:
+    """(phi, psi) of the closed-form CF exp(phi + psi x): psi = iu e^{b1 t},
+    phi = iu b0 (e^{b1 t} - 1)/b1 - u^2 a0 (e^{2 b1 t} - 1)/(2 b1), with the
+    b1 -> 0 limit."""
     b1 = params.b1
     if abs(b1) < 1e-12:
         drift_factor = t * (1.0 + 0.5 * b1 * t)
@@ -173,11 +179,14 @@ def vasicek_cf(params: VasicekParams, x: float, u: float, t: float) -> complex:
     else:
         drift_factor = (math.exp(b1 * t) - 1.0) / b1
         var_factor = (math.exp(2.0 * b1 * t) - 1.0) / (2.0 * b1)
-    return cmath.exp(
-        1j * u * x * math.exp(b1 * t)
-        + 1j * u * params.b0 * drift_factor
-        - u * u * params.a0 * var_factor
-    )
+    return (1j * u * params.b0 * drift_factor - u * u * params.a0 * var_factor,
+            1j * u * math.exp(b1 * t))
+
+
+def vasicek_cf(params: VasicekParams, x: float, u: float, t: float) -> complex:
+    """Closed-form CF exp(phi + psi x) of :func:`vasicek_exponent`."""
+    phi, psi = vasicek_exponent(params, u, t)
+    return cmath.exp(phi + psi * x)
 
 
 def vasicek_model(params: VasicekParams) -> AffineModel:
@@ -189,6 +198,16 @@ def vasicek_model(params: VasicekParams) -> AffineModel:
         b_slope=[[params.b1]],
         dimension=1,
     )
+
+
+def vasicek_params(model: AffineModel) -> VasicekParams:
+    """The Vasicek core of a 1-d model, read from the blocks
+    :func:`vasicek_model` writes: a0 from the constant diffusion, b0 and b1
+    from the drift."""
+    if model.dimension != 1:
+        raise ValueError("vasicek baseline requires a 1-d model")
+    return VasicekParams(a0=0.5 * model.a0[0][0], b0=model.b0[0],
+                         b1=model.b_slope[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +287,19 @@ class HestonParams:
     rho: float
 
 
-def heston_cf(params: HestonParams, x: float, v: float, u: float,
-              t: float) -> complex:
-    """exp(phi + psi01 v + iux) with the branch-stabilized ('trap') form.
+def heston_exponent(params: HestonParams, u: float, t: float) -> tuple:
+    """(phi, (iu, psi01)) of the closed-form CF exp(phi + iu x + psi01 v),
+    in the branch-stabilized ('little trap') form.
 
     Mathematically identical to the textbook form with
     g = (b21 - rho s iu + d)/(b21 - rho s iu - d); the stabilized variant
     uses G = 1/g and exp(-dt), keeping |G exp(-dt)| bounded so the complex
-    log never crosses a branch cut along t.
+    log never crosses a branch cut along t.  Raises ZeroDivisionError at the
+    log singularity G exp(-dt) -> 1.
     """
-    if u == 0.0:
-        return 1.0 + 0.0j
     iu = 1j * u
+    if u == 0.0:
+        return 0.0 + 0.0j, (iu, 0.0 + 0.0j)
     s, rho = params.s, params.rho
     beta = params.b21 - rho * s * iu
     d = cmath.sqrt(beta * beta - s * s * (2.0 * params.b11 * iu - u * u))
@@ -294,6 +314,13 @@ def heston_cf(params: HestonParams, x: float, v: float, u: float,
     phi = params.b00 * iu * t + (params.b20 / (s * s)) * (
         (beta - d) * t - 2.0 * cmath.log(denom / (1.0 - G))
     )
+    return phi, (iu, psi01)
+
+
+def heston_cf(params: HestonParams, x: float, v: float, u: float,
+              t: float) -> complex:
+    """Closed-form CF exp(phi + psi01 v + iu x) of :func:`heston_exponent`."""
+    phi, (iu, psi01) = heston_exponent(params, u, t)
     return cmath.exp(phi + psi01 * v + iu * x)
 
 
@@ -312,3 +339,19 @@ def heston_model(params: HestonParams) -> AffineModel:
         dimension=2,
         state_domain=((None, None), (0.0, None)),
     )
+
+
+def heston_params(model: AffineModel) -> HestonParams:
+    """The Heston core of a 2-d model, read from the blocks
+    :func:`heston_model` writes: s and rho from the v-slope diffusion
+    [[1, rho s], [rho s, s^2]], the rest from the drift (b00 = b10)."""
+    if model.dimension != 2:
+        raise ValueError("heston baseline requires a 2-d model")
+    (a_xx, a_xv), (_, a_vv) = model.a_slope[1]
+    if not a_vv > 0.0 or a_xx != 1.0:
+        raise ValueError("model is not Heston-shaped (need a_slope[2] = "
+                         "[[1, rho s],[rho s, s^2]])")
+    s = math.sqrt(a_vv)
+    return HestonParams(b00=model.b0[0], b10=model.b0[0],
+                        b11=model.b_slope[0][1], b20=model.b0[1],
+                        b21=-model.b_slope[1][1], s=s, rho=a_xv / s)

@@ -6,12 +6,13 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from affine_cf import cli, gensym, oracle, series_eval, symalg
 from affine_cf.cli import main
 from affine_cf.oracle import heston_cf, riccati_cf
-from affine_cf.symbols import load_model
+from affine_cf.symbols import AffineModel, load_model, save_model
 
 from helpers import HESTON
 
@@ -282,6 +283,30 @@ class TestErrors:
                            "--mode", "generalized", "--baseline", "nope")
         assert code == 2
         assert "baseline" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("baseline,model,message", [
+        ("vasicek", "heston.json", "1-d"),
+        ("heston", "cir.json", "2-d"),
+        ("heston", [[1.0, 0.0], [0.0, 0.0]], "Heston-shaped"),
+        ("heston", [[1.0, 0.0], [0.0, -0.09]], "Heston-shaped"),
+    ], ids=["vasicek-on-heston", "heston-on-cir", "heston-on-2d-bm",
+            "heston-on-negative-v-diffusion"])
+    def test_baseline_the_model_cannot_carry(self, capsys, tmp_path,
+                                             baseline, model, message):
+        # a 2-d model whose v-slope diffusion is not [[1, rho s],
+        # [rho s, s^2]] with s > 0 carries no Heston core
+        if isinstance(model, str):
+            path = MODELS / model
+        else:
+            path = tmp_path / "model.json"
+            save_model(AffineModel.from_arrays(
+                a0=np.eye(2), a_slope=[np.zeros((2, 2)), model]), path)
+        code, out, err = run(capsys, "eval", "--model", str(path),
+                             "--mode", "generalized", "--baseline", baseline)
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
 
 
 class TestNumericNames:

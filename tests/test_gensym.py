@@ -47,7 +47,7 @@ class TestBaselines:
         val = eval_baseline_cf(baseline, x, [1.5, 0.0], 0.0)
         assert abs(val - cmath.exp(1j * 1.5 * 0.3)) <= 1e-12
         # the variance component of psi0 starts at zero
-        assert abs(baseline.psi_vec(0.0, [1.5, 0.0])[1]) <= 1e-14
+        assert abs(baseline.exponent(0.0, [1.5, 0.0])[1][1]) <= 1e-14
 
     def test_vasicek_vs_riccati(self):
         baseline = vasicek_baseline(VASICEK)
@@ -64,7 +64,9 @@ class TestBaselines:
     def test_residual_check_rejects_wrong_closed_form(self):
         # claim exp(2iu e^{b1 t} x)-style wrong psi for the Vasicek model
         wrong = vasicek_baseline(VASICEK)
-        wrong.psi0 = lambda t, u: [2j * np.atleast_1d(u)[0]]
+        right = wrong.exponent
+        wrong.exponent = lambda t, u: (right(t, u)[0],
+                                       np.array([2j * np.atleast_1d(u)[0]]))
         with pytest.raises(ValueError, match="residual"):
             wrong.residual_check([(0.3, [0.1], 1.0)])
 
@@ -295,6 +297,14 @@ class TestExpressionBaselines:
         gen = eval_generalized(heston(), baseline, x, u, t, 8)
         ref = eval_generalized(heston(), zero_baseline(2), x, u, t, 8)
         assert abs(gen.value - ref.value) <= 1e-14 * abs(ref.value)
-        beyond = expression_baseline(zero2, "0", ["i*u1", "i*u3"])
         with pytest.raises(ValueError, match="u3"):
-            eval_generalized(heston(), beyond, x, u, t, 8)
+            expression_baseline(zero2, "0", ["i*u1", "i*u3"])
+
+    def test_a_closed_form_that_misses_its_model_is_refused(self):
+        # phi0 = t does not solve the zero generator's Cauchy problem
+        # (d phi0 / dt = 1, sigma = 0); the zero generator around it would
+        # read 1.640+0.165j at (x, u, t) = (0.1, 1, 0.5), where its CF is
+        # exp(0.1 i) = 0.995+0.0998j
+        zero = AffineModel.from_arrays(dimension=1)
+        with pytest.raises(ValueError, match="residual"):
+            expression_baseline(zero, "t", ["i*u"])
