@@ -344,7 +344,8 @@ def heston_model(params: HestonParams) -> AffineModel:
 def heston_params(model: AffineModel) -> HestonParams:
     """The Heston core of a 2-d model, read from the blocks
     :func:`heston_model` writes: s and rho from the v-slope diffusion
-    [[1, rho s], [rho s, s^2]], the rest from the drift (b00 = b10)."""
+    [[1, rho s], [rho s, s^2]], the rest from the drift (b00 = b10).  A
+    block with |rho| > 1 is no diffusion matrix and is refused."""
     if model.dimension != 2:
         raise ValueError("heston baseline requires a 2-d model")
     (a_xx, a_xv), (_, a_vv) = model.a_slope[1]
@@ -352,6 +353,10 @@ def heston_params(model: AffineModel) -> HestonParams:
         raise ValueError("model is not Heston-shaped (need a_slope[2] = "
                          "[[1, rho s],[rho s, s^2]])")
     s = math.sqrt(a_vv)
+    if abs(a_xv) > s:
+        raise ValueError(f"model is not Heston-shaped: |rho| = "
+                         f"{abs(a_xv) / s:.3g} > 1 (need |a_slope[2][0][1]| "
+                         f"<= s = sqrt(a_slope[2][1][1]))")
     return HestonParams(b00=model.b0[0], b10=model.b0[0],
                         b11=model.b_slope[0][1], b20=model.b0[1],
                         b21=-model.b_slope[1][1], s=s, rho=a_xv / s)

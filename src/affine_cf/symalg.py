@@ -11,26 +11,25 @@ provided:
 * :func:`coefficient_recursion` builds the rational coefficients
   c_(alpha, beta) by the binomial-weighted tuple recursion.
 
-Both are integer recursions.  Over the Taylor-normalized atoms
-d^eps sigma / eps! and d^eps sigma_l / eps!, N_k = k! d_k has integer
-coefficients and N_{k+1} = sum_eps (d^eps sigma / eps!) d^eps_x N_k; the
-coefficient recursion carries k! c_(alpha, beta) with integer weights, each
-(alpha, beta) packed into one int.  ``Fraction`` appears only at the
-boundary: each order is divided once into ``SymPoly`` terms over ``AtomKey``
-atoms and ``{(alpha, beta): Fraction}`` rows, which must agree term for
-term (:func:`cross_check`).  The counting triangle groups the monomials of
-N_n by spatial order and reproduces the integer triangle with row sums
-R_n <= n!, without building d_n.  :func:`difference_series` runs the same
-integer recursion for a generalized expansion around a baseline.
+Both are integer recursions over one packed form (:class:`_Layout`): a
+monomial over the Taylor-normalized atoms d^eps sigma / eps! and
+d^eps sigma_l / eps!, and an (alpha, beta) key, are each one int with one
+byte per atom count.  N_k = k! d_k has integer coefficients and
+N_{k+1} = sum_eps (d^eps sigma / eps!) d^eps_x N_k, run once, by
+:func:`_n_series`; the coefficient recursion carries k! c_(alpha, beta)
+with integer weights.  ``Fraction`` appears only at the boundary: each
+order is divided once into ``SymPoly`` terms over ``AtomKey`` atoms and
+``{(alpha, beta): Fraction}`` rows, which must agree term for term
+(:func:`cross_check`).  The counting triangle groups the monomials of N_n
+by spatial order and reproduces the integer triangle with row sums
+R_n <= n!, without building d_n.  :func:`difference_series` reads the same
+N_k for a generalized expansion around a baseline.
 """
 from __future__ import annotations
 
-import threading
-from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby
 from math import comb, factorial, prod
 
 from .multiindex import (
@@ -88,21 +87,13 @@ def monomial_derived_base_count(mono: Monomial) -> int:
 class SymPoly:
     """Sparse polynomial: monomial -> coefficient (Fraction or float).
 
-    Zero coefficients are never stored.  :func:`apply_symbol_operator`
-    also uses it for int-coded monomials with integer coefficients.
+    Zero coefficients are never stored.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms: dict = dict(terms) if terms else {}
-
-    @classmethod
-    def constant(cls, c) -> "SymPoly":
-        p = cls()
-        if c != 0:
-            p.terms[()] = c
-        return p
 
     def copy(self) -> "SymPoly":
         return SymPoly(self.terms)
@@ -152,146 +143,178 @@ class SymPoly:
         return f"SymPoly({len(self.terms)} terms)"
 
 
-# The integer engine codes an atom as
-#   l * _RADIX**d + sum_i eps_i * _RADIX**(d-1-i),
-# l = 0 for the base atom d^eps sigma / eps!, l >= 1 for the slope atom
-# d^eps sigma_l / eps!.  For eps_i < _RADIX the integer order is AtomKey
-# order (kind, l, deriv), and d/dx_l maps a base code c to c + l * _RADIX**d.
-# A monomial is the sorted tuple of its atom codes, one entry per factor.
-_RADIX = 1 << 8
+# ---------------------------------------------------------------------------
+# The packed form, and the Leibniz recursion on it
+# ---------------------------------------------------------------------------
 
 
-def _code(l: int, eps: MultiIndex) -> int:
-    for e in eps:
-        l = l * _RADIX + e
-    return l
+class _Layout:
+    """The packed form of the exact engine, for dimension d up to order K.
 
-
-def _insert(mono: tuple, code: int, lo: int = 0) -> tuple:
-    at = bisect_right(mono, code, lo)
-    return mono[:at] + (code,) + mono[at:]
-
-
-def _dx_codes(terms: dict, d: int, direction: int) -> dict:
-    """d/dx_direction of an int-coded polynomial: each base factor, taken
-    with its multiplicity, turns into its slope atom."""
-    slope = _RADIX ** d
-    shift = direction * slope
-    out: dict = {}
-    for mono, c in terms.items():
-        i = 0
-        for a, run in groupby(mono):
-            if a >= slope:
-                break
-            e = len(list(run))
-            m = _insert(mono[:i] + mono[i + 1:], a + shift, i)
-            out[m] = out.get(m, 0) + c * e
-            i += e
-    return out
-
-
-def apply_symbol_operator(poly: SymPoly, d: int, max_order: int) -> SymPoly:
-    """One step of the integer recursion N_{k+1} = L[N_k], N_k = k! d_k:
-
-    L[p] = sum_{|eps| <= max_order} (d^eps_xi sigma / eps!) d^eps_x p.
-
-    ``poly`` and the result hold int-coded monomials with integer
-    coefficients, over Taylor-normalized atoms, so no division occurs.
-    Spatial derivatives are generated by repeated single derivatives; the
-    eps = 0 term is sigma * p.
+    An (alpha, beta) key of :func:`coefficient_recursion`, and a monomial of
+    N_k = k! d_k over the Taylor-normalized atoms, are each one int with one
+    byte per count.  Flat slot j is the j-th multi-index eps of
+    ``flattened_indices(d, K)``: byte j counts the base atom
+    d^eps sigma / eps! (alpha[j]), and byte S + j d + (l - 1) the slope
+    atom d^eps sigma_l / eps! (beta[j][l - 1]), S being the number of
+    slots.  A count is at most K < 256, so no byte carries into its
+    neighbour.  Order k reads the first len(flattened_indices(d, k))
+    slots; a key's base half is ``key & base_mask``, its slope half
+    ``key >> slope_at``.
     """
-    out: dict = {}
-    # dmap[eps] = d^eps_x poly, built order by order.
-    dmap: dict[MultiIndex, dict] = {(0,) * d: poly.terms}
-    for order in range(max_order + 1):
-        next_map: dict[MultiIndex, dict] = {}
-        for eps in enumerate_indices(d, order):
-            dp = dmap.get(eps)
-            if not dp:
-                continue
-            code = _code(0, eps)
-            for mono, c in dp.items():
-                m = _insert(mono, code)
-                out[m] = out.get(m, 0) + c
-            if order < max_order:
-                # extend along the first coordinate in which eps can grow,
-                # avoiding duplicate paths: only differentiate in directions
-                # <= first nonzero coordinate of eps.
-                first_nz = next((i for i, e in enumerate(eps) if e > 0), d - 1)
-                for direction in range(first_nz + 1):
-                    nxt = list(eps)
-                    nxt[direction] += 1
-                    key = tuple(nxt)
-                    if key not in next_map:
-                        next_map[key] = _dx_codes(dp, d, direction + 1)
-        dmap = next_map
-    result = SymPoly()
-    result.terms = out
-    return result
+
+    def __init__(self, d: int, max_order: int):
+        if max_order >= 256:
+            raise ValueError("max_order must be below 256")
+        self.d = d
+        self.max_order = max_order
+        self.flat = flattened_indices(d, max_order)
+        self.size = len(self.flat)
+        self.slope_at = 8 * self.size
+        self.base_mask = (1 << self.slope_at) - 1
+
+    def slope_unit(self, j: int, l: int) -> int:
+        """The key of one slope atom l of slot j."""
+        return 1 << self.slope_at + 8 * (j * self.d + l - 1)
 
 
-def _decode(code: int, d: int,
-            zeroth: tuple = (BASE, SLOPE)) -> tuple[AtomKey, int]:
-    """(AtomKey, eps!) of an atom code.  The eps = 0 atoms take the
-    (base, slope) kinds ``zeroth``."""
-    l, rest = divmod(code, _RADIX ** d)
-    eps = tuple(rest // _RADIX ** (d - 1 - i) % _RADIX for i in range(d))
-    base, slope = zeroth if rest == 0 else (BASE, SLOPE)
-    return AtomKey(slope if l else base, l, eps), prod(map(factorial, eps))
+class _Decoded(dict):
+    """key -> the value ``decode`` makes of it, built once per distinct key,
+    so that equal keys share one value."""
+
+    def __init__(self, decode):
+        super().__init__()
+        self.decode = decode
+
+    def __missing__(self, key):
+        value = self[key] = self.decode(key)
+        return value
 
 
-def _to_sympoly(n_k: SymPoly, k: int, d: int,
-                zeroth: tuple = (BASE, SLOPE)) -> SymPoly:
-    """d_k over AtomKey atoms from N_k = k! d_k over normalized atoms:
-    divide each coefficient by k! prod eps!^e."""
-    atoms: dict[int, tuple[AtomKey, int]] = {}
-    kf = factorial(k)
-    out = SymPoly()
-    for mono, c in n_k.terms.items():
-        key = []
-        den = kf
-        for a, run in groupby(mono):
-            e = len(list(run))
-            atom = atoms.get(a)
-            if atom is None:
-                atom = atoms[a] = _decode(a, d, zeroth)
-            key.append((atom[0], e))
-            den *= atom[1] ** e
-        out.terms[tuple(key)] = Fraction(c, den)
+def _dx(poly: dict, lay: _Layout, l: int, memo: dict) -> dict:
+    """d/dx_l of a packed polynomial: each base factor, taken with its
+    multiplicity, turns into its slope atom l.  The moves depend only on
+    the base half of a key; ``memo`` holds them per base half."""
+    out: defaultdict = defaultdict(int)
+    for key, c in poly.items():
+        base = key & lay.base_mask
+        moves = memo.get(base)
+        if moves is None:
+            moves = memo[base] = [
+                (lay.slope_unit(j, l) - (1 << 8 * j), e)
+                for j, e in enumerate(base.to_bytes(lay.size, "little")) if e]
+        for delta, e in moves:
+            out[key + delta] += c * e
     return out
+
+
+def _n_series(lay: _Layout, vanishing=()):
+    """Yield N_0 .. N_K, N_k = k! d_k over the Taylor-normalized atoms, as
+    {packed monomial: int}, K the layout's order.
+
+    N_{k+1} = sum_{|eps| <= k} (d^eps sigma / eps!) d^eps_x N_k, so no
+    division occurs.  Spatial derivatives are generated by repeated single
+    derivatives, each eps from one parent; multiplying by an atom adds one
+    to its byte.  The monomials holding an atom of ``vanishing`` (AtomKeys,
+    l = 0 for a base atom) are dropped at every order.
+    """
+    d = lay.d
+    drop = 0
+    for a in vanishing:
+        j = flattened_position(d, a.deriv)
+        if j < lay.size:
+            drop |= 0xFF * (lay.slope_unit(j, a.l) if a.l else 1 << 8 * j)
+    memos = [{} for _ in range(d + 1)]  # per direction, on the base half
+    n_k: dict = {0: 1}
+    yield n_k
+    for k in range(lay.max_order):
+        out: defaultdict = defaultdict(int)
+        # parts[eps] = d^eps_x N_k, built order by order
+        parts = {(0,) * d: n_k}
+        for order in range(k + 1):
+            for eps in enumerate_indices(d, order):
+                dp = parts.pop(eps, None)
+                if not dp:
+                    continue
+                atom = 1 << 8 * flattened_position(d, eps)
+                for key, c in dp.items():
+                    out[key + atom] += c
+                if order < k:
+                    # grow eps only in directions up to its first nonzero
+                    # coordinate, so that each eps has one parent
+                    first_nz = next((i for i, e in enumerate(eps) if e), d - 1)
+                    for i in range(first_nz + 1):
+                        nxt = list(eps)
+                        nxt[i] += 1
+                        parts[tuple(nxt)] = _dx(dp, lay, i + 1, memos[i + 1])
+        n_k = {m: c for m, c in out.items() if not m & drop}
+        yield n_k
+
+
+def _atom_halves(lay: _Layout, zeroth: tuple = (BASE, SLOPE)) -> tuple:
+    """The (base, slope) decoders of packed monomials.  Each maps a half
+    to (its sorted (AtomKey, e) pairs, prod eps!^e, its factor count),
+    built once per distinct half from its live bytes.  The eps = 0 atoms
+    take the (base, slope) kinds ``zeroth``.  Every base kind sorts below
+    every slope kind, so a base half's pairs and a slope half's join in
+    AtomKey order."""
+    d = lay.d
+    base_kind, slope_kind = zeroth
+    zero = (0,) * d
+    eps_f = [prod(map(factorial, eps)) for eps in lay.flat]
+
+    def decoder(atoms, dens):
+        order = [(a.kind, a.l, a.deriv) for a in atoms]  # AtomKey order
+
+        def decode(half):
+            raw = half.to_bytes((half.bit_length() + 7) // 8, "little")
+            live = sorted((i for i, e in enumerate(raw) if e),
+                          key=order.__getitem__)
+            return (tuple((atoms[i], raw[i]) for i in live),
+                    prod(dens[i] ** raw[i] for i in live), sum(raw))
+        return _Decoded(decode)
+
+    return (decoder([AtomKey(base_kind if eps == zero else BASE, 0, eps)
+                     for eps in lay.flat], eps_f),
+            decoder([AtomKey(slope_kind if eps == zero else SLOPE, l, eps)
+                     for eps in lay.flat for l in range(1, d + 1)],
+                    [f for f in eps_f for _ in range(d)]))
+
+
+def _series(d: int, max_order: int, zeroth: tuple, vanishing=()) -> list:
+    """d_0 .. d_K over AtomKey atoms from N_k = k! d_k over normalized
+    atoms: each coefficient divided once by k! prod eps!^e."""
+    lay = _Layout(d, max_order)
+    bases, slopes = _atom_halves(lay, zeroth)
+    series = []
+    for k, n_k in enumerate(_n_series(lay, vanishing)):
+        kf = factorial(k)
+        d_k = SymPoly()
+        for key, c in n_k.items():
+            b, bden, _ = bases[key & lay.base_mask]
+            s, sden, _ = slopes[key >> lay.slope_at]
+            d_k.terms[b + s] = Fraction(c, kf * bden * sden)
+        series.append(d_k)
+    return series
 
 
 _D_SERIES_CACHE: dict[int, list[SymPoly]] = {}
-_D_SERIES_LOCK = threading.Lock()
-# (K, N_K) behind the last cached order of each dimension.
-_N_LAST: dict[int, tuple[int, SymPoly]] = {}
 
 
 def d_series(d: int, max_order: int) -> list[SymPoly]:
     """Series terms d_0 .. d_K in the atom algebra, exact rationals.
 
     d_0 = 1 and (k+1) d_{k+1} = L[d_k]; the integer form N_k = k! d_k of
-    :func:`apply_symbol_operator` is run and each order is converted once.
-    The shared cache is extended under a lock, so concurrent callers see
-    the single-threaded series.
+    :func:`_n_series` is run and each order is converted once.  The cache
+    holds one series per d, replaced whole when a longer one is asked for,
+    so concurrent callers each see a complete series.
     """
     if d < 1 or max_order < 0:
         raise ValueError("need d >= 1 and max_order >= 0")
-    if max_order >= _RADIX:
-        raise ValueError(f"max_order must be below {_RADIX}")
-    with _D_SERIES_LOCK:
-        cache = _D_SERIES_CACHE.setdefault(d, [SymPoly.constant(Fraction(1))])
-        if max_order >= len(cache):
-            last = _N_LAST.get(d)
-            if last is None or last[0] != len(cache) - 1:  # cold or replaced
-                last = (0, SymPoly.constant(1))
-            start, n_k = last
-            for k in range(start, max_order):
-                n_k = apply_symbol_operator(n_k, d, k)
-                if k + 1 == len(cache):
-                    cache.append(_to_sympoly(n_k, k + 1, d))
-            _N_LAST[d] = (max_order, n_k)
-        return cache[: max_order + 1]
+    series = _D_SERIES_CACHE.get(d)
+    if series is None or len(series) <= max_order:
+        series = _D_SERIES_CACHE[d] = _series(d, max_order, (BASE, SLOPE))
+    return series[: max_order + 1]
 
 
 def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
@@ -306,21 +329,7 @@ def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
     """
     if d < 1 or max_order < 0:
         raise ValueError("need d >= 1 and max_order >= 0")
-    if max_order >= _RADIX:
-        raise ValueError(f"max_order must be below {_RADIX}")
-    drop = {_code(a.l, a.deriv) for a in vanishing}
-    n_k = SymPoly.constant(1)
-    series = [SymPoly.constant(Fraction(1))]
-    for k in range(max_order):
-        n_k = apply_symbol_operator(n_k, d, k)
-        if drop:
-            n_k.terms = {m: c for m, c in n_k.terms.items()
-                         if drop.isdisjoint(m)}
-        d_k = _to_sympoly(n_k, k + 1, d, (DBASE, DSLOPE))
-        # the difference kinds sort apart from the codes: reorder
-        series.append(SymPoly({tuple(sorted(m)): c
-                               for m, c in d_k.terms.items()}))
-    return series
+    return _series(d, max_order, (DBASE, DSLOPE), vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -383,18 +392,15 @@ def _group_choices(eps: MultiIndex, cap: int):
     yield from rec(0, min(cap, sum(eps)))
 
 
-def _moves(alpha: tuple, flat: tuple, memo: dict) -> list:
+def _moves(alpha: tuple, lay: _Layout, memo: dict) -> list:
     """Every way one step takes the packed keys of alpha to the next row:
     (delta, integer weight), the key of each new (alpha, beta) being the
-    old key plus delta.  ``alpha`` is padded to the packed layout of
-    :func:`coefficient_recursion`, whose slots ``flat`` enumerates."""
-    size = len(flat)
-    d = len(flat[0])
+    old key plus delta.  ``alpha`` holds the base bytes of ``lay``."""
     groups = [i for i, a in enumerate(alpha) if a > 0]
     caps = tuple(alpha[i] for i in groups)
     total = sum(caps)
     moves = []
-    for pj, eps in enumerate(flat):  # new base atom d^eps sigma, |eps| <= k
+    for pj, eps in enumerate(lay.flat):  # new base atom d^eps sigma, |eps| <= k
         if sum(eps) > total:  # flat is sorted by order: nothing follows
             break
         for parts, w in _distributions(caps, eps, memo):
@@ -403,63 +409,47 @@ def _moves(alpha: tuple, flat: tuple, memo: dict) -> list:
                 # m base factors of slot gi turn into slope factors, lam[l]
                 # of them in direction l + 1
                 gi = groups[g]
-                delta += (lam << 8 * (size + gi * d)) - (m << 8 * gi)
+                delta += lam * lay.slope_unit(gi, 1) - (m << 8 * gi)
             moves.append((delta, w))
     return moves
 
 
-def _next_row(row: dict, flat: tuple, moves: dict, splits: dict) -> dict:
+def _next_row(row: dict, lay: _Layout, moves: dict, splits: dict) -> dict:
     """Row k -> row k+1 of the integers k! c_(alpha, beta) over packed
     keys.  ``moves`` memoizes :func:`_moves` on the packed alpha, which
     recurs from row to row; ``splits`` is the memo of
     :func:`_distributions`."""
-    alpha_mask = (1 << 8 * len(flat)) - 1
     by_alpha: dict = {}  # the moves depend on alpha alone
     for key, c in row.items():
-        by_alpha.setdefault(key & alpha_mask, []).append((key, c))
+        by_alpha.setdefault(key & lay.base_mask, []).append((key, c))
     nxt: defaultdict = defaultdict(int)
     for alpha, entries in by_alpha.items():
         step = moves.get(alpha)
         if step is None:
             step = moves[alpha] = _moves(
-                tuple(alpha.to_bytes(len(flat), "little")), flat, splits)
+                tuple(alpha.to_bytes(lay.size, "little")), lay, splits)
         for key, c in entries:
             for delta, w in step:
                 nxt[key + delta] += c * w
     return nxt
 
 
-class _Decoded(dict):
-    """bytes -> the tuple ``decode`` makes of them, built once per distinct
-    bytes, so that equal keys share one tuple."""
-
-    def __init__(self, decode):
-        super().__init__()
-        self.decode = decode
-
-    def __missing__(self, raw):
-        value = self[raw] = self.decode(raw)
-        return value
-
-
-def _unpack_row(row: dict, k: int, flat: tuple) -> dict:
+def _unpack_row(row: dict, k: int, lay: _Layout) -> dict:
     """The public {(alpha, beta): Fraction} row k of the packed integers
     k! c.  Equal alphas, betas and beta d-tuples are shared tuples."""
-    size = len(flat)
-    d = len(flat[0])
+    d = lay.d
     n = len(flattened_indices(d, k))
-    width = size * (1 + d)
     kf = factorial(k)
-    alphas = _Decoded(tuple)
+    alphas = _Decoded(lambda half: tuple(half.to_bytes(n, "little")))
     betas = alphas
     if d > 1:
         slots = _Decoded(tuple)  # d-tuple -> its shared copy
-        betas = _Decoded(lambda raw: tuple(
-            map(slots.__getitem__, zip(*[iter(raw)] * d))))
+        betas = _Decoded(lambda half: tuple(map(slots.__getitem__, zip(
+            *[iter(half.to_bytes(n * d, "little"))] * d))))
     out = {}
     for key, c in row.items():
-        b = key.to_bytes(width, "little")
-        out[(alphas[b[:n]], betas[b[size:size + n * d]])] = Fraction(c, kf)
+        alpha, beta = alphas[key & lay.base_mask], betas[key >> lay.slope_at]
+        out[alpha, beta] = Fraction(c, kf)
     return out
 
 
@@ -469,24 +459,20 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     Univariate keys are (alpha, beta) plain tuples; multivariate keys are
     (alpha, beta) with alpha over the flattened enumeration and beta a tuple
     of d-tuples.  All values are exact Fractions; absent keys are zero.
-    The recursion runs on the integers k! c and divides once per row.  It
-    packs each (alpha, beta) into one int, one byte per slot: alpha[j] is
-    byte j and beta[j][l] byte S + j d + l, with S slots for the last row,
-    so an entry below 256 never carries into its neighbour.
+    The recursion runs on the integers k! c, each (alpha, beta) packed
+    into one int (:class:`_Layout`), and divides once per row.
     """
     if d < 1 or max_order < 1:
         raise ValueError("need d >= 1 and max_order >= 1")
-    if max_order >= _RADIX:
-        raise ValueError(f"max_order must be below {_RADIX}")
-    flat = flattened_indices(d, max_order)
+    lay = _Layout(d, max_order)
     row = {1: 1}  # alpha = (1,), beta = (0,) * d
     moves: dict = {}
     splits: dict = {}
     rows: dict[int, dict] = {}
     for k in range(1, max_order + 1):
         if k > 1:
-            row = _next_row(row, flat, moves, splits)
-        rows[k] = _unpack_row(row, k, flat)
+            row = _next_row(row, lay, moves, splits)
+        rows[k] = _unpack_row(row, k, lay)
     return rows
 
 
@@ -585,25 +571,23 @@ def counting_triangle(max_row: int) -> CountingTriangle:
     The entry for time order n and spatial order k is n! times the summed
     coefficients of d_n monomials with k base-symbol factors; every base
     factor counts as spatial order 1, slope factors as 0.  It is read off
-    the integer form N_n = n! d_n of :func:`apply_symbol_operator`: each
+    the packed integer form N_n = n! d_n of :func:`_n_series`: each
     monomial adds N_n[m] / prod eps!^e, summed in integers per (k,
     denominator) and divided once per pair.  Entries are integers by
     construction of the recursion.
     """
     if max_row < 1:
         raise ValueError("need max_row >= 1")
-    eps_factorial = [factorial(e) for e in range(max_row)]
-    n_k = SymPoly.constant(1)
+    lay = _Layout(1, max_row)
+    bases, slopes = _atom_halves(lay)
     rows = []
-    for n in range(1, max_row + 1):
-        n_k = apply_symbol_operator(n_k, 1, n - 1)
-        sums: dict[tuple[int, int], int] = {}
-        for mono, c in n_k.terms.items():
-            den = 1
-            for a in mono:
-                den *= eps_factorial[a % _RADIX]
-            key = (bisect_left(mono, _RADIX), den)  # base codes lie below
-            sums[key] = sums.get(key, 0) + c
+    for n, n_k in enumerate(_n_series(lay)):
+        if n == 0:
+            continue
+        sums: defaultdict = defaultdict(int)
+        for key, c in n_k.items():
+            _, den, k = bases[key & lay.base_mask]
+            sums[k, den * slopes[key >> lay.slope_at][1]] += c
         buckets: dict[int, Fraction] = {}
         for (k, den), c in sums.items():
             buckets[k] = buckets.get(k, 0) + Fraction(c, den)

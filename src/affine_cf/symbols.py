@@ -262,6 +262,10 @@ def _zero_mat(d: int) -> tuple:
     return tuple(tuple(0.0 for _ in range(d)) for _ in range(d))
 
 
+def _float_rows(mat) -> tuple:
+    return tuple(map(tuple, np.asarray(mat, float).tolist()))
+
+
 def _finite(name: str, block) -> np.ndarray:
     """``block`` as a float array; a NaN or infinite entry is refused with a
     ValueError naming the block."""
@@ -325,7 +329,10 @@ class AffineModel:
     def from_arrays(cls, a0=None, a_slope=None, b0=None, b_slope=None,
                     jumps=None, truncation=NO_COMPENSATION, state_domain=(),
                     dimension=None):
-        """Build a model from array-likes, filling omitted blocks with zeros."""
+        """Build a model from array-likes, filling omitted blocks with zeros.
+        Entries are stored as Python floats, so a model's arithmetic does
+        not depend on how it was built (:func:`model_from_json` builds here
+        too)."""
         if dimension is None:
             for probe in (b0, a0):
                 if probe is not None:
@@ -334,22 +341,23 @@ class AffineModel:
             else:
                 raise ValueError("cannot infer dimension")
         d = dimension
-        a0 = _zero_mat(d) if a0 is None else tuple(map(tuple, np.asarray(a0, float)))
+        a0 = _zero_mat(d) if a0 is None else _float_rows(a0)
         b0 = _zeros(d) if b0 is None else tuple(float(v) for v in b0)
         if a_slope is None:
             a_slope = tuple(_zero_mat(d) for _ in range(d))
         else:
-            a_slope = tuple(tuple(map(tuple, np.asarray(m, float))) for m in a_slope)
+            a_slope = tuple(_float_rows(m) for m in a_slope)
         if b_slope is None:
             b_slope = _zero_mat(d)
         else:
-            b_slope = tuple(map(tuple, np.asarray(b_slope, float)))
+            b_slope = _float_rows(b_slope)
         if jumps is None:
             jumps = tuple(NoJumps() for _ in range(d + 1))
         else:
             jumps = tuple(jumps)
-        return cls(d, a0, a_slope, b0, b_slope, jumps, truncation,
-                   tuple(map(tuple, state_domain)) if state_domain else ())
+        domain = tuple(tuple(None if v is None else float(v) for v in side)
+                       for side in state_domain)
+        return cls(d, a0, a_slope, b0, b_slope, jumps, truncation, domain)
 
     def check_semielliptic(self, samples: int = 64, seed: int = 0) -> bool:
         """Sampled check that a(x) >= 0 on the state domain (corners plus
@@ -635,23 +643,13 @@ def model_to_json(model: AffineModel) -> dict:
 
 
 def model_from_json(obj: dict) -> AffineModel:
-    d = int(obj["dimension"])
-    domain = tuple(
-        (None if iv[0] is None else float(iv[0]),
-         None if iv[1] is None else float(iv[1]))
-        for iv in obj.get("state_domain", [])
-    )
-    return AffineModel(
-        dimension=d,
-        a0=tuple(tuple(float(v) for v in r) for r in obj["a0"]),
-        a_slope=tuple(tuple(tuple(float(v) for v in r) for r in m)
-                      for m in obj["a_slope"]),
-        b0=tuple(float(v) for v in obj["b0"]),
-        b_slope=tuple(tuple(float(v) for v in r) for r in obj["b_slope"]),
-        jumps=tuple(_jump_from_json(j) for j in obj["jumps"]),
+    return AffineModel.from_arrays(
+        a0=obj["a0"], a_slope=obj["a_slope"], b0=obj["b0"],
+        b_slope=obj["b_slope"],
+        jumps=[_jump_from_json(j) for j in obj["jumps"]],
         truncation=obj.get("truncation", NO_COMPENSATION),
-        state_domain=domain,
-    )
+        state_domain=obj.get("state_domain", ()),
+        dimension=int(obj["dimension"]))
 
 
 def load_model(path) -> AffineModel:

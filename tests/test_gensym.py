@@ -16,12 +16,13 @@ from affine_cf.gensym import (
     zero_baseline,
 )
 from affine_cf.oracle import (VasicekParams, cir_cf, heston_cf, heston_model,
-                              riccati_cf, vasicek_model)
+                              heston_params, riccati_cf, vasicek_model)
 from affine_cf.series_eval import eval_local
 from affine_cf.symalg import (BASE, DBASE, DSLOPE, SLOPE, AtomKey, SymPoly,
                               d_series, monomial)
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
-                               eval_symbol_table_xi)
+                               eval_symbol_table_xi, model_from_json,
+                               model_to_json)
 
 from helpers import CIR, HESTON, VASICEK, bm_model, cir, heston, vasicek
 
@@ -153,6 +154,22 @@ class TestEvalGeneralized:
         gen = eval_generalized(heston(), heston_baseline(HESTON), x, u, t, 10)
         ref = heston_cf(HESTON, 0.0, 0.04, 1.0, t)
         assert abs(gen.value - ref) <= 1e-10
+
+    def test_heston_baseline_of_a_loaded_model_is_bit_identical(self):
+        # the baseline read from a built model and from its JSON round trip
+        # gives the same bits at every point
+        target = heston_model(replace(HESTON, b21=2.0, s=0.5))
+        model = heston_model(HESTON)
+        again = model_from_json(model_to_json(model))
+        baselines = [heston_baseline(heston_params(m)) for m in (model, again)]
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            x = [rng.uniform(-0.5, 0.5), rng.uniform(0.0, 0.2)]
+            u = [rng.uniform(-3.0, 3.0), 0.0]
+            t = rng.uniform(0.0, 1.0)
+            a, b = (eval_generalized(target, base, x, u, t, 8)
+                    for base in baselines)
+            assert (a.value, a.tail_estimate) == (b.value, b.tail_estimate)
 
     def test_heston_plus_jumps_vs_riccati(self):
         m = heston()

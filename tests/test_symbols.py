@@ -350,6 +350,8 @@ class TestModelIO:
         model = model_fn()
         again = model_from_json(json.loads(json.dumps(model_to_json(model))))
         assert again == model
+        # bit for bit, down to the float type of every entry
+        assert repr(again) == repr(model)
 
     def test_exponential_round_trip(self):
         jump = ExponentialJumps(intensity=0.4, rates=[3.0])
