@@ -4,7 +4,7 @@ Run:  python3 benchmarks/bench_convergence.py
 
 The local series read at t(tau) = beta gd^-1(pi tau/2), the tangent-log
 transform, is the tau series e_k = sum_j [tau^k] t(tau)^j d_j, d_j from
-``series_eval._d_values``; gd^-1(z) = sum_n S_n z^(2n+1) / (2n+1)! with S_n
+the flow jet (``series_eval._flow_jet`` through ``_exp_jet``); gd^-1(z) = sum_n S_n z^(2n+1) / (2n+1)! with S_n
 the secant numbers.  On CIR at x = 0.178, u = 2.92 and a fixed beta it
 prints the error against ``cir_cf`` and the series' tail estimate over K at
 three tau.  It asserts nothing: the library steps the semiflow instead.
@@ -16,7 +16,8 @@ import math
 import numpy as np
 
 from affine_cf.oracle import CIRParams, cir_cf, cir_model
-from affine_cf.series_eval import TimeTransform, _d_values, _tail_estimate
+from affine_cf.series_eval import (TimeTransform, _exp_jet, _flow_jet,
+                                   _tail_estimate)
 
 CIR = CIRParams(b0=0.04, b1=-0.5, s=0.2)
 X, U, BETA = 0.178, 2.92, 0.25
@@ -38,7 +39,7 @@ def transform_coefficients(order: int) -> np.ndarray:
 
 def composed(order: int, tau: float):
     """(value, tail estimate) of the composed tau series at order K."""
-    d = _d_values(cir_model(CIR), np.array([X]), np.array([U]), order)
+    d = _exp_jet(_flow_jet(cir_model(CIR), [1j * U], order), np.array([X]))
     shift = transform_coefficients(order)
     e, power = np.zeros(order + 1, dtype=complex), shift
     for dj in d:

@@ -8,8 +8,9 @@ theirs from :mod:`oracle`, the one home of each closed form, and an
 expression baseline is built only once its residual check passes.  For
 affine processes the correction is f / f0 = exp((phi - phi0) +
 (delta - delta0).x), the difference of the two models' flow jets at
-xi = iu: :func:`eval_generalized` reads both from :mod:`series_eval` and
-takes the power-series exponential of their difference.
+xi = iu: :func:`eval_generalized` takes one :func:`series_eval._flow_jet`
+per model, each read from that model's x = 0 derivative rows, and the
+power-series exponential of their difference.
 :func:`correction_series` builds the difference recursion, whose eps = 0
 atom is Delta sigma = sigma - sigma0, exactly on the integer engine of
 :mod:`symalg`, for the nilpotency claim.
@@ -26,8 +27,7 @@ import numpy as np
 
 from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
-from .symbols import (AffineModel, _checked_point, eval_symbol_table_xi,
-                      eval_symbol_xi)
+from .symbols import AffineModel, _checked_point, eval_symbol_xi
 
 GENERALIZED = "Generalized"
 
@@ -259,27 +259,26 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     """exp(phi0(t, u) + psi0(t, u) . x) (1 + sum_k w_k t^k).
 
     For affine processes f / f0 = exp((phi - phi0) + (delta - delta0) . x),
-    with (phi, delta) the flow jet at xi = iu of the target's x = 0 table
-    and (phi0, delta0) that of the baseline model's
+    with (phi, delta) the flow jet at xi = iu of the target's x = 0
+    derivative rows and (phi0, delta0) that of the baseline model's
     (:func:`series_eval._flow_jet`): the w_k are the power-series
     exponential of the difference of the two jets
     (:func:`series_eval._exp_jet`), and the closed form is read only at t,
     for the prefactor.  A baseline that misses psi0(0, u) = iu (reading
-    only part of u) is refused, as are truncation < 1, t < 0 and a
-    non-finite t, x or u.
+    only part of u) is refused, as are truncation < 1, t < 0, a
+    non-finite t, x or u and an x or u of another length than the model's
+    dimension.
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
-    x, u = _checked_point(x, u, t)
+    x, u = _checked_point(x, u, t, target.dimension)
     _check_compatible(target, baseline)
     iu = 1j * u
     miss = float(np.max(np.abs(baseline.exponent(0.0, u)[1] - iu)))
     if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
         raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
                          f"by {miss:.3e}")
-    tables = [eval_symbol_table_xi(m, np.zeros(target.dimension), iu,
-                                   truncation - 1)
-              for m in (target, baseline.model)]
-    jet, jet0 = [_flow_jet(tab.base, tab.slope, truncation) for tab in tables]
+    jet, jet0 = [_flow_jet(m, iu, truncation)
+                 for m in (target, baseline.model)]
     return _series_result(eval_baseline_cf(baseline, x, u, t),
                           _exp_jet(jet - jet0, x), t, GENERALIZED)

@@ -115,10 +115,10 @@ def riccati_cf(model: AffineModel, x, u, t: float,
                config: IntegratorConfig = IntegratorConfig()) -> RiccatiResult:
     """CF via RK4 integration of the generalized Riccati system.
 
-    Raises ValueError for a negative t and a non-finite t, x or u, and
-    MomentExplosionError when |psi| passes BLOWUP_LIMIT at the start of a
-    step."""
-    x, u = _checked_point(x, u, t)
+    Raises ValueError for a negative t, a non-finite t, x or u and an x or
+    u whose length is not the model's dimension, and MomentExplosionError
+    when |psi| passes BLOWUP_LIMIT at the start of a step."""
+    x, u = _checked_point(x, u, t, model.dimension)
     if t == 0.0:
         return RiccatiResult(np.exp(1j * (u @ x)), 0.0 + 0.0j, 1j * u, 0.0)
     source, namespace = _rk4_program(model)
@@ -149,7 +149,7 @@ def levy_khintchine_cf(model: AffineModel, x, u, t: float) -> complex:
     if not slopes_vanish(model):
         raise ValueError("Levy-Khintchine form requires zero slope "
                          "coefficients and no slope jumps")
-    x, u = _checked_point(x, u, t)
+    x, u = _checked_point(x, u, t, model.dimension)
     return np.exp(1j * (u @ x) + t * eval_symbol(model, x, u))
 
 

@@ -1,20 +1,22 @@
 """Numeric evaluation of the characteristic-function power series.
 
 Every mode takes its numbers from one numeric engine, the flow jet
-(:func:`_flow_jet`): from the symbol table at x = 0 and a complex xi it
-gives the Taylor coefficients of phi(h, xi) and delta(h) = psi(h, xi) - xi.
-Each jet coefficient is a polynomial in the symbol's derivatives with
-rational weights, as every d_k is.  Since f = exp(phi + psi . x) for an
-affine process, the paper's coefficients are d_k(x, xi) = L^k 1 / k! =
+(:func:`_flow_jet`): from a model and a complex xi it gives the Taylor
+coefficients of phi(h, xi) and delta(h) = psi(h, xi) - xi.  The symbol is
+affine in x, so the jet reads only the x = 0 derivative rows
+d^eps sigma_c(xi), c = 0..d, of :func:`symbols.component_rows`.  Each jet
+coefficient is a polynomial in the symbol's derivatives with rational
+weights, as every d_k is.  Since f = exp(phi + psi . x) for an affine
+process, the paper's coefficients are d_k(x, xi) = L^k 1 / k! =
 [h^k] exp(phi(h) + delta(h) . x), read from the jet through the
 power-series exponential (:func:`_exp_jet`).  Local mode evaluates
 exp(iux) (1 + sum_k d_k(x, iu) t^k).  Globalized mode follows the affine
 semiflow psi(s + h, iu) = psi(h, psi(s, iu)) from s = 0 at every horizon:
-each step takes the jet of the table at the current xi and carries only phi
-and xi, so the result exp(phi + xi . x) is uniform in x.  The tangent-log
-time transform t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of
-its own.  The generalized mode of :mod:`gensym` takes the same exponential
-of the difference of two jets at iu, the target's and its baseline's.  The
+each step takes the jet at the current xi and carries only phi and xi, so
+the result exp(phi + xi . x) is uniform in x.  The tangent-log time
+transform t(tau) = beta ln tan(pi/4 + pi tau/4) is kept as a map of its
+own.  The generalized mode of :mod:`gensym` takes the same exponential of
+the difference of two jets at iu, the target's and its baseline's.  The
 exact atom algebra of :mod:`symalg` is not used here.
 """
 from __future__ import annotations
@@ -28,8 +30,7 @@ from operator import mul
 import numpy as np
 
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
-from .symbols import (AffineModel, _checked_point, eval_symbol_table,
-                      eval_symbol_table_xi)
+from .symbols import AffineModel, _checked_point, component_rows
 
 LOCAL = "Local"
 GLOBALIZED = "Globalized"
@@ -111,13 +112,6 @@ def _tail_estimate(contributions, value) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _d_values(model: AffineModel, x, u, truncation: int) -> np.ndarray:
-    """d_1 .. d_K at (x, iu) from the flow jet of the x = 0 symbol table."""
-    d = model.dimension
-    table = eval_symbol_table(model, [0.0] * d, u, max(truncation - 1, 0))
-    return _jet_d_values(table.base, table.slope, x, truncation)
-
-
 def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
     """prefactor (1 + sum_k c_k t^k) with c_1 .. c_K = coefficients, summed
     from the highest order down (small terms first)."""
@@ -133,11 +127,12 @@ def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
-    """exp(iux) (1 + sum_{k=1..K} d_k(x, iu) t^k)."""
+    """exp(iux) (1 + sum_{k=1..K} d_k(x, iu) t^k), d_k read from the flow
+    jet at iu as [h^k] exp(phi(h) + delta(h) . x) (:func:`_exp_jet`)."""
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
-    x, u = _checked_point(x, u, t)
-    dk = _d_values(model, x, u, truncation)
+    x, u = _checked_point(x, u, t, model.dimension)
+    dk = _exp_jet(_flow_jet(model, 1j * u, truncation), x)
     return _series_result(np.exp(1j * float(u @ x)), dk, t, LOCAL)
 
 
@@ -165,24 +160,25 @@ def _jet_plan(pattern: tuple, truncation: int):
     return parents, axes, degrees, inv_factorial, ends
 
 
-def _flow_jet(base0, slopes, truncation: int) -> np.ndarray:
+def _flow_jet(model: AffineModel, xi, truncation: int) -> np.ndarray:
     """Taylor coefficients in h of phi(h, xi) and delta(h) = psi(h, xi) - xi
-    to order K, from the x = 0 tables base0 and slopes at xi.
+    to order K, from the model's x = 0 derivative rows at the complex
+    vector xi (:func:`symbols.component_rows`).
 
     phi' = sigma(psi) and psi_l' = sigma_l(psi) expanded at xi give
     (k+1) [h^(k+1)](phi, delta_l) = sum_eps T[eps] / eps! [h^k] delta^eps,
-    T the base table for phi and slope l for delta_l.  delta starts at order
-    1, so [h^k] delta^eps vanishes for |eps| > k: order k reads the prefix
-    of the graded pattern up to degree k, and [h^k] delta^eps is the
-    truncated product of the parent power delta^(eps - e_j) and delta_j.
+    T row 0 for phi and row l for delta_l, each padded with zeros to the
+    pattern.  delta starts at order 1, so [h^k] delta^eps vanishes for
+    |eps| > k: order k reads the prefix of the graded pattern up to degree
+    k, and [h^k] delta^eps is the truncated product of the parent power
+    delta^(eps - e_j) and delta_j.
     Returns a (1 + d) x (K + 1) array, row 0 phi and row 1 + l delta_l,
     column k the coefficient of h^k (column 0 zero)."""
-    pattern = tuple(base0)
+    pattern, components = component_rows(model, xi, max(truncation - 1, 0))
     parents, axes, degrees, inv_factorial, ends = \
         _jet_plan(pattern, truncation)
-    rows = [[v * w for v, w in zip(base0.values(), inv_factorial)]]
-    rows += [[slope.get(eps, 0j) * w
-              for eps, w in zip(pattern, inv_factorial)] for slope in slopes]
+    rows = [[v * w for v, w in zip(row, inv_factorial)]
+            + [0j] * (len(pattern) - len(row)) for row in components]
     jet = [[0j] * (truncation + 1) for _ in rows]
     # powers[p][k] = [h^k] delta^eps for the eps at position p
     powers = [[0j] * truncation for _ in pattern]
@@ -200,15 +196,6 @@ def _flow_jet(base0, slopes, truncation: int) -> np.ndarray:
         for coefficients, row in zip(jet, rows):
             coefficients[k + 1] = sum(map(mul, row[:n], column)) / (k + 1)
     return np.array(jet)
-
-
-def _jet_d_values(base0, slopes, x, truncation: int) -> np.ndarray:
-    """d_1 .. d_K at x from the x = 0 tables base0 and slopes at xi.
-
-    The symbol is affine in x, so 1 + sum_k d_k(x, xi) h^k =
-    exp(phi(h) + delta(h) . x) with phi and delta the flow jet of the
-    tables: d_k = L^k 1 / k!, read by :func:`_exp_jet`."""
-    return _exp_jet(_flow_jet(base0, slopes, truncation), x)
 
 
 def _exp_jet(jet, x) -> np.ndarray:
@@ -242,14 +229,13 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     """
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
-    x, u = _checked_point(x, u, t)
-    d = model.dimension
+    x, u = _checked_point(x, u, t, model.dimension)
     if t == 0:
         value = complex(np.exp(1j * float(u @ x)))
         return CFResult(value, [], truncation, ROUNDING_FLOOR * abs(value),
                         GLOBALIZED)
 
-    # Semiflow: at xi = psi(s, iu) the flow jet of the table at xi gives
+    # Semiflow: at xi = psi(s, iu) the flow jet of the rows at xi gives
     # phi(h, xi) and psi(h, xi) - xi, so only phi and xi are carried from
     # step to step.
     weights = np.concatenate(([1.0], x))
@@ -257,9 +243,7 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     while s < t:
         if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
             raise MomentExplosionError(s)
-        table = eval_symbol_table_xi(model, [0.0] * d, xi,
-                                     max(truncation - 1, 0))
-        jet = _flow_jet(table.base, table.slope, truncation)
+        jet = _flow_jet(model, xi, truncation)
         # The step puts the last term at the rounding floor, but is at least
         # a twentieth of the jet's root-test radius |jet_K|^(-1/K): below
         # K = 12 the last term sits at 20^-K instead, so low orders take few

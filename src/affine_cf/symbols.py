@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +41,26 @@ def _norm_pdf(y: float) -> float:
 
 def _norm_cdf(y: float) -> float:
     return 0.5 * (1.0 + math.erf(y / math.sqrt(2.0)))
+
+
+def _floats(name: str, block, ndim: int) -> tuple:
+    """``block`` as nested tuples of Python floats; anything but an array
+    of finite numbers with ``ndim`` axes is refused with a ValueError
+    naming the block."""
+    try:
+        arr = np.asarray(block, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d array of numbers, "
+                         f"got {block!r}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be finite, got {block}")
+    return _tuples(arr.tolist())
+
+
+def _tuples(nested):
+    return tuple(map(_tuples, nested)) if isinstance(nested, list) else nested
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +104,13 @@ class GaussianJumps:
     def __post_init__(self):
         if self.intensity < 0:
             raise ValueError("jump intensity must be >= 0")
-        c = np.asarray(self.cov, dtype=float)
+        object.__setattr__(self, "mean", _floats("mean", self.mean, 1))
+        object.__setattr__(self, "cov", _floats("cov", self.cov, 2))
+        c = np.asarray(self.cov)
         if not np.allclose(c, c.T, atol=1e-12):
             raise ValueError("jump covariance must be symmetric")
-        object.__setattr__(self, "mean", tuple(float(v) for v in self.mean))
-        object.__setattr__(self, "cov", tuple(map(tuple, c.tolist())))
         # the arrays the mgf reads, built once (not dataclass fields)
-        object.__setattr__(self, "_m", np.asarray(self.mean, dtype=float))
+        object.__setattr__(self, "_m", np.asarray(self.mean))
         object.__setattr__(self, "_c", c)
 
     @property
@@ -186,9 +207,9 @@ class ExponentialJumps:
     def __post_init__(self):
         if self.intensity < 0:
             raise ValueError("jump intensity must be >= 0")
+        object.__setattr__(self, "rates", _floats("rates", self.rates, 1))
         if any(r <= 0 for r in self.rates):
             raise ValueError("exponential jump rates must be > 0")
-        object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
     @property
     def dimension(self) -> int:
@@ -254,27 +275,6 @@ class UserJump:
 # ---------------------------------------------------------------------------
 
 
-def _zeros(d: int) -> tuple:
-    return tuple(0.0 for _ in range(d))
-
-
-def _zero_mat(d: int) -> tuple:
-    return tuple(tuple(0.0 for _ in range(d)) for _ in range(d))
-
-
-def _float_rows(mat) -> tuple:
-    return tuple(map(tuple, np.asarray(mat, float).tolist()))
-
-
-def _finite(name: str, block) -> np.ndarray:
-    """``block`` as a float array; a NaN or infinite entry is refused with a
-    ValueError naming the block."""
-    arr = np.asarray(block, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {block}")
-    return arr
-
-
 @dataclass(frozen=True)
 class AffineModel:
     """Coefficient data of an affine generator.
@@ -297,19 +297,26 @@ class AffineModel:
         d = self.dimension
         if d < 1:
             raise ValueError("dimension must be >= 1")
-        a0 = _finite("a0", self.a0)
-        if a0.shape != (d, d) or not np.allclose(a0, a0.T, atol=1e-12):
-            raise ValueError("a0 must be a symmetric d x d matrix")
-        if len(self.a_slope) != d or len(self.b_slope) != d:
-            raise ValueError("need one slope block per coordinate")
-        for mat in self.a_slope:
-            m = _finite("a_slope", mat)
-            if m.shape != (d, d) or not np.allclose(m, m.T, atol=1e-12):
-                raise ValueError("each a_slope block must be symmetric d x d")
-        if len(_finite("b0", self.b0)) != d:
-            raise ValueError("b0 must have length d")
-        for row in self.b_slope:
-            _finite("b_slope", row)
+        # every block as nested tuples of Python floats, so that a model's
+        # arithmetic does not depend on how it was built
+        for name, shape in (("a0", (d, d)), ("a_slope", (d, d, d)),
+                            ("b0", (d,)), ("b_slope", (d, d))):
+            block = _floats(name, getattr(self, name), len(shape))
+            if np.shape(block) != shape:
+                raise ValueError(f"{name} must have shape {shape} in "
+                                 f"dimension {d}, got {block}")
+            object.__setattr__(self, name, block)
+        for a in (self.a0, *self.a_slope):
+            if not np.allclose(a, np.transpose(a), atol=1e-12):
+                raise ValueError("a0 and each a_slope block must be symmetric")
+        try:
+            domain = tuple((None if lo is None else float(lo),
+                            None if hi is None else float(hi))
+                           for lo, hi in self.state_domain)
+        except (TypeError, ValueError):
+            raise ValueError("state_domain must be a list of [lo, hi] pairs, "
+                             f"got {self.state_domain!r}") from None
+        object.__setattr__(self, "state_domain", domain)
         if len(self.jumps) != d + 1:
             raise ValueError("need d + 1 jump specs (nu_0 and nu_l)")
         if self.truncation not in _TRUNCATIONS:
@@ -329,35 +336,24 @@ class AffineModel:
     def from_arrays(cls, a0=None, a_slope=None, b0=None, b_slope=None,
                     jumps=None, truncation=NO_COMPENSATION, state_domain=(),
                     dimension=None):
-        """Build a model from array-likes, filling omitted blocks with zeros.
-        Entries are stored as Python floats, so a model's arithmetic does
-        not depend on how it was built (:func:`model_from_json` builds here
-        too)."""
+        """Build a model from array-likes, filling omitted blocks with zeros
+        (:func:`model_from_json` builds here too)."""
         if dimension is None:
-            for probe in (b0, a0):
-                if probe is not None:
-                    dimension = len(probe)
-                    break
-            else:
+            if b0 is None and a0 is None:
                 raise ValueError("cannot infer dimension")
-        d = dimension
-        a0 = _zero_mat(d) if a0 is None else _float_rows(a0)
-        b0 = _zeros(d) if b0 is None else tuple(float(v) for v in b0)
-        if a_slope is None:
-            a_slope = tuple(_zero_mat(d) for _ in range(d))
-        else:
-            a_slope = tuple(_float_rows(m) for m in a_slope)
-        if b_slope is None:
-            b_slope = _zero_mat(d)
-        else:
-            b_slope = _float_rows(b_slope)
-        if jumps is None:
-            jumps = tuple(NoJumps() for _ in range(d + 1))
-        else:
-            jumps = tuple(jumps)
-        domain = tuple(tuple(None if v is None else float(v) for v in side)
-                       for side in state_domain)
-        return cls(d, a0, a_slope, b0, b_slope, jumps, truncation, domain)
+            dimension = len(a0 if b0 is None else b0)
+        try:
+            d = operator.index(dimension)
+        except TypeError:
+            raise ValueError(
+                f"dimension must be an integer, got {dimension!r}") from None
+        zero = np.zeros((d, d))
+        return cls(d, zero if a0 is None else a0,
+                   [zero] * d if a_slope is None else a_slope,
+                   zero[0] if b0 is None else b0,
+                   zero if b_slope is None else b_slope,
+                   (NoJumps(),) * (d + 1) if jumps is None else tuple(jumps),
+                   truncation, state_domain)
 
     def check_semielliptic(self, samples: int = 64, seed: int = 0) -> bool:
         """Sampled check that a(x) >= 0 on the state domain (corners plus
@@ -468,15 +464,26 @@ def symbol_components(model: AffineModel):
     return _order0(model._compiled, model.dimension)
 
 
-def _checked_point(x, u, t: float):
-    """x and u as float vectors; a negative t and a non-finite t, x or u are
-    refused with a ValueError."""
+def _vector(name: str, v, dimension: int, dtype=float) -> np.ndarray:
+    """``v`` as a 1-d array of ``dimension`` entries; any other length is
+    refused with a ValueError naming both."""
+    v = np.atleast_1d(np.asarray(v, dtype=dtype))
+    if v.shape != (dimension,):
+        raise ValueError(f"{name} has length {v.size}, but the model has "
+                         f"dimension {dimension}")
+    return v
+
+
+def _checked_point(x, u, t: float, dimension: int):
+    """x and u as float vectors of the model's dimension; a negative t, a
+    non-finite t, x or u and a vector of another length are refused with a
+    ValueError."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be >= 0")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    x = _vector("x", x, dimension)
+    u = _vector("u", u, dimension)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
         raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
     return x, u
@@ -484,8 +491,9 @@ def _checked_point(x, u, t: float):
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
     """sigma(x, xi) at a complex vector xi."""
-    x = np.asarray(x, dtype=float)
-    comps = symbol_components(model)([complex(z) for z in np.atleast_1d(xi)])
+    x = _vector("x", x, model.dimension)
+    xi = _vector("xi", xi, model.dimension, complex)
+    comps = symbol_components(model)([complex(z) for z in xi])
     val = comps[0]
     for l in range(1, model.dimension + 1):
         val += x[l - 1] * comps[l]
@@ -494,27 +502,67 @@ def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
 
 def eval_symbol(model: AffineModel, x, u) -> complex:
     """sigma(x, iu) for real frequency u."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    return eval_symbol_xi(model, np.atleast_1d(np.asarray(x, float)), 1j * u)
+    return eval_symbol_xi(model, x, 1j * _vector("u", u, model.dimension))
+
+
+def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
+    """The x = 0 derivative rows of the symbol at a complex vector xi:
+    ``(pattern, rows)``, ``pattern`` the live eps in graded order and
+    ``rows[c][p]`` = d^eps_xi sigma_c(xi) for eps = pattern[p], c = 0..d.
+    Orders 1 and 2 come from the quadratic and linear parts plus the jump
+    moments, higher orders (to max_order) from the jump moments alone, a
+    Gaussian family's from one recursion.  A jump-free component vanishes
+    above order 2, so its row stops there, a prefix of the pattern."""
+    d = model.dimension
+    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
+    for cap in (getattr(jump, "max_order", None) for jump in model.jumps):
+        if cap is not None and max_order > cap:
+            raise ValueError(f"symbol table to order {max_order} exceeds the "
+                             f"jump spec's declared derivative order {cap}")
+    comps = model._compiled
+    xs = [complex(z) for z in xi]
+    jumps = any(jump_part is not None for _, _, jump_part in comps)
+    low = flattened_indices(d, min(max_order, 2) + 1)
+    pattern = flattened_indices(d, max_order + 1) if jumps else low
+    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    rows = []
+    for (quad, lin, jump_part), value in zip(comps, _order0(comps, d)(xs)):
+        # first and second derivatives of the polynomial part
+        poly = {}
+        for i, j, w in quad:
+            pair = tuple(p + q for p, q in zip(unit[i], unit[j]))
+            poly[unit[i]] = poly.get(unit[i], 0.0) + w * xs[j]
+            poly[unit[j]] = poly.get(unit[j], 0.0) + w * xs[i]
+            poly[pair] = 2.0 * w if i == j else w
+        for i, bi in lin:
+            poly[unit[i]] = poly.get(unit[i], 0.0) + bi
+        row = [value]
+        if jump_part is None:
+            row += [complex(poly.get(eps, 0.0)) for eps in low[1:]]
+        else:
+            jump, _, comp = jump_part
+            keys = pattern[1:]
+            moments = (jump.moments(keys, xi) if isinstance(jump, GaussianJumps)
+                       else [jump.moment(eps, xi) for eps in keys])
+            for eps, moment in zip(keys, moments):
+                val = poly.get(eps, 0.0) + moment
+                if comp is not None and sum(eps) == 1:
+                    val -= comp[eps.index(1)]
+                row.append(complex(val))
+        rows.append(row)
+    return pattern, rows
 
 
 @dataclass
 class SymbolTable:
-    """Numeric derivative tables of the symbol at one (x, xi) point, at the
-    live entries only.
-
-    ``slope[l-1][eps]`` holds d^eps_xi sigma_l(xi) for every |eps| <= 2 and,
-    when sigma_l has jumps, up to ``max_order``: above order 2 a jump-free
-    component is exactly zero.  ``base[eps]`` holds d^eps_xi sigma(x, xi) on
-    the union of those keys.
-    """
+    """Derivative tables of the symbol at one (x, xi) point, at the live
+    entries of :func:`component_rows` only: ``slope[l-1][eps]`` holds
+    d^eps_xi sigma_l(xi) and ``base[eps]`` d^eps_xi sigma(x, xi)."""
 
     dimension: int
     max_order: int
     base: dict
     slope: list
-    x: tuple = ()
-    xi: tuple = ()
 
     def atom_values(self) -> dict:
         """AtomKey -> complex map consumed by SymPoly evaluation: every key
@@ -531,67 +579,26 @@ class SymbolTable:
 
 def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTable:
     """Derivative tables d^eps_xi sigma(x, xi), d^eps_xi sigma_l(xi) at a
-    complex vector xi, read from the compiled components: orders 1 and 2
-    from the quadratic and linear parts plus the jump moments, higher orders
-    (to max_order) from the jump moments alone, and only for the components
-    with jumps; the moments of a Gaussian family come from one recursion."""
+    complex vector xi, a view of :func:`component_rows`: the slope tables
+    are rows 1..d over their live prefixes of the pattern, and the base
+    table is row 0 + sum_l x_l row l over the whole pattern."""
     d = model.dimension
-    x = [float(v) for v in np.atleast_1d(np.asarray(x, dtype=float))]
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    for jump in model.jumps:
-        cap = getattr(jump, "max_order", None)
-        if cap is not None and max_order > cap:
-            raise ValueError(
-                f"symbol table to order {max_order} exceeds the jump spec's "
-                f"declared derivative order {cap}"
-            )
-    comps = model._compiled
-    xs = [complex(z) for z in xi]
-    jumps = any(jump_part is not None for _, _, jump_part in comps)
-    low = flattened_indices(d, min(max_order, 2) + 1)
-    # only a component with jumps has entries above order 2
-    full = flattened_indices(d, max_order + 1) if jumps else low
-    zero = (0,) * d
-    unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
-    tabs = []
-    for (quad, lin, jump_part), value in zip(comps, _order0(comps, d)(xs)):
-        # first and second derivatives of the polynomial part
-        poly = {}
-        for i, j, w in quad:
-            pair = tuple(p + q for p, q in zip(unit[i], unit[j]))
-            poly[unit[i]] = poly.get(unit[i], 0.0) + w * xs[j]
-            poly[unit[j]] = poly.get(unit[j], 0.0) + w * xs[i]
-            poly[pair] = 2.0 * w if i == j else w
-        for i, bi in lin:
-            poly[unit[i]] = poly.get(unit[i], 0.0) + bi
-        tab = {zero: value}
-        if jump_part is None:
-            for eps in low[1:]:
-                tab[eps] = complex(poly.get(eps, 0.0))
-        else:
-            jump, _, comp = jump_part
-            keys = full[1:]
-            if isinstance(jump, GaussianJumps):
-                moments = jump.moments(keys, xi)
-            else:
-                moments = [jump.moment(eps, xi) for eps in keys]
-            for eps, moment in zip(keys, moments):
-                val = poly.get(eps, 0.0) + moment
-                if comp is not None and sum(eps) == 1:
-                    val -= comp[eps.index(1)]
-                tab[eps] = complex(val)
-        tabs.append(tab)
-    base_tab = {}
-    for eps in full:
-        total = tabs[0].get(eps, 0j)
-        for l in range(d):
-            total += x[l] * tabs[l + 1].get(eps, 0j)
-        base_tab[eps] = total
-    return SymbolTable(d, max_order, base_tab, tabs[1:], tuple(x), tuple(xi))
+    x = _vector("x", x, d).tolist()
+    pattern, rows = component_rows(model, _vector("xi", xi, d, complex),
+                                   max_order)
+    base = {}
+    for eps, values in zip(pattern,
+                           itertools.zip_longest(*rows, fillvalue=0j)):
+        total = values[0]
+        for xl, v in zip(x, values[1:]):
+            total += xl * v
+        base[eps] = total
+    return SymbolTable(d, max_order, base,
+                       [dict(zip(pattern, row)) for row in rows[1:]])
 
 
 def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = _vector("u", u, model.dimension)
     return eval_symbol_table_xi(model, x, 1j * u, max_order)
 
 
@@ -620,12 +627,9 @@ def _jump_from_json(obj: dict):
     if kind == "none":
         return NoJumps()
     if kind == "gaussian":
-        return GaussianJumps(float(obj["intensity"]),
-                             tuple(float(v) for v in obj["mean"]),
-                             tuple(tuple(float(v) for v in r) for r in obj["cov"]))
+        return GaussianJumps(float(obj["intensity"]), obj["mean"], obj["cov"])
     if kind == "exponential":
-        return ExponentialJumps(float(obj["intensity"]),
-                                tuple(float(v) for v in obj["rates"]))
+        return ExponentialJumps(float(obj["intensity"]), obj["rates"])
     raise ValueError(f"unknown jump spec type {kind!r}")
 
 
@@ -649,7 +653,7 @@ def model_from_json(obj: dict) -> AffineModel:
         jumps=[_jump_from_json(j) for j in obj["jumps"]],
         truncation=obj.get("truncation", NO_COMPENSATION),
         state_domain=obj.get("state_domain", ()),
-        dimension=int(obj["dimension"]))
+        dimension=obj["dimension"])
 
 
 def load_model(path) -> AffineModel:

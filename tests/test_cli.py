@@ -302,6 +302,31 @@ class TestErrors:
         assert payload["error"] == "ValueError"
         assert message in payload["message"]
 
+    @pytest.mark.parametrize("block,value", [
+        ("a0", 5),
+        ("b0", 0.04),
+        ("b_slope", [0.5]),
+        ("a_slope", [[0.04]]),
+        ("state_domain", [0, None]),
+        ("rates", 2.0),
+        ("dimension", 1.5),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_malformed_model_file(self, capsys, tmp_path, block, value):
+        # one block of models/cir.json with the wrong nesting or type
+        obj = json.loads((MODELS / "cir.json").read_text())
+        if block == "rates":
+            obj["jumps"][0] = {"type": "exponential", "intensity": 0.4,
+                               "rates": value}
+        else:
+            obj[block] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "eval", "--model", str(path))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(block)
+
 
 class TestNumericNames:
     """The names the benchmark tracer wraps stay attributes of the cli

@@ -214,7 +214,8 @@ class TestJetDValues:
             (exponential_jumps(), np.array([0.2]), np.array([1.7]), 8),
         ]
         for model, x, u, K in cases:
-            numeric = series_eval._d_values(model, x, u, K)
+            numeric = series_eval._exp_jet(
+                series_eval._flow_jet(model, 1j * u, K), x)
             values = eval_symbol_table(model, x, u, K - 1).atom_values()
             exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
             assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
@@ -295,9 +296,10 @@ class TestEvalGlobalized:
         assert abs(res.value - ref) / abs(ref) <= 1e-8
 
     def test_each_step_builds_one_table_and_one_jet(self, monkeypatch):
-        # every semiflow step builds one symbol table and one flow jet
+        # every semiflow step builds one set of derivative rows and one
+        # flow jet
         counts = {"tables": 0, "jets": 0}
-        build_table = series_eval.eval_symbol_table_xi
+        build_table = series_eval.component_rows
         build_jet = series_eval._flow_jet
 
         def counting(key, build):
@@ -306,7 +308,7 @@ class TestEvalGlobalized:
                 return build(*args)
             return wrapped
 
-        monkeypatch.setattr(series_eval, "eval_symbol_table_xi",
+        monkeypatch.setattr(series_eval, "component_rows",
                             counting("tables", build_table))
         monkeypatch.setattr(series_eval, "_flow_jet",
                             counting("jets", build_jet))
@@ -391,8 +393,7 @@ class TestFlowJet:
         # exp(phi(h) + delta(h) . x) = 1 + sum_k d_k(x, xi) h^k: the jet
         # expanded through the exponential is the paper's series L^k 1 / k!,
         # here the exact atom-algebra series read at the table of (x, xi)
-        table = eval_symbol_table_xi(model, [0.0] * len(x), xi, K - 1)
-        jet = series_eval._flow_jet(table.base, table.slope, K)
+        jet = series_eval._flow_jet(model, xi, K)
         assert jet.shape == (1 + len(x), K + 1)
         exponent = np.concatenate(([1.0], x)) @ jet
         series = [1.0 + 0.0j]

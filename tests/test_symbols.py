@@ -10,7 +10,10 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from affine_cf import symbols
+from affine_cf.gensym import eval_generalized, zero_baseline
 from affine_cf.multiindex import enumerate_indices
+from affine_cf.oracle import levy_khintchine_cf, riccati_cf
+from affine_cf.series_eval import eval_globalized, eval_local
 from affine_cf.symalg import BASE, AtomKey
 from affine_cf.symbols import (
     UNIT_BALL,
@@ -398,6 +401,35 @@ class TestNonFiniteCoefficients:
         assert "NaN" in path.read_text()
         with pytest.raises(ValueError, match="b_slope must be finite"):
             load_model(path)
+
+
+class TestDimensionCheck:
+    """Every entry refuses an x or u whose length is not the model's
+    dimension, naming both lengths."""
+
+    ENTRIES = {
+        "eval_local": lambda m, x, u: eval_local(m, x, u, 0.5, 8),
+        "eval_globalized": lambda m, x, u: eval_globalized(m, x, u, 0.5, 8),
+        "eval_generalized": lambda m, x, u: eval_generalized(
+            m, zero_baseline(1), x, u, 0.5, 8),
+        "riccati_cf": lambda m, x, u: riccati_cf(m, x, u, 0.5),
+        "levy_khintchine_cf": lambda m, x, u: levy_khintchine_cf(m, x, u, 0.5),
+        "eval_symbol": eval_symbol,
+        "eval_symbol_table": lambda m, x, u: eval_symbol_table(m, x, u, 2),
+        "eval_symbol_table_xi": lambda m, x, u: eval_symbol_table_xi(
+            m, x, 1j * np.asarray(u), 2),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("x,u,message", [
+        ([0.1, 0.2], [1.0], "^x has length 2, but the model has dimension 1"),
+        ([0.1], [1.0, 1.0],
+         "^(u|xi) has length 2, but the model has dimension 1"),
+    ], ids=["long-x", "long-u"])
+    def test_refused_naming_the_lengths(self, entry, x, u, message):
+        # a 1-d model without slopes, so the Levy-Khintchine form applies
+        with pytest.raises(ValueError, match=message):
+            self.ENTRIES[entry](bm_model(), x, u)
 
 
 class TestSemiellipticity:
