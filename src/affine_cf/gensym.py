@@ -204,18 +204,6 @@ BASELINE_REGISTRY = {
 # ---------------------------------------------------------------------------
 
 
-def _blocks_equal(target: AffineModel, baseline: AffineModel, comp: int) -> bool:
-    if comp == 0:
-        blocks = ((target.a0, baseline.a0), (target.b0, baseline.b0))
-    else:
-        blocks = ((target.a_slope[comp - 1], baseline.a_slope[comp - 1]),
-                  (np.asarray(target.b_slope, float)[:, comp - 1],
-                   np.asarray(baseline.b_slope, float)[:, comp - 1]))
-    same = all(np.array_equal(np.asarray(a, float), np.asarray(b, float))
-               for a, b in blocks)
-    return same and target.jumps[comp] == baseline.jumps[comp]
-
-
 def _check_compatible(target: AffineModel, baseline: BaselineSolution) -> None:
     if target.dimension != baseline.model.dimension:
         raise ValueError("target and baseline dimensions differ")
@@ -233,15 +221,16 @@ def correction_series(target: AffineModel, baseline: BaselineSolution,
     in exact rational arithmetic: :func:`symalg.difference_series`, whose
     eps = 0 atoms are the dbase/dslope kinds (Delta sigma = sigma - sigma0
     and its slopes) and whose other atoms are the target's base/slope.  A
-    difference atom whose coefficient blocks coincide between target and
-    baseline is identically zero and is dropped, which makes the nilpotency
-    statement (target = baseline implies d_k = 0 for k >= 1) structural
-    rather than numeric.
+    difference atom whose compiled symbol component (``AffineModel._compiled``)
+    is the same in target and baseline is identically zero and is dropped,
+    which makes the nilpotency statement (target = baseline implies d_k = 0
+    for k >= 1) structural rather than numeric.
     """
     _check_compatible(target, baseline)
     d = target.dimension
     zero = (0,) * d
-    comp_zero = [_blocks_equal(target, baseline.model, c) for c in range(d + 1)]
+    comp_zero = [target._compiled[c] == baseline.model._compiled[c]
+                 for c in range(d + 1)]
     vanishing = [AtomKey(DSLOPE, l, zero)
                  for l in range(1, d + 1) if comp_zero[l]]
     if all(comp_zero):

@@ -56,11 +56,12 @@ def _rk4_program(model: AffineModel) -> tuple:
     (0, psi0), unrolled for this model's compiled symbol components.
 
     psi_1..psi_d are the scalar locals p0..p{d-1}, and each stage evaluates
-    the d + 1 components as straight-line expressions in the order of
-    ``symbols._order0``, so the arithmetic is the same operation for
-    operation.  Each coefficient is a name bound in ``namespace``, as is the
-    ``symbols._jump_symbol`` helper of each component with jumps; the source
-    holds generated identifiers and the method's own constants only."""
+    the d + 1 components as straight-line expressions in the order in which
+    ``symbols.component_rows`` computes their order-0 entries, so the
+    arithmetic is the same operation for operation.  Each coefficient is a
+    name bound in ``namespace``, as is the ``symbols._jump_symbol`` helper
+    of each component with jumps; the source holds generated identifiers
+    and the method's own constants only."""
     d = model.dimension
     namespace = {"BLOWUP_LIMIT": BLOWUP_LIMIT,
                  "MomentExplosionError": MomentExplosionError}

@@ -16,6 +16,7 @@ holds without stray factors of i.
 """
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .multiindex import MultiIndex, flattened_indices
+from .multiindex import flattened_indices
 from .symalg import BASE, SLOPE, AtomKey
 
 NO_COMPENSATION = "none"
@@ -44,16 +45,16 @@ def _norm_cdf(y: float) -> float:
 
 
 def _floats(name: str, block, ndim: int) -> tuple:
-    """``block`` as nested tuples of Python floats; anything but an array
-    of finite numbers with ``ndim`` axes is refused with a ValueError
-    naming the block."""
+    """``block`` as nested tuples of Python floats (a Python float when
+    ``ndim`` is 0); anything but an array of finite numbers with ``ndim``
+    axes is refused with a ValueError naming the block."""
     try:
         arr = np.asarray(block, dtype=float)
     except (TypeError, ValueError):
         arr = None
     if arr is None or arr.ndim != ndim:
-        raise ValueError(f"{name} must be a {ndim}-d array of numbers, "
-                         f"got {block!r}")
+        kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
+        raise ValueError(f"{name} must be {kind}, got {block!r}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must be finite, got {block}")
     return _tuples(arr.tolist())
@@ -61,6 +62,15 @@ def _floats(name: str, block, ndim: int) -> tuple:
 
 def _tuples(nested):
     return tuple(map(_tuples, nested)) if isinstance(nested, list) else nested
+
+
+def _intensity(value) -> float:
+    """A jump intensity as a Python float; anything but a finite number
+    >= 0 is refused with a ValueError."""
+    value = _floats("intensity", value, 0)
+    if value < 0:
+        raise ValueError("jump intensity must be >= 0")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +82,8 @@ def _tuples(nested):
 class NoJumps:
     """Absent jump component (zero measure)."""
 
-    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
-        return 0.0 + 0.0j
+    def moments(self, keys, xi) -> list:
+        return [0.0 + 0.0j for _ in keys]
 
     @property
     def total_mass(self) -> float:
@@ -82,19 +92,16 @@ class NoJumps:
     def compensator(self, j: int) -> float:
         return 0.0
 
-    max_order = None  # unlimited
-
 
 @dataclass(frozen=True)
 class GaussianJumps:
     """Compound-Poisson component with N(mean, cov) jump sizes.
 
-    ``moment`` returns J(eps, xi) = integral z^eps exp(xi.z) nu(dz), available
+    ``moments`` returns J(eps, xi) = integral z^eps exp(xi.z) nu(dz), available
     in closed form: the exponential-tilting identity gives
     J(0, xi) = intensity * exp(xi.m + xi^T C xi / 2) and higher moments follow
     the Hermite-style recursion
     T_{eps+e_j} = (m_j + (C xi)_j) T_eps + sum_k eps_k C_{jk} T_{eps - e_k}.
-    ``moments`` runs that recursion once for a whole list of indices.
     """
 
     intensity: float
@@ -102,16 +109,12 @@ class GaussianJumps:
     cov: tuple  # row tuples, symmetric psd
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError("jump intensity must be >= 0")
+        object.__setattr__(self, "intensity", _intensity(self.intensity))
         object.__setattr__(self, "mean", _floats("mean", self.mean, 1))
         object.__setattr__(self, "cov", _floats("cov", self.cov, 2))
         c = np.asarray(self.cov)
         if not np.allclose(c, c.T, atol=1e-12):
             raise ValueError("jump covariance must be symmetric")
-        # the arrays the mgf reads, built once (not dataclass fields)
-        object.__setattr__(self, "_m", np.asarray(self.mean))
-        object.__setattr__(self, "_c", c)
 
     @property
     def dimension(self) -> int:
@@ -121,16 +124,16 @@ class GaussianJumps:
     def total_mass(self) -> float:
         return self.intensity
 
-    max_order = None  # all moments finite
-
-    def _mgf(self, xi: np.ndarray):
-        return self.intensity * np.exp(xi @ self._m + 0.5 * xi @ self._c @ xi)
-
-    def _hermite(self, keys, xi: np.ndarray) -> dict:
-        """T_eps for every eps of ``keys``, each listed after the indices
-        below it (graded and lexicographic orders both are)."""
-        drift = (self._m + self._c @ xi).tolist()  # gradient of the exponent
+    def moments(self, keys, xi) -> list:
+        """J(eps, xi) for every eps of ``keys`` from one Hermite recursion,
+        each eps listed after the indices below it (graded and
+        lexicographic orders both are); xi a sequence of complex scalars."""
         cov = self.cov
+        c_xi = [sum(map(operator.mul, row, xi)) for row in cov]
+        mgf = self.intensity * cmath.exp(
+            sum(map(operator.mul, xi, self.mean))
+            + 0.5 * sum(map(operator.mul, xi, c_xi)))
+        drift = [m + v for m, v in zip(self.mean, c_xi)]  # exponent's gradient
         t = {(0,) * len(drift): 1.0 + 0.0j}
         for e in keys:
             j = next((i for i, v in enumerate(e) if v > 0), None)
@@ -143,21 +146,6 @@ class GaussianJumps:
                     val += ek * cov[j][k] * t[e_minus[:k] + (ek - 1,)
                                                + e_minus[k + 1:]]
             t[e] = val
-        return t
-
-    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
-        mgf = self._mgf(xi)
-        if not any(eps):  # the symbol itself: no tilted moments needed
-            return mgf
-        eps = tuple(eps)
-        box = itertools.product(*(range(e + 1) for e in eps))
-        return mgf * self._hermite(box, xi)[eps]
-
-    def moments(self, keys, xi: np.ndarray) -> list:
-        """J(eps, xi) for every eps of ``keys`` (graded order) from one
-        Hermite recursion."""
-        mgf = complex(self._mgf(xi))
-        t = self._hermite(keys, xi)
         return [mgf * t[eps] for eps in keys]
 
     def compensator(self, j: int) -> float:
@@ -166,7 +154,7 @@ class GaussianJumps:
         Requires a diagonal covariance when d > 1 (the box integral only
         factorizes then); the univariate case is unrestricted.
         """
-        m, c = self._m, self._c
+        m, c = self.mean, np.asarray(self.cov)
         d = len(m)
         if d > 1 and not np.allclose(c, np.diag(np.diag(c)), atol=1e-14):
             raise ValueError(
@@ -205,8 +193,7 @@ class ExponentialJumps:
     rates: tuple
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ValueError("jump intensity must be >= 0")
+        object.__setattr__(self, "intensity", _intensity(self.intensity))
         object.__setattr__(self, "rates", _floats("rates", self.rates, 1))
         if any(r <= 0 for r in self.rates):
             raise ValueError("exponential jump rates must be > 0")
@@ -219,16 +206,22 @@ class ExponentialJumps:
     def total_mass(self) -> float:
         return self.intensity
 
-    max_order = None
-
-    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
-        out = complex(self.intensity)
-        for th, n, z in zip(self.rates, eps, xi):
+    def moments(self, keys, xi) -> list:
+        # numpy complex arithmetic on purpose: numpy divides by the
+        # reciprocal of the denominator, which rounds differently from
+        # Python's quotient, and this family's values are kept bit for bit
+        xi = np.asarray(xi, dtype=complex)
+        for th, z in zip(self.rates, xi):
             if z.real >= th:
                 raise ValueError(
                     f"exponential jump transform diverges: Re(xi)={z.real} >= rate {th}"
                 )
-            out *= th * math.factorial(n) / (th - z) ** (n + 1)
+        out = []
+        for eps in keys:
+            val = complex(self.intensity)
+            for th, n, z in zip(self.rates, eps, xi):
+                val *= th * math.factorial(n) / (th - z) ** (n + 1)
+            out.append(val)
         return out
 
     def compensator(self, j: int) -> float:
@@ -246,9 +239,10 @@ class UserJump:
     """User-supplied jump transform.
 
     ``transform(eps, xi)`` must return integral z^eps exp(xi.z) nu(dz)
-    exactly for |eps| <= max_order; no numerical differentiation of the
-    callback is performed.  ``compensators`` gives integral z_j 1_D nu(dz)
-    per coordinate when unit-ball compensation is used.
+    exactly for |eps| <= max_order, at xi as a complex ndarray; no numerical
+    differentiation of the callback is performed.  ``compensators`` gives
+    integral z_j 1_D nu(dz) per coordinate when unit-ball compensation is
+    used.
     """
 
     transform: object
@@ -256,13 +250,15 @@ class UserJump:
     max_order: int
     compensators: tuple = ()
 
-    def moment(self, eps: MultiIndex, xi: np.ndarray) -> complex:
-        if sum(eps) > self.max_order:
-            raise ValueError(
-                f"user jump transform declared up to order {self.max_order}, "
-                f"requested eps={tuple(eps)}"
-            )
-        return complex(self.transform(tuple(eps), xi))
+    def moments(self, keys, xi) -> list:
+        for eps in keys:
+            if sum(eps) > self.max_order:
+                raise ValueError(
+                    f"user jump transform declared up to order {self.max_order}, "
+                    f"requested eps={tuple(eps)}"
+                )
+        xi = np.asarray(xi, dtype=complex)
+        return [complex(self.transform(tuple(eps), xi)) for eps in keys]
 
     def compensator(self, j: int) -> float:
         if not self.compensators:
@@ -319,6 +315,11 @@ class AffineModel:
         object.__setattr__(self, "state_domain", domain)
         if len(self.jumps) != d + 1:
             raise ValueError("need d + 1 jump specs (nu_0 and nu_l)")
+        for c, jump in enumerate(self.jumps):
+            n = getattr(jump, "dimension", d)  # UserJump declares none
+            if n != d:
+                raise ValueError(f"jumps[{c}] has dimension {n}, but the "
+                                 f"model has dimension {d}")
         if self.truncation not in _TRUNCATIONS:
             raise ValueError(f"unknown truncation convention {self.truncation!r}")
         if self.state_domain and len(self.state_domain) != d:
@@ -422,46 +423,18 @@ def _compile(model: AffineModel) -> tuple:
 def _jump_symbol(jump_part: tuple, d: int):
     """``(val, xi) -> val + J(0, xi) - mass``, minus the unit-ball
     compensator sum_j xi_j comp_j when there is one: the jump part of one
-    compiled component added to its polynomial part ``val``."""
+    compiled component added to its polynomial part ``val``, at a sequence
+    xi of Python complex scalars."""
     jump, mass, comp = jump_part
-    zero = (0,) * d
+    order0 = ((0,) * d,)
 
     def add(val, xi) -> complex:
-        val += jump.moment(zero, np.asarray(xi, dtype=complex)) - mass
+        val += jump.moments(order0, xi)[0] - mass
         if comp is not None:
             val -= sum(z * cj for z, cj in zip(xi, comp))
         return complex(val)
 
     return add
-
-
-def _order0(comps: tuple, d: int):
-    """``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` in plain complex
-    arithmetic over the compiled components; only components with jumps
-    call ``jump.moment``."""
-    parts = [(quad, lin, None if jump_part is None
-              else _jump_symbol(jump_part, d))
-             for quad, lin, jump_part in comps]
-
-    def sigma(xi) -> list:
-        out = []
-        for quad, lin, jump in parts:
-            val = 0.0 + 0.0j
-            for i, j, w in quad:
-                val += w * xi[i] * xi[j]
-            for i, bi in lin:
-                val += bi * xi[i]
-            out.append(complex(val) if jump is None else jump(val, xi))
-        return out
-
-    return sigma
-
-
-def symbol_components(model: AffineModel):
-    """The order-0 symbol components of :func:`_compile`'s compiled form:
-    ``sigma(xi) -> [sigma_0(xi), ..., sigma_d(xi)]`` for a sequence xi of
-    Python complex scalars."""
-    return _order0(model._compiled, model.dimension)
 
 
 def _vector(name: str, v, dimension: int, dtype=float) -> np.ndarray:
@@ -491,12 +464,12 @@ def _checked_point(x, u, t: float, dimension: int):
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
     """sigma(x, xi) at a complex vector xi."""
-    x = _vector("x", x, model.dimension)
-    xi = _vector("xi", xi, model.dimension, complex)
-    comps = symbol_components(model)([complex(z) for z in xi])
-    val = comps[0]
-    for l in range(1, model.dimension + 1):
-        val += x[l - 1] * comps[l]
+    d = model.dimension
+    x = _vector("x", x, d)
+    _, rows = component_rows(model, _vector("xi", xi, d, complex), 0)
+    val = rows[0][0]
+    for l in range(1, d + 1):
+        val += x[l - 1] * rows[l][0]
     return val
 
 
@@ -509,42 +482,40 @@ def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
     """The x = 0 derivative rows of the symbol at a complex vector xi:
     ``(pattern, rows)``, ``pattern`` the live eps in graded order and
     ``rows[c][p]`` = d^eps_xi sigma_c(xi) for eps = pattern[p], c = 0..d.
-    Orders 1 and 2 come from the quadratic and linear parts plus the jump
-    moments, higher orders (to max_order) from the jump moments alone, a
-    Gaussian family's from one recursion.  A jump-free component vanishes
-    above order 2, so its row stops there, a prefix of the pattern."""
+    Orders 0 to 2 come from the quadratic and linear parts plus the jump
+    part (:func:`_jump_symbol` at order 0, the jump moments above), higher
+    orders (to max_order) from the jump moments alone, each family's from
+    one ``moments`` call.  A jump-free component vanishes above order 2, so
+    its row stops there, a prefix of the pattern."""
     d = model.dimension
-    xi = np.atleast_1d(np.asarray(xi, dtype=complex))
-    for cap in (getattr(jump, "max_order", None) for jump in model.jumps):
-        if cap is not None and max_order > cap:
-            raise ValueError(f"symbol table to order {max_order} exceeds the "
-                             f"jump spec's declared derivative order {cap}")
+    xs = [complex(z) for z in np.atleast_1d(np.asarray(xi, dtype=complex))]
     comps = model._compiled
-    xs = [complex(z) for z in xi]
     jumps = any(jump_part is not None for _, _, jump_part in comps)
     low = flattened_indices(d, min(max_order, 2) + 1)
     pattern = flattened_indices(d, max_order + 1) if jumps else low
     unit = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     rows = []
-    for (quad, lin, jump_part), value in zip(comps, _order0(comps, d)(xs)):
-        # first and second derivatives of the polynomial part
+    for quad, lin, jump_part in comps:
+        # the polynomial part and its first and second derivatives
+        value = 0.0 + 0.0j
         poly = {}
         for i, j, w in quad:
+            value += w * xs[i] * xs[j]
             pair = tuple(p + q for p, q in zip(unit[i], unit[j]))
             poly[unit[i]] = poly.get(unit[i], 0.0) + w * xs[j]
             poly[unit[j]] = poly.get(unit[j], 0.0) + w * xs[i]
             poly[pair] = 2.0 * w if i == j else w
         for i, bi in lin:
+            value += bi * xs[i]
             poly[unit[i]] = poly.get(unit[i], 0.0) + bi
-        row = [value]
         if jump_part is None:
-            row += [complex(poly.get(eps, 0.0)) for eps in low[1:]]
+            row = [complex(value)] + [complex(poly.get(eps, 0.0))
+                                      for eps in low[1:]]
         else:
             jump, _, comp = jump_part
             keys = pattern[1:]
-            moments = (jump.moments(keys, xi) if isinstance(jump, GaussianJumps)
-                       else [jump.moment(eps, xi) for eps in keys])
-            for eps, moment in zip(keys, moments):
+            row = [_jump_symbol(jump_part, d)(value, xs)]
+            for eps, moment in zip(keys, jump.moments(keys, xs)):
                 val = poly.get(eps, 0.0) + moment
                 if comp is not None and sum(eps) == 1:
                     val -= comp[eps.index(1)]
@@ -622,14 +593,16 @@ def _jump_to_json(jump) -> dict:
     )
 
 
-def _jump_from_json(obj: dict):
+def _jump_from_json(obj: dict, c: int):
+    if not isinstance(obj, dict):
+        raise ValueError(f"jumps[{c}] must be a JSON object, got {obj!r}")
     kind = obj.get("type")
     if kind == "none":
         return NoJumps()
     if kind == "gaussian":
-        return GaussianJumps(float(obj["intensity"]), obj["mean"], obj["cov"])
+        return GaussianJumps(obj["intensity"], obj["mean"], obj["cov"])
     if kind == "exponential":
-        return ExponentialJumps(float(obj["intensity"]), obj["rates"])
+        return ExponentialJumps(obj["intensity"], obj["rates"])
     raise ValueError(f"unknown jump spec type {kind!r}")
 
 
@@ -647,10 +620,16 @@ def model_to_json(model: AffineModel) -> dict:
 
 
 def model_from_json(obj: dict) -> AffineModel:
+    if not isinstance(obj, dict):
+        raise ValueError(f"model must be a JSON object, got a "
+                         f"{type(obj).__name__}")
+    if not isinstance(obj["jumps"], list):
+        raise ValueError(f"jumps must be a list of jump specs, got "
+                         f"{obj['jumps']!r}")
     return AffineModel.from_arrays(
         a0=obj["a0"], a_slope=obj["a_slope"], b0=obj["b0"],
         b_slope=obj["b_slope"],
-        jumps=[_jump_from_json(j) for j in obj["jumps"]],
+        jumps=[_jump_from_json(j, c) for c, j in enumerate(obj["jumps"])],
         truncation=obj.get("truncation", NO_COMPENSATION),
         state_domain=obj.get("state_domain", ()),
         dimension=obj["dimension"])

@@ -25,8 +25,10 @@ def run_script(name: str, *args) -> str:
 
 @pytest.mark.parametrize("what,case", [
     ("riccati_cf", "cir"),
+    ("riccati_cf", "bm_jumps"),
     ("eval_local", "cir-K16"),
     ("grid", "cir-K16"),
+    ("grid", "bm_jumps-K16"),
     ("eval_globalized", "cir-t1"),
     ("eval_generalized", "cir-vasicek"),
 ])

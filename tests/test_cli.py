@@ -327,6 +327,26 @@ class TestErrors:
         assert payload["error"] == "ValueError"
         assert payload["message"].startswith(block)
 
+    @pytest.mark.parametrize("source,edit,block", [
+        ("cir.json", lambda obj: obj.update(jumps=5), "jumps"),
+        ("cir.json", lambda obj: obj.update(jumps=[5, 5]), "jumps[0]"),
+        ("bm_jumps.json", lambda obj: obj["jumps"][0].update(intensity=[0.4]),
+         "intensity"),
+        ("cir.json", lambda obj: [obj], "model"),
+    ], ids=["jumps-number", "jumps-of-numbers", "intensity-list",
+            "top-level-array"])
+    def test_malformed_jumps_block(self, capsys, tmp_path, source, edit,
+                                   block):
+        obj = json.loads((MODELS / source).read_text())
+        edited = edit(obj)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(obj if edited is None else edited))
+        code, out, err = run(capsys, "eval", "--model", str(path))
+        assert code == 2 and out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith(block)
+
 
 class TestNumericNames:
     """The names the benchmark tracer wraps stay attributes of the cli

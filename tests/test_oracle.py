@@ -23,8 +23,8 @@ from affine_cf.oracle import (
     vasicek_cf,
     vasicek_model,
 )
-from affine_cf.symbols import (AffineModel, eval_symbol, load_model,
-                               symbol_components)
+from affine_cf.symbols import (AffineModel, component_rows, eval_symbol,
+                               load_model)
 
 from helpers import (CIR, HESTON, VASICEK, bm_model, cir, exponential_jumps,
                      gauss_jump_model, heston, unit_ball_gaussian)
@@ -119,10 +119,12 @@ class TestPinnedValues:
 
 def textbook_rk4(model, u, t, steps):
     """Classical RK4 on phi' = sigma_0(psi), psi_l' = sigma_l(psi) from
-    (0, iu), written over the generic per-component right-hand side
-    ``symbol_components``, with the oracle's blow-up rule; returns
-    (phi, psi)."""
-    rhs = symbol_components(model)
+    (0, iu), written over the generic per-component right-hand side, the
+    order-0 entries of ``component_rows``, with the oracle's blow-up rule;
+    returns (phi, psi)."""
+    def rhs(xi):
+        return [row[0] for row in component_rows(model, xi, 0)[1]]
+
     h = t / steps
     phi, psi = 0.0 + 0.0j, [1j * v for v in u]
     for n in range(steps):

@@ -1,5 +1,6 @@
 """Symbol evaluation, derivative tables, and model I/O."""
 import cmath
+import itertools
 import json
 import math
 from pathlib import Path
@@ -22,6 +23,7 @@ from affine_cf.symbols import (
     GaussianJumps,
     NoJumps,
     UserJump,
+    component_rows,
     eval_symbol,
     eval_symbol_table,
     eval_symbol_table_xi,
@@ -29,7 +31,6 @@ from affine_cf.symbols import (
     model_from_json,
     model_to_json,
     save_model,
-    symbol_components,
 )
 
 from helpers import (bm_model, cir, exponential_jumps, gauss_jump_model,
@@ -136,7 +137,7 @@ def component_deriv(model: AffineModel, c: int, xi: np.ndarray) -> complex:
     val = 0.5 * (xi @ a @ xi) + b @ xi
     jump = model.jumps[c]
     if not isinstance(jump, NoJumps):
-        val += jump.moment((0,) * d, xi) - jump.total_mass
+        val += jump.moments([(0,) * d], xi.tolist())[0] - jump.total_mass
         if model.truncation == UNIT_BALL:
             val -= sum(xi[j] * jump.compensator(j) for j in range(d))
     return complex(val)
@@ -154,12 +155,11 @@ class TestSymbolComponents:
     def test_matches_component_deriv(self, source):
         model = component_case(source)
         d = model.dimension
-        sigma = symbol_components(model)
         rng = np.random.default_rng(20)
         for _ in range(40):
             # Re(xi) < 2 keeps the exponential transforms (rates 3, 5) finite.
             xi = rng.uniform(-2, 2, d) + 1j * rng.uniform(-3, 3, d)
-            got = sigma([complex(z) for z in xi])
+            got = [row[0] for row in component_rows(model, xi, 0)[1]]
             assert len(got) == d + 1
             for c in range(d + 1):
                 ref = component_deriv(model, c, xi)
@@ -258,13 +258,14 @@ class TestSymbolTable:
                       for j in range(0, n + 1, 2))
         expected = lam * cmath.exp(xi * m + 0.5 * var * xi ** 2) * hermite
         jump = GaussianJumps(intensity=lam, mean=[m], cov=[[var]])
-        got = jump.moment((n,), np.array([xi]))
+        got = jump.moments([(k,) for k in range(n + 1)], [xi])[n]
         assert abs(got - expected) <= 1e-12 * abs(expected)
 
     @pytest.mark.parametrize("source", [MODEL_DIR / "bm_jumps.json",
                                         unit_ball_gaussian])
     def test_gaussian_moments_match_the_per_index_moment(self, source):
-        # the tables take every tilted moment at one xi from one recursion
+        # a key's moment from the full graded batch equals its moment from
+        # a batch of only its own box: it does not depend on the other keys
         model = component_case(source)
         d = model.dimension
         keys = [eps for k in range(1, 13 // d + 1)
@@ -274,10 +275,12 @@ class TestSymbolTable:
             if not isinstance(jump, GaussianJumps):
                 continue
             for _ in range(4):
-                xi = rng.uniform(-1, 1, d) + 1j * rng.uniform(-3, 3, d)
+                xi = (rng.uniform(-1, 1, d)
+                      + 1j * rng.uniform(-3, 3, d)).tolist()
                 batch = jump.moments(keys, xi)
                 for eps, got in zip(keys, batch):
-                    ref = jump.moment(eps, xi)
+                    box = list(itertools.product(*(range(e + 1) for e in eps)))
+                    ref = jump.moments(box, xi)[-1]
                     assert abs(got - ref) <= 1e-15 * abs(ref), (eps, xi)
 
     @pytest.mark.parametrize("model_fn", [gauss_jump_model, vasicek, heston])
@@ -334,7 +337,7 @@ class TestCompiledOnce:
         model, other = unit_ball_gaussian(), unit_ball_gaussian()
         for u in (0.5, 1.5):
             eval_symbol_table(model, [0.2, 0.1], [u, 0.0], 4)
-        symbol_components(model)([1j, 0j])
+        component_rows(model, [1j, 0j], 0)
         assert len(compiled) == 1 and compiled[0] is model
         eval_symbol_table(other, [0.2, 0.1], [0.5, 0.0], 4)
         assert len(compiled) == 2 and compiled[1] is other
@@ -401,6 +404,33 @@ class TestNonFiniteCoefficients:
         assert "NaN" in path.read_text()
         with pytest.raises(ValueError, match="b_slope must be finite"):
             load_model(path)
+
+
+class TestJumpSpecs:
+    """A jump spec whose dimension is not the model's, or whose intensity
+    is not finite, is refused with a ValueError naming it."""
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: AffineModel.from_arrays(
+            a0=[[0.1]], jumps=(ExponentialJumps(0.5, (3.0, 5.0)), NoJumps())),
+         r"^jumps\[0\] has dimension 2, but the model has dimension 1"),
+        (lambda: AffineModel.from_arrays(
+            a0=np.eye(2), jumps=(NoJumps(), ExponentialJumps(0.5, (3.0,)),
+                                 NoJumps())),
+         r"^jumps\[1\] has dimension 1, but the model has dimension 2"),
+        (lambda: AffineModel.from_arrays(
+            a0=np.eye(2), jumps=(GaussianJumps(0.5, [0.1], [[0.04]]),
+                                 NoJumps(), NoJumps())),
+         r"^jumps\[0\] has dimension 1, but the model has dimension 2"),
+        (lambda: GaussianJumps(math.nan, [0.1], [[0.04]]),
+         "^intensity must be finite"),
+        (lambda: ExponentialJumps(math.inf, [3.0]),
+         "^intensity must be finite"),
+    ], ids=["two-rates-in-1d", "one-rate-in-2d", "1d-gaussian-in-2d",
+            "nan-intensity", "inf-intensity"])
+    def test_refused(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
 
 class TestDimensionCheck:
