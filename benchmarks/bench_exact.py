@@ -13,8 +13,10 @@ Vasicek baseline at K=12 (models and imports built first, untimed).  The
 "size" column counts, per layer, the terms, the table entries, the orders
 that agree, the rows that sum to n! and the correction terms.  The import rows report the CPU seconds of a
 whole fresh process (interpreter start included) that imports the package,
-imports ``symalg`` alone, or runs ``affine-cf triangle --k 8``, and whether
-it loaded numpy.  Every row also reports the peak RSS (``ru_maxrss``) of
+imports ``symalg`` alone, runs ``affine-cf triangle --k 8``, or runs the
+numeric CLI (``affine-cf eval`` on ``models/cir.json``, and ``affine-cf
+compare --mode generalized --baseline zero`` on it), and whether it loaded
+numpy.  Every row also reports the peak RSS (``ru_maxrss``) of
 its fresh processes.  The medians over the repeats are printed.  Timings
 are reported, never asserted; the host's speed can swing by 20% between
 runs.
@@ -72,12 +74,20 @@ def peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
+CIR_JSON = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "models", "cir.json")
+
 # Fresh-process start-ups: the program each row runs.
 IMPORTS = {
     "import affine_cf": "import affine_cf",
     "from affine_cf import symalg": "from affine_cf import symalg",
     "affine-cf triangle --k 8":
         "from affine_cf import cli; cli.main(['triangle', '--k', '8'])",
+    "affine-cf eval cir.json":
+        f"from affine_cf import cli; cli.main(['eval', '--model', {CIR_JSON!r}])",
+    "affine-cf compare generalized zero":
+        "from affine_cf import cli; cli.main(['compare', '--model', "
+        f"{CIR_JSON!r}, '--mode', 'generalized', '--baseline', 'zero'])",
 }
 
 
@@ -155,14 +165,14 @@ def main() -> None:
               f"{statistics.median(times):>15.3f} {rss:>7.1f}  "
               + " ".join(f"{t:.3f}" for t in times))
 
-    print(f"\n{'start-up':<30} {'numpy':>5} {'cpu s (median)':>15} "
+    print(f"\n{'start-up':<34} {'numpy':>5} {'cpu s (median)':>15} "
           f"{'rss MB':>7}  all runs (cpu s)")
     for label, code in IMPORTS.items():
         runs = [fresh_start(code) for _ in range(args.repeats)]
         times = [r["cpu_s"] for r in runs]
         rss = statistics.median(r["rss_mb"] for r in runs)
         numpy = "yes" if any(r["numpy"] for r in runs) else "no"
-        print(f"{label:<30} {numpy:>5} {statistics.median(times):>15.3f} "
+        print(f"{label:<34} {numpy:>5} {statistics.median(times):>15.3f} "
               f"{rss:>7.1f}  " + " ".join(f"{t:.3f}" for t in times))
 
 

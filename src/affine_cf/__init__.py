@@ -7,7 +7,9 @@ affine semiflow, generalized series around solvable baselines, and
 independent Riccati / Levy-Khintchine oracles.
 
 The exports below are imported on first use (PEP 562), so the exact engine
-(``symalg``, ``multiindex``) starts without numpy.
+(``symalg``, ``multiindex``) starts without the numeric layers.  No module
+imports numpy, except where a user jump transform (``symbols.UserJump``) is
+handed its complex ndarray argument.
 """
 
 from importlib import import_module as _import_module

@@ -29,12 +29,14 @@ if TYPE_CHECKING:
 
 FORMAT_HEADER = "# affine-cf v1"
 
-# The names of gensym.BASELINE_REGISTRY, spelled out so that --help loads no
-# numpy (tests/test_cli.py checks that the two agree).
+# The names of gensym.BASELINE_REGISTRY, spelled out so that --help imports
+# no numeric layer (tests/test_cli.py checks that the two agree).
 BASELINES = ("heston", "vasicek", "zero")
 
-# The numeric layers load numpy, so tables, triangle, --help and --version
-# leave them unimported.  eval and compare bind these names on first use, as
+# Importing the numeric layers (series_eval, gensym, oracle, symbols) adds
+# about 0.02 s CPU to a fresh process, a quarter of a fresh `triangle`, so
+# tables, triangle, --help and --version leave them unimported; no layer
+# imports numpy.  eval and compare bind these names on first use, as
 # does an attribute lookup on this module (a tracer, a test); a name already
 # bound (a tracer's wrapper, a monkeypatch) is never replaced.  The commands
 # look them up as module globals at call time.
@@ -64,9 +66,8 @@ class CliError(Exception):
 
 
 def _parse_axis(spec: str) -> list:
-    """'lo:hi:count' -> linspace; a bare number -> one-point axis."""
-    import numpy as np
-
+    """'lo:hi:count' -> count evenly spaced points from lo to hi, the
+    floats numpy.linspace gives; a bare number -> one-point axis."""
     parts = spec.split(":")
     if len(parts) == 1:
         return [float(parts[0])]
@@ -75,7 +76,15 @@ def _parse_axis(spec: str) -> list:
     lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     if n < 1:
         raise CliError(f"axis count must be >= 1 in {spec!r}")
-    return list(np.linspace(lo, hi, n))
+    div = max(n - 1, 1)
+    step = (hi - lo) / div
+    if step == 0:  # lo = hi or a denormal span: scale before multiplying
+        axis = [i / div * (hi - lo) + lo for i in range(n)]
+    else:
+        axis = [i * step + lo for i in range(n)]
+    if n > 1:
+        axis[-1] = hi
+    return axis
 
 
 def _parse_vector_spec(spec: str, dimension: int, name: str) -> list:

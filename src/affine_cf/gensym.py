@@ -22,12 +22,11 @@ import cmath
 import math
 import re
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul, sub
 
 from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
 from .symalg import DBASE, DSLOPE, AtomKey, difference_series
-from .symbols import AffineModel, _checked_point, eval_symbol_xi
+from .symbols import AffineModel, _checked_point, _vector, eval_symbol_xi
 
 GENERALIZED = "Generalized"
 
@@ -42,8 +41,9 @@ class BaselineSolution:
     """A solvable baseline: its generator model and the exponent of its
     closed-form CF f0 = exp(phi0(t, u) + psi0(t, u).x).
 
-    ``exponent(t, u)`` returns (phi0, psi0), phi0 complex and psi0 a complex
-    d-vector, with phi0(0, u) = 0 and psi0(0, u) = iu.
+    ``exponent(t, u)`` returns (phi0, psi0), phi0 complex and psi0 a
+    sequence of d complex numbers (a tuple for the built-in baselines), with
+    phi0(0, u) = 0 and psi0(0, u) = iu.
     """
 
     name: str
@@ -57,15 +57,16 @@ class BaselineSolution:
         h = 1e-6  # central-difference step in t
         worst = 0.0
         for t, x, u in points:
-            x = np.atleast_1d(np.asarray(x, dtype=float))
+            x = _vector("x", x, self.model.dimension)
             phi, psi = self.exponent(t, u)
-            val = cmath.exp(complex(phi) + complex(psi @ x))
+            val = cmath.exp(complex(phi) + complex(sum(map(mul, psi, x))))
             t0 = max(t - h, 0.0)
             dt = t + h - t0
             phi_hi, psi_hi = self.exponent(t + h, u)
             phi_lo, psi_lo = self.exponent(t0, u)
             lhs = (complex(phi_hi - phi_lo) / dt
-                   + (psi_hi - psi_lo) / dt @ x) * val
+                   + sum((hi - lo) / dt * xl
+                         for hi, lo, xl in zip(psi_hi, psi_lo, x))) * val
             rhs = eval_symbol_xi(self.model, x, psi) * val
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(val)))
         if worst > tol:
@@ -77,9 +78,9 @@ class BaselineSolution:
 
 
 def eval_baseline_cf(baseline: BaselineSolution, x, u, t: float) -> complex:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _vector("x", x, baseline.model.dimension)
     phi, psi = baseline.exponent(t, u)
-    return cmath.exp(complex(phi) + complex(psi @ x))
+    return cmath.exp(complex(phi) + complex(sum(map(mul, psi, x))))
 
 
 def zero_baseline(dimension: int) -> BaselineSolution:
@@ -87,7 +88,7 @@ def zero_baseline(dimension: int) -> BaselineSolution:
     then reduces exactly to the plain local series."""
 
     def exponent(t, u):
-        return 0.0 + 0.0j, 1j * np.atleast_1d(np.asarray(u, dtype=float))
+        return 0.0 + 0.0j, tuple(1j * v for v in _vector("u", u))
 
     return BaselineSolution(
         "zero", AffineModel.from_arrays(dimension=dimension), exponent)
@@ -99,8 +100,8 @@ def vasicek_baseline(params) -> BaselineSolution:
     from .oracle import vasicek_exponent, vasicek_model
 
     def exponent(t, u):
-        phi, psi = vasicek_exponent(params, float(np.atleast_1d(u)[0]), t)
-        return phi, np.array([psi])
+        phi, psi = vasicek_exponent(params, _vector("u", u)[0], t)
+        return phi, (psi,)
 
     return BaselineSolution("vasicek", vasicek_model(params), exponent)
 
@@ -112,8 +113,7 @@ def heston_baseline(params) -> BaselineSolution:
     from .oracle import heston_exponent, heston_model
 
     def exponent(t, u):
-        phi, psi = heston_exponent(params, float(np.atleast_1d(u)[0]), t)
-        return phi, np.array(psi)
+        return heston_exponent(params, _vector("u", u)[0], t)
 
     return BaselineSolution("heston", heston_model(params), exponent)
 
@@ -161,11 +161,11 @@ def compile_expression(src: str):
     code = compile(tree, "<baseline-expression>", "eval")
 
     def fn(t, u):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        if top > u.size:
+        u = _vector("u", u)
+        if top > len(u):
             raise ValueError(f"expression {src!r}: u{top} beyond the "
-                             f"{u.size} frequency components")
-        components = {f"u{j}": float(v) for j, v in enumerate(u, start=1)}
+                             f"{len(u)} frequency components")
+        components = {f"u{j}": v for j, v in enumerate(u, start=1)}
         return complex(eval(code, {"__builtins__": {}}, {
             "t": t, "u": components["u1"], "i": 1j, "pi": math.pi,
             "e": math.e, **components, **_ALLOWED_CALLS,
@@ -183,12 +183,13 @@ def expression_baseline(model: AffineModel, phi0_src: str,
     comps = [compile_expression(s) for s in psi0_srcs]
 
     def exponent(t, u):
-        return phi0(t, u), np.array([c(t, u) for c in comps], dtype=complex)
+        return phi0(t, u), tuple(c(t, u) for c in comps)
 
     baseline = BaselineSolution("expression", model, exponent)
     d = model.dimension
-    baseline.residual_check([(t, x, np.ones(d)) for t in (0.1, 0.5)
-                             for x in (np.zeros(d), *np.eye(d))])
+    units = [tuple(float(i == j) for i in range(d)) for j in range(d)]
+    baseline.residual_check([(t, x, (1.0,) * d) for t in (0.1, 0.5)
+                             for x in ((0.0,) * d, *units)])
     return baseline
 
 
@@ -262,12 +263,15 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
         raise ValueError("truncation order must be >= 1")
     x, u = _checked_point(x, u, t, target.dimension)
     _check_compatible(target, baseline)
-    iu = 1j * u
-    miss = float(np.max(np.abs(baseline.exponent(0.0, u)[1] - iu)))
-    if not miss <= 1e-12 * (1.0 + float(np.linalg.norm(iu))):
+    iu = [1j * v for v in u]
+    psi0 = baseline.exponent(0.0, u)[1]
+    miss = max(abs(p - q) for p, q in zip(psi0, iu)) \
+        if len(psi0) == len(iu) else math.inf
+    if not miss <= 1e-12 * (1.0 + math.hypot(*u)):
         raise ValueError(f"baseline '{baseline.name}' misses psi0(0, u) = iu "
                          f"by {miss:.3e}")
     jet, jet0 = [_flow_jet(m, iu, truncation)
                  for m in (target, baseline.model)]
+    difference = [list(map(sub, row, row0)) for row, row0 in zip(jet, jet0)]
     return _series_result(eval_baseline_cf(baseline, x, u, t),
-                          _exp_jet(jet - jet0, x), t, GENERALIZED)
+                          _exp_jet(difference, x), t, GENERALIZED)

@@ -15,8 +15,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from operator import mul
 
 from .symbols import AffineModel, _checked_point, _jump_symbol, eval_symbol
 
@@ -46,7 +45,7 @@ class IntegratorConfig:
 class RiccatiResult:
     value: complex
     phi: complex
-    psi: np.ndarray
+    psi: tuple  # psi_1 .. psi_d, complex
     step_error: float  # step-halving estimate on the final CF value
 
 
@@ -121,27 +120,27 @@ def riccati_cf(model: AffineModel, x, u, t: float,
     when |psi| passes BLOWUP_LIMIT at the start of a step."""
     x, u = _checked_point(x, u, t, model.dimension)
     if t == 0.0:
-        return RiccatiResult(np.exp(1j * (u @ x)), 0.0 + 0.0j, 1j * u, 0.0)
+        return RiccatiResult(cmath.exp(1j * sum(map(mul, u, x))), 0.0 + 0.0j,
+                             tuple(1j * v for v in u), 0.0)
     source, namespace = _rk4_program(model)
     exec(compile(source, "<riccati-rk4>", "exec"), namespace)
     rk4 = namespace["rk4"]
-    psi0 = [1j * float(v) for v in u]
+    psi0 = [1j * v for v in u]
     phi_fine, psi_fine = rk4(psi0, t, 2 * config.steps)
     phi_coarse, psi_coarse = rk4(psi0, t, config.steps)
-    psi_fine, psi_coarse = np.array(psi_fine), np.array(psi_coarse)
-    val_fine = np.exp(phi_fine + psi_fine @ x)
-    val_coarse = np.exp(phi_coarse + psi_coarse @ x)
+    val_fine = cmath.exp(phi_fine + sum(map(mul, psi_fine, x)))
+    val_coarse = cmath.exp(phi_coarse + sum(map(mul, psi_coarse, x)))
     # Richardson: RK4 halving reduces the error ~16x, so the difference is
     # ~15/16 of the coarse error; report it directly as a conservative bound.
-    return RiccatiResult(val_fine, phi_fine, psi_fine,
+    return RiccatiResult(val_fine, phi_fine, tuple(psi_fine),
                          abs(val_fine - val_coarse))
 
 
 def slopes_vanish(model: AffineModel) -> bool:
     """Whether every slope block is zero and no slope component jumps: then
     psi stays at iu and the CF is the Levy-Khintchine form."""
-    return not any(np.any(np.asarray(m, float)) for m in model.a_slope) and \
-        not np.any(np.asarray(model.b_slope, float)) and \
+    return not any(v for m in model.a_slope for row in m for v in row) and \
+        not any(v for row in model.b_slope for v in row) and \
         all(j.total_mass == 0.0 for j in model.jumps[1:])
 
 
@@ -151,7 +150,7 @@ def levy_khintchine_cf(model: AffineModel, x, u, t: float) -> complex:
         raise ValueError("Levy-Khintchine form requires zero slope "
                          "coefficients and no slope jumps")
     x, u = _checked_point(x, u, t, model.dimension)
-    return np.exp(1j * (u @ x) + t * eval_symbol(model, x, u))
+    return cmath.exp(1j * sum(map(mul, u, x)) + t * eval_symbol(model, x, u))
 
 
 # ---------------------------------------------------------------------------

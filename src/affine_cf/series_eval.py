@@ -21,13 +21,13 @@ exact atom algebra of :mod:`symalg` is not used here.
 """
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
-
-import numpy as np
 
 from .oracle import BLOWUP_LIMIT, MomentExplosionError
 from .symbols import AffineModel, _checked_point, component_rows
@@ -90,7 +90,7 @@ class CFResult:
 
 # Relative rounding error of a summed value, a few ulps: no tail estimate
 # is below it.
-ROUNDING_FLOOR = 4 * np.finfo(float).eps
+ROUNDING_FLOOR = 4 * sys.float_info.epsilon
 
 
 def _tail_estimate(contributions, value) -> float:
@@ -132,8 +132,8 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
     if truncation < 1:
         raise ValueError("truncation order must be >= 1")
     x, u = _checked_point(x, u, t, model.dimension)
-    dk = _exp_jet(_flow_jet(model, 1j * u, truncation), x)
-    return _series_result(np.exp(1j * float(u @ x)), dk, t, LOCAL)
+    dk = _exp_jet(_flow_jet(model, [1j * v for v in u], truncation), x)
+    return _series_result(cmath.exp(1j * sum(map(mul, u, x))), dk, t, LOCAL)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +160,7 @@ def _jet_plan(pattern: tuple, truncation: int):
     return parents, axes, degrees, inv_factorial, ends
 
 
-def _flow_jet(model: AffineModel, xi, truncation: int) -> np.ndarray:
+def _flow_jet(model: AffineModel, xi, truncation: int) -> list:
     """Taylor coefficients in h of phi(h, xi) and delta(h) = psi(h, xi) - xi
     to order K, from the model's x = 0 derivative rows at the complex
     vector xi (:func:`symbols.component_rows`).
@@ -172,8 +172,8 @@ def _flow_jet(model: AffineModel, xi, truncation: int) -> np.ndarray:
     |eps| > k: order k reads the prefix of the graded pattern up to degree
     k, and [h^k] delta^eps is the truncated product of the parent power
     delta^(eps - e_j) and delta_j.
-    Returns a (1 + d) x (K + 1) array, row 0 phi and row 1 + l delta_l,
-    column k the coefficient of h^k (column 0 zero)."""
+    Returns (1 + d) lists of K + 1 complex entries, row 0 phi and row
+    1 + l delta_l, entry k the coefficient of h^k (entry 0 zero)."""
     pattern, components = component_rows(model, xi, max(truncation - 1, 0))
     parents, axes, degrees, inv_factorial, ends = \
         _jet_plan(pattern, truncation)
@@ -195,21 +195,29 @@ def _flow_jet(model: AffineModel, xi, truncation: int) -> np.ndarray:
         column = [power[k] for power in powers[:n]]
         for coefficients, row in zip(jet, rows):
             coefficients[k + 1] = sum(map(mul, row[:n], column)) / (k + 1)
-    return np.array(jet)
+    return jet
 
 
-def _exp_jet(jet, x) -> np.ndarray:
-    """b_1 .. b_K of exp(sum_j a_j h^j), a_j = phi_j + delta_j . x read from
-    a (1 + d) x (K + 1) jet (or a difference of jets): b_0 = 1 and
+def _exponent(jet, x) -> list:
+    """a_0 .. a_K, a_j = phi_j + sum_l x_l delta_l,j, of a (1 + d)-row jet:
+    the Taylor coefficients of the exponent phi(h) + delta(h) . x."""
+    exponent = jet[0]
+    for xl, row in zip(x, jet[1:]):
+        exponent = [a + xl * v for a, v in zip(exponent, row)]
+    return exponent
+
+
+def _exp_jet(jet, x) -> list:
+    """b_1 .. b_K of exp(sum_j a_j h^j), a_j the :func:`_exponent` of a
+    (1 + d)-row jet (or a difference of jets): b_0 = 1 and
     k b_k = sum_{j=1..k} j a_j b_(k-j)."""
-    truncation = jet.shape[1] - 1
-    exponent = np.concatenate(([1.0], x)) @ jet
+    exponent = _exponent(jet, x)
     # j a_j for j = 1..K
-    weighted = [j * a for j, a in enumerate(exponent.tolist())][1:]
+    weighted = [j * a for j, a in enumerate(exponent)][1:]
     b = [1.0 + 0.0j]
-    for k in range(1, truncation + 1):
+    for k in range(1, len(exponent)):
         b.append(sum(map(mul, weighted[:k], b[::-1])) / k)
-    return np.array(b[1:])
+    return b[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -231,41 +239,41 @@ def eval_globalized(model: AffineModel, x, u, t: float,
         raise ValueError("truncation order must be >= 1")
     x, u = _checked_point(x, u, t, model.dimension)
     if t == 0:
-        value = complex(np.exp(1j * float(u @ x)))
+        value = cmath.exp(1j * sum(map(mul, u, x)))
         return CFResult(value, [], truncation, ROUNDING_FLOOR * abs(value),
                         GLOBALIZED)
 
     # Semiflow: at xi = psi(s, iu) the flow jet of the rows at xi gives
     # phi(h, xi) and psi(h, xi) - xi, so only phi and xi are carried from
     # step to step.
-    weights = np.concatenate(([1.0], x))
-    xi, phi, s, rel_tail, steps = 1j * u, 0.0 + 0.0j, 0.0, 0.0, 0
+    xi, phi, s, rel_tail, steps = [1j * v for v in u], 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
-        if not np.all(np.abs(xi) <= BLOWUP_LIMIT):
+        if not all(abs(z) <= BLOWUP_LIMIT for z in xi):
             raise MomentExplosionError(s)
         jet = _flow_jet(model, xi, truncation)
         # The step puts the last term at the rounding floor, but is at least
         # a twentieth of the jet's root-test radius |jet_K|^(-1/K): below
         # K = 12 the last term sits at 20^-K instead, so low orders take few
         # steps.
-        last = np.max(np.abs(jet[:, -1]))
+        last = max(abs(row[-1]) for row in jet)
         reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
         h = t - s if last == 0.0 else \
             min(t - s, reach * last ** (-1.0 / truncation))
-        hk = h ** np.arange(truncation + 1)
-        increment = jet @ hk
-        terms = weights @ jet[:, 1:] * hk[1:]
+        hk = [h ** k for k in range(truncation + 1)]
+        increment = [sum(map(mul, row, hk)) for row in jet]
+        terms = list(map(mul, _exponent(jet, x)[1:], hk[1:]))
         phi += increment[0]
-        xi = xi + increment[1:]
+        xi = [z + dz for z, dz in zip(xi, increment[1:])]
         # rounding is relative to the exponent phi + xi . x
-        rel_tail += _tail_estimate(list(terms), 1.0 + abs(phi + xi @ x))
+        rel_tail += _tail_estimate(terms,
+                                   1.0 + abs(phi + sum(map(mul, xi, x))))
         s = t if h == t - s else s + h
         steps += 1
     # each xi update rounds twice at the scale of xi (the summed series and
     # the addition), and the flow carries those ulps to the end as it
     # carries xi itself: two ulps of the final xi, times |x|, per step
-    ulp = np.spacing(np.abs(xi.real)) + np.spacing(np.abs(xi.imag))
-    rel_tail += 2 * steps * float(ulp @ np.abs(x))
-    value = complex(np.exp(phi + xi @ x))
-    return CFResult(value, list(value * terms), truncation,
+    ulp = [math.ulp(abs(z.real)) + math.ulp(abs(z.imag)) for z in xi]
+    rel_tail += 2 * steps * sum(map(mul, ulp, map(abs, x)))
+    value = cmath.exp(phi + sum(map(mul, xi, x)))
+    return CFResult(value, [value * term for term in terms], truncation,
                     rel_tail * abs(value), GLOBALIZED)

@@ -20,11 +20,11 @@ import cmath
 import itertools
 import json
 import math
+import numbers
 import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .multiindex import flattened_indices
 from .symalg import BASE, SLOPE, AtomKey
@@ -46,22 +46,55 @@ def _norm_cdf(y: float) -> float:
 
 def _floats(name: str, block, ndim: int) -> tuple:
     """``block`` as nested tuples of Python floats (a Python float when
-    ``ndim`` is 0); anything but an array of finite numbers with ``ndim``
-    axes is refused with a ValueError naming the block."""
+    ``ndim`` is 0); anything but a rectangular nested sequence (an ndarray
+    too) of finite numbers with ``ndim`` axes is refused with a ValueError
+    naming the block."""
     try:
-        arr = np.asarray(block, dtype=float)
+        value = _nested(block, ndim)
     except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != ndim:
         kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
-        raise ValueError(f"{name} must be {kind}, got {block!r}")
-    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} must be {kind}, got {block!r}") from None
+    if not all(map(math.isfinite, _flat(value))):
         raise ValueError(f"{name} must be finite, got {block}")
-    return _tuples(arr.tolist())
+    return value
 
 
-def _tuples(nested):
-    return tuple(map(_tuples, nested)) if isinstance(nested, list) else nested
+def _nested(block, ndim: int):
+    """``block`` as nested tuples of floats with ``ndim`` axes of equal
+    lengths; TypeError or ValueError otherwise.  An empty sequence has one
+    axis only, as an array built from it would."""
+    if ndim == 0:
+        return float(block)
+    if isinstance(block, (str, bytes, Mapping)) or \
+            not hasattr(block, "__getitem__"):
+        raise TypeError(f"not a sequence: {block!r}")
+    items = tuple(_nested(item, ndim - 1) for item in block)
+    if not items and ndim > 1 or len(set(map(_shape, items))) > 1:
+        raise ValueError("ragged")
+    return items
+
+
+def _flat(value) -> list:
+    if not isinstance(value, tuple):
+        return [value]
+    return [v for item in value for v in _flat(item)]
+
+
+def _shape(value) -> tuple:
+    """The axis lengths of a rectangular nested tuple (() for a float)."""
+    shape = ()
+    while isinstance(value, tuple):
+        shape += (len(value),)
+        value = value[0] if value else None
+    return shape
+
+
+def _symmetric(a) -> bool:
+    """Whether a square block passes numpy.allclose(a, a.T, atol=1e-12):
+    |a_ij - a_ji| <= 1e-12 + 1e-5 |a_ji| at every (i, j)."""
+    n = len(a)
+    return all(abs(a[i][j] - a[j][i]) <= 1e-12 + 1e-5 * abs(a[j][i])
+               for i in range(n) for j in range(n))
 
 
 def _intensity(value) -> float:
@@ -112,8 +145,8 @@ class GaussianJumps:
         object.__setattr__(self, "intensity", _intensity(self.intensity))
         object.__setattr__(self, "mean", _floats("mean", self.mean, 1))
         object.__setattr__(self, "cov", _floats("cov", self.cov, 2))
-        c = np.asarray(self.cov)
-        if not np.allclose(c, c.T, atol=1e-12):
+        c = self.cov
+        if _shape(c) != (len(c), len(c)) or not _symmetric(c):
             raise ValueError("jump covariance must be symmetric")
 
     @property
@@ -154,9 +187,10 @@ class GaussianJumps:
         Requires a diagonal covariance when d > 1 (the box integral only
         factorizes then); the univariate case is unrestricted.
         """
-        m, c = self.mean, np.asarray(self.cov)
+        m, c = self.mean, self.cov
         d = len(m)
-        if d > 1 and not np.allclose(c, np.diag(np.diag(c)), atol=1e-14):
+        if d > 1 and any(abs(c[i][k]) > 1e-14 for i in range(d)
+                         for k in range(d) if i != k):
             raise ValueError(
                 "unit-ball compensation for multivariate Gaussian jumps "
                 "requires a diagonal covariance"
@@ -177,10 +211,10 @@ class GaussianJumps:
             s = math.sqrt(var)
             return _norm_cdf((1.0 - mu) / s) - _norm_cdf((-1.0 - mu) / s)
 
-        out = self.intensity * trunc_mean(m[j], c[j, j])
+        out = self.intensity * trunc_mean(m[j], c[j][j])
         for i in range(d):
             if i != j:
-                out *= trunc_prob(m[i], c[i, i])
+                out *= trunc_prob(m[i], c[i][i])
         return out
 
 
@@ -207,10 +241,6 @@ class ExponentialJumps:
         return self.intensity
 
     def moments(self, keys, xi) -> list:
-        # numpy complex arithmetic on purpose: numpy divides by the
-        # reciprocal of the denominator, which rounds differently from
-        # Python's quotient, and this family's values are kept bit for bit
-        xi = np.asarray(xi, dtype=complex)
         for th, z in zip(self.rates, xi):
             if z.real >= th:
                 raise ValueError(
@@ -257,6 +287,8 @@ class UserJump:
                     f"user jump transform declared up to order {self.max_order}, "
                     f"requested eps={tuple(eps)}"
                 )
+        import numpy as np  # the callback's documented argument type
+
         xi = np.asarray(xi, dtype=complex)
         return [complex(self.transform(tuple(eps), xi)) for eps in keys]
 
@@ -298,12 +330,12 @@ class AffineModel:
         for name, shape in (("a0", (d, d)), ("a_slope", (d, d, d)),
                             ("b0", (d,)), ("b_slope", (d, d))):
             block = _floats(name, getattr(self, name), len(shape))
-            if np.shape(block) != shape:
+            if _shape(block) != shape:
                 raise ValueError(f"{name} must have shape {shape} in "
                                  f"dimension {d}, got {block}")
             object.__setattr__(self, name, block)
         for a in (self.a0, *self.a_slope):
-            if not np.allclose(a, np.transpose(a), atol=1e-12):
+            if not _symmetric(a):
                 raise ValueError("a0 and each a_slope block must be symmetric")
         try:
             domain = tuple((None if lo is None else float(lo),
@@ -348,7 +380,7 @@ class AffineModel:
         except TypeError:
             raise ValueError(
                 f"dimension must be an integer, got {dimension!r}") from None
-        zero = np.zeros((d, d))
+        zero = ((0.0,) * d,) * d
         return cls(d, zero if a0 is None else a0,
                    [zero] * d if a_slope is None else a_slope,
                    zero[0] if b0 is None else b0,
@@ -359,6 +391,8 @@ class AffineModel:
     def check_semielliptic(self, samples: int = 64, seed: int = 0) -> bool:
         """Sampled check that a(x) >= 0 on the state domain (corners plus
         random interior points; unbounded sides are clipped to +-10)."""
+        import numpy as np  # a check for tests, off every evaluation path
+
         d = self.dimension
         box = self.state_domain or tuple((-10.0, 10.0) for _ in range(d))
         lo = np.array([(-10.0 if b[0] is None else b[0]) for b in box])
@@ -421,15 +455,18 @@ def _compile(model: AffineModel) -> tuple:
 
 
 def _jump_symbol(jump_part: tuple, d: int):
-    """``(val, xi) -> val + J(0, xi) - mass``, minus the unit-ball
-    compensator sum_j xi_j comp_j when there is one: the jump part of one
-    compiled component added to its polynomial part ``val``, at a sequence
-    xi of Python complex scalars."""
+    """``(val, xi, moment=None) -> val + J(0, xi) - mass``, minus the
+    unit-ball compensator sum_j xi_j comp_j when there is one: the jump part
+    of one compiled component added to its polynomial part ``val``, at a
+    sequence xi of Python complex scalars.  J(0, xi) is asked of the jump
+    family unless the caller passes it in as ``moment``."""
     jump, mass, comp = jump_part
     order0 = ((0,) * d,)
 
-    def add(val, xi) -> complex:
-        val += jump.moments(order0, xi)[0] - mass
+    def add(val, xi, moment=None) -> complex:
+        if moment is None:
+            moment = jump.moments(order0, xi)[0]
+        val += moment - mass
         if comp is not None:
             val -= sum(z * cj for z, cj in zip(xi, comp))
         return complex(val)
@@ -437,27 +474,41 @@ def _jump_symbol(jump_part: tuple, d: int):
     return add
 
 
-def _vector(name: str, v, dimension: int, dtype=float) -> np.ndarray:
-    """``v`` as a 1-d array of ``dimension`` entries; any other length is
-    refused with a ValueError naming both."""
-    v = np.atleast_1d(np.asarray(v, dtype=dtype))
-    if v.shape != (dimension,):
-        raise ValueError(f"{name} has length {v.size}, but the model has "
+def _vector(name: str, v, dimension: int | None = None, kind=float) -> tuple:
+    """``v``, a number or a sequence of numbers (an ndarray too), as a
+    tuple of Python floats (of ``kind``); a complex entry where floats are
+    wanted, a non-number and a length other than ``dimension`` (when one is
+    given) are refused with a ValueError naming the vector."""
+    try:
+        items = (v,) if isinstance(v, str) else tuple(v)
+    except TypeError:  # a number (a 0-d array too) is a 1-vector
+        items = (v,)
+    if kind is float and any(isinstance(z, numbers.Complex)
+                             and not isinstance(z, numbers.Real)
+                             for z in items):
+        raise ValueError(f"{name} must be real, got {v!r}")
+    try:
+        items = tuple(map(kind, items))
+    except TypeError:
+        raise ValueError(f"{name} must be a vector of numbers, "
+                         f"got {v!r}") from None
+    if dimension is not None and len(items) != dimension:
+        raise ValueError(f"{name} has length {len(items)}, but the model has "
                          f"dimension {dimension}")
-    return v
+    return items
 
 
 def _checked_point(x, u, t: float, dimension: int):
-    """x and u as float vectors of the model's dimension; a negative t, a
-    non-finite t, x or u and a vector of another length are refused with a
-    ValueError."""
+    """x and u as float tuples of the model's dimension; a negative t, a
+    non-finite t, x or u, a complex x or u and a vector of another length
+    are refused with a ValueError."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < 0:
         raise ValueError("t must be >= 0")
     x = _vector("x", x, dimension)
     u = _vector("u", u, dimension)
-    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(u))):
+    if not all(map(math.isfinite, x + u)):
         raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
     return x, u
 
@@ -475,7 +526,8 @@ def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
 
 def eval_symbol(model: AffineModel, x, u) -> complex:
     """sigma(x, iu) for real frequency u."""
-    return eval_symbol_xi(model, x, 1j * _vector("u", u, model.dimension))
+    return eval_symbol_xi(model, x,
+                          [1j * v for v in _vector("u", u, model.dimension)])
 
 
 def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
@@ -485,10 +537,11 @@ def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
     Orders 0 to 2 come from the quadratic and linear parts plus the jump
     part (:func:`_jump_symbol` at order 0, the jump moments above), higher
     orders (to max_order) from the jump moments alone, each family's from
-    one ``moments`` call.  A jump-free component vanishes above order 2, so
-    its row stops there, a prefix of the pattern."""
+    one ``moments`` call over the whole pattern.  A jump-free component
+    vanishes above order 2, so its row stops there, a prefix of the
+    pattern."""
     d = model.dimension
-    xs = [complex(z) for z in np.atleast_1d(np.asarray(xi, dtype=complex))]
+    xs = [complex(z) for z in xi]
     comps = model._compiled
     jumps = any(jump_part is not None for _, _, jump_part in comps)
     low = flattened_indices(d, min(max_order, 2) + 1)
@@ -513,9 +566,9 @@ def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
                                       for eps in low[1:]]
         else:
             jump, _, comp = jump_part
-            keys = pattern[1:]
-            row = [_jump_symbol(jump_part, d)(value, xs)]
-            for eps, moment in zip(keys, jump.moments(keys, xs)):
+            moments = jump.moments(pattern, xs)
+            row = [_jump_symbol(jump_part, d)(value, xs, moments[0])]
+            for eps, moment in zip(pattern[1:], moments[1:]):
                 val = poly.get(eps, 0.0) + moment
                 if comp is not None and sum(eps) == 1:
                     val -= comp[eps.index(1)]
@@ -554,7 +607,7 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
     are rows 1..d over their live prefixes of the pattern, and the base
     table is row 0 + sum_l x_l row l over the whole pattern."""
     d = model.dimension
-    x = _vector("x", x, d).tolist()
+    x = _vector("x", x, d)
     pattern, rows = component_rows(model, _vector("xi", xi, d, complex),
                                    max_order)
     base = {}
@@ -570,7 +623,7 @@ def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTab
 
 def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
     u = _vector("u", u, model.dimension)
-    return eval_symbol_table_xi(model, x, 1j * u, max_order)
+    return eval_symbol_table_xi(model, x, [1j * v for v in u], max_order)
 
 
 # ---------------------------------------------------------------------------

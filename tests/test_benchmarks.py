@@ -51,10 +51,16 @@ def test_bench_convergence():
 def test_bench_exact():
     out = run_script("bench_exact.py", "--series", "1:4", "--triangle", "4",
                      "--repeats", "1")
-    rows = [line for line in out.splitlines()
-            if line and not line.startswith(("layer", "start-up"))]
+    layer_part, start_part = out.split("\nstart-up")
+    rows = [line for line in layer_part.splitlines()
+            if line and not line.startswith("layer")]
+    starts = [line.split() for line in start_part.splitlines()[1:] if line]
     layers = {row.split()[0] for row in rows}
     assert {"d_series", "coefficient_recursion", "cross_check",
             "counting_triangle", "correction_series"} <= layers
     # the last column holds the run times, one per repeat
     assert all(float(row.split()[-1]) >= 0.0 for row in rows)
+    assert all(float(row[-1]) >= 0.0 for row in starts)
+    # no start-up loads numpy, the numeric CLI's included: with one repeat
+    # the numpy column is the fourth from the right
+    assert len(starts) == 5 and all(row[-4] == "no" for row in starts)

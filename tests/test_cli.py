@@ -258,6 +258,26 @@ class TestTriangle:
             "b2e2df753c9006c8db9e4304db1640143732507c3b38d770929371c06c3058df")
 
 
+class TestAxes:
+    def test_an_axis_is_numpys_linspace_bit_for_bit(self):
+        # the CLI spaces its axes without numpy, to the same floats (signed
+        # zeros included): one point, lo = hi, spans of every scale and
+        # denormal spans, where numpy scales before multiplying
+        rng = np.random.default_rng(20261020)
+        triples = [(0.0, 1.0, 1), (-0.0, 1.0, 1), (2.5, 2.5, 7), (-0.0, 0.0, 3),
+                   (0.0, 5e-324, 2), (0.0, 5e-324, 9), (-1e-320, 1e-320, 6)]
+        while len(triples) < 1000:
+            scale = 10.0 ** rng.integers(-310, 300)
+            lo, hi = rng.uniform(-1.0, 1.0, 2) * scale
+            if rng.random() < 0.1:
+                hi = lo
+            triples.append((float(lo), float(hi), int(rng.integers(1, 60))))
+        for lo, hi, n in triples:
+            axis = cli._parse_axis(f"{lo!r}:{hi!r}:{n}")
+            assert list(map(float.hex, axis)) == \
+                list(map(float.hex, np.linspace(lo, hi, n))), (lo, hi, n)
+
+
 class TestErrors:
     def test_missing_model(self, capsys):
         code, out, err = run(capsys, "eval", "--model", "no-such.json")

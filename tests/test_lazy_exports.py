@@ -1,4 +1,4 @@
-"""The package exports load on first use, and the exact paths load no numpy."""
+"""The package exports load on first use, and no library path loads numpy."""
 import importlib
 import json
 import os
@@ -62,6 +62,14 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules}}))
 """
 
 
+MODELS = Path(__file__).resolve().parent.parent / "models"
+
+
+def cli_run(command, model, *args):
+    return CLI_RUN.format(argv=[command, "--model", str(MODELS / model),
+                                "--k", "4", *args])
+
+
 @pytest.mark.parametrize("code", [
     "import json, sys\n"
     "from affine_cf import symalg\n"
@@ -73,17 +81,47 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules}}))
     "from affine_cf import kernels\n"
     "print(json.dumps({'code': 0 if kernels.USING_NUMBA is False else 1,"
     " 'numpy': 'numpy' in sys.modules}))",
+    "import json, sys\n"
+    "from affine_cf import series_eval, gensym, oracle\n"
+    "print(json.dumps({'code': 0, 'numpy': 'numpy' in sys.modules}))",
     CLI_RUN.format(argv=["triangle", "--k", "8"]),
     CLI_RUN.format(argv=["tables", "--k", "4", "--dimension", "2"]),
     CLI_RUN.format(argv=["--version"]),
     CLI_RUN.format(argv=["--help"]),
-], ids=["symalg", "kernels", "triangle", "tables", "version", "help"])
-def test_exact_paths_load_no_numpy(code):
+    cli_run("eval", "cir.json", "--mode", "local"),
+    cli_run("eval", "vasicek.json", "--mode", "global", "--t", "3.0"),
+    cli_run("eval", "cir.json", "--mode", "generalized", "--baseline", "zero"),
+    cli_run("eval", "vasicek.json", "--mode", "generalized",
+            "--baseline", "vasicek"),
+    cli_run("eval", "heston.json", "--mode", "generalized",
+            "--baseline", "heston", "--u", "1.0;0.0", "--x", "0.0;0.04"),
+    cli_run("compare", "cir.json", "--u=-2:2:3"),
+    cli_run("compare", "heston.json", "--u", "1.0;0.0", "--x", "0.0;0.04"),
+    cli_run("compare", "bm_jumps.json"),
+], ids=["symalg", "kernels", "numeric-modules", "triangle", "tables",
+        "version", "help", "eval-local", "eval-global", "eval-zero",
+        "eval-vasicek", "eval-heston", "compare-cir", "compare-heston",
+        "compare-bm_jumps"])
+def test_library_paths_load_no_numpy(code):
     assert fresh(code) == {"code": 0, "numpy": False}
 
 
-def test_eval_loads_the_numeric_layers():
-    """The probe above can tell: an eval request does load numpy."""
-    models = Path(__file__).resolve().parent.parent / "models"
-    argv = ["eval", "--model", str(models / "cir.json"), "--k", "4"]
-    assert fresh(CLI_RUN.format(argv=argv)) == {"code": 0, "numpy": True}
+USER_JUMP_EVAL = """
+import cmath, json, sys
+from affine_cf.series_eval import eval_local
+from affine_cf.symbols import AffineModel, NoJumps, UserJump
+
+# jumps of size 1 at rate 0.5: J(eps, xi) = 0.5 exp(xi)
+jumps = UserJump(lambda eps, xi: 0.5 * cmath.exp(xi[0]), total_mass=0.5,
+                 max_order=8)
+model = AffineModel.from_arrays(a0=[[0.1]], jumps=(jumps, NoJumps()))
+value = eval_local(model, [0.0], [1.0], 0.5, 4).value
+print(json.dumps({"code": 0 if abs(value) <= 1.0 else 1,
+                  "numpy": "numpy" in sys.modules}))
+"""
+
+
+def test_a_user_jump_evaluation_loads_numpy():
+    """The probe above can tell: a user jump transform is handed a complex
+    ndarray, so its evaluation does load numpy."""
+    assert fresh(USER_JUMP_EVAL) == {"code": 0, "numpy": True}

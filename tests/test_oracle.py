@@ -107,7 +107,7 @@ class TestPinnedValues:
         res = riccati_cf(model_fn(), x, u, t)
         assert abs(res.value - value) <= 1e-15 * abs(value)
         assert abs(res.step_error - step_error) <= 1e-15 * step_error
-        assert isinstance(res.psi, np.ndarray) and res.psi.shape == (len(u),)
+        assert isinstance(res.psi, tuple) and len(res.psi) == len(u)
 
     def test_blow_up_time(self):
         model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0],

@@ -9,7 +9,8 @@ from affine_cf import series_eval
 from affine_cf.gensym import (eval_generalized, heston_baseline,
                               vasicek_baseline, zero_baseline)
 from affine_cf.oracle import (CIRParams, MomentExplosionError, VasicekParams,
-                              cir_cf, cir_model, heston_cf, riccati_cf)
+                              cir_cf, cir_model, heston_cf,
+                              levy_khintchine_cf, riccati_cf)
 from affine_cf.series_eval import (
     GLOBALIZED,
     LOCAL,
@@ -394,7 +395,8 @@ class TestFlowJet:
         # expanded through the exponential is the paper's series L^k 1 / k!,
         # here the exact atom-algebra series read at the table of (x, xi)
         jet = series_eval._flow_jet(model, xi, K)
-        assert jet.shape == (1 + len(x), K + 1)
+        assert len(jet) == 1 + len(x) and \
+            all(len(row) == K + 1 for row in jet)
         exponent = np.concatenate(([1.0], x)) @ jet
         series = [1.0 + 0.0j]
         for k in range(1, K + 1):
@@ -427,6 +429,30 @@ class TestNonFinitePoints:
         # as a silent NaN (or as 0 at an infinite x)
         with pytest.raises(ValueError, match="finite"):
             evaluate(cir(), x, u, t, 8)
+
+
+class TestNonRealPoints:
+    """A complex u (or x) is refused with a ValueError naming the vector,
+    by the series modes and by both oracles."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda model, x, u, t: eval_local(model, x, u, t, 8),
+        lambda model, x, u, t: eval_globalized(model, x, u, t, 8),
+        lambda model, x, u, t: eval_generalized(model, zero_baseline(1),
+                                                x, u, t, 8),
+        riccati_cf,
+        levy_khintchine_cf,
+    ], ids=["local", "globalized", "generalized", "riccati",
+            "levy-khintchine"])
+    @pytest.mark.parametrize("x,u,name", [
+        ([0.1], [2 - 1j], "u"), ([0.1], 2 - 1j, "u"),
+        ([0.1], np.array([2 - 1j]), "u"), ([0.1 + 0j], [2.0], "x"),
+    ], ids=["u-list", "u-scalar", "u-ndarray", "x-list"])
+    def test_refused(self, evaluate, x, u, name):
+        # the Levy-Khintchine form needs vanishing slopes: Brownian motion
+        model = bm_model() if evaluate is levy_khintchine_cf else cir()
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            evaluate(model, x, u, 0.5)
 
 
 def _generalized(model, x, u, t, K):
