@@ -22,7 +22,10 @@ the rows, its power-series exponential and the summation);
 ``eval_globalized``
 per point at K = 16 on CIR at t = 1 and 5, on Heston at t = 5, on the
 4-d diffusion at t = 2 and on two jump models at t = 2 (``expj``, 1-d, and
-``ubg``, 2-d, whose flow jets run over every eps up to K - 1);
+``ubg``, 2-d, whose flow jets run over every eps up to K - 1), and
+``semiflow``, the same cases warm (after one untimed point), split into
+the derivative rows and the rest (each step's flow jet and its update),
+with the steps per point;
 ``eval_generalized`` per point at K = 16 on CIR around the Vasicek process
 of its drift and on Heston with b21 = 2, s = 0.5 around the Heston
 baseline (two flow jets per point, the target's and the baseline's).  The median CPU time and the median peak RSS
@@ -168,8 +171,9 @@ def _generalized(case: str):
 
 def _split_timers(series_eval) -> dict:
     """Wrap ``series_eval.component_rows`` so that it adds its CPU seconds
-    to the returned table total; the rest of a grid is the jet's."""
-    totals = {"table_s": 0.0}
+    to the returned table total and counts its calls (one per semiflow
+    step); the rest of a grid or a semiflow is the jet's."""
+    totals = {"table_s": 0.0, "steps": 0}
     rows = series_eval.component_rows
 
     def timed(*args):
@@ -178,15 +182,17 @@ def _split_timers(series_eval) -> dict:
             return rows(*args)
         finally:
             totals["table_s"] += time.process_time() - start
+            totals["steps"] += 1
     series_eval.component_rows = timed
     return totals
 
 
 def measure(what: str, case: str, n: int) -> dict:
     """CPU seconds per point (riccati_cf, eval_local, eval_globalized,
-    eval_generalized) or per warm grid (grid, with the table and jet
-    shares), measured inside the fresh interpreter, and its peak RSS in MB;
-    model building is untimed."""
+    eval_generalized, and the warm semiflow with its table and jet shares
+    and steps) or per warm grid (grid, with the table and jet shares),
+    measured inside the fresh interpreter, and its peak RSS in MB; model
+    building is untimed."""
     from affine_cf import series_eval
     from affine_cf.gensym import eval_generalized
     from affine_cf.oracle import riccati_cf
@@ -196,7 +202,7 @@ def measure(what: str, case: str, n: int) -> dict:
         model, baseline = _generalized(case)
         case = GENERALIZED[case]
     else:
-        if what == "eval_globalized":
+        if what in ("eval_globalized", "semiflow"):
             case, horizon = GLOBALIZED[case]
         elif what in ("eval_local", "grid"):
             case, order = (LOCAL if what == "eval_local" else GRID)[case]
@@ -214,6 +220,12 @@ def measure(what: str, case: str, n: int) -> dict:
         for _ in range(n):
             for u in grid:
                 series_eval.eval_local(model, x, u, t, order)
+    elif what == "semiflow":
+        eval_globalized(model, x, us[0], horizon, 16)
+        split = _split_timers(series_eval)
+        start = time.process_time()
+        for i in range(n):
+            series_eval.eval_globalized(model, x, us[i % len(us)], horizon, 16)
     elif what == "riccati_cf":
         start = time.process_time()
         for i in range(n):
@@ -233,6 +245,8 @@ def measure(what: str, case: str, n: int) -> dict:
     cpu_s = (time.process_time() - start) / n
     if split:
         split["jet_s"] = cpu_s * n - split["table_s"]
+        if what == "grid":
+            del split["steps"]
     # ru_maxrss is in kB on Linux
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     return {"cpu_s": cpu_s, "rss_mb": rss_mb,
@@ -267,9 +281,11 @@ def main() -> None:
     jobs += [("eval_local", case, args.points) for case in LOCAL]
     jobs += [("grid", case, GRID_REPEATS) for case in GRID]
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
+    jobs += [("semiflow", case, args.points) for case in GLOBALIZED]
     jobs += [("eval_generalized", case, args.points) for case in GENERALIZED]
     print(f"{'what':<16} {'case':<12} {'n':>3} {'ms each (median)':>17} "
-          f"{'rss MB':>7}  all runs (ms)  [grid: median table / jet ms]")
+          f"{'rss MB':>7}  all runs (ms)  [grid, semiflow: median table / "
+          f"jet ms, steps per point]")
     for what, case, n in jobs:
         runs = [fresh(what, case, n) for _ in range(args.repeats)]
         times = [r["cpu_s"] * 1e3 for r in runs]
@@ -277,6 +293,8 @@ def main() -> None:
         split = "".join(
             f"  {key[:-2]} {statistics.median(r[key] for r in runs) * 1e3:.2f}"
             for key in ("table_s", "jet_s") if key in runs[0])
+        if "steps" in runs[0]:
+            split += f"  steps {statistics.median(r['steps'] for r in runs):.1f}"
         print(f"{what:<16} {case:<12} {n:>3} {statistics.median(times):>17.2f} "
               f"{rss:>7.1f}  " + " ".join(f"{t:.2f}" for t in times) + split)
 

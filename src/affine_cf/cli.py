@@ -22,7 +22,6 @@ from itertools import product
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .symalg import coefficient_recursion, coefficients_to_jsonable, counting_triangle
 
 if TYPE_CHECKING:
     from .symbols import AffineModel
@@ -35,11 +34,13 @@ BASELINES = ("heston", "vasicek", "zero")
 
 # Importing the numeric layers (series_eval, gensym, oracle, symbols) adds
 # about 0.02 s CPU to a fresh process, a quarter of a fresh `triangle`, so
-# tables, triangle, --help and --version leave them unimported; no layer
-# imports numpy.  eval and compare bind these names on first use, as
-# does an attribute lookup on this module (a tracer, a test); a name already
-# bound (a tracer's wrapper, a monkeypatch) is never replaced.  The commands
-# look them up as module globals at call time.
+# tables, triangle, --help and --version leave them unimported.  In turn
+# only tables and triangle import the exact engine (symalg, with its
+# Fraction arithmetic), and no layer imports numpy.  eval and compare bind
+# these names on first use, as does an attribute lookup on this module (a
+# tracer, a test); a name already bound (a tracer's wrapper, a monkeypatch)
+# is never replaced.  The commands look them up as module globals at call
+# time.
 _NUMERIC = {
     "eval_local": "series_eval",
     "eval_globalized": "series_eval",
@@ -188,7 +189,6 @@ def cmd_eval(args) -> dict:
 
 
 def cmd_compare(args) -> dict:
-    import statistics
     import time
 
     from .symbols import load_model
@@ -228,12 +228,16 @@ def cmd_compare(args) -> dict:
                        abs_err=err, rel_err=rel, oracle_err=ref_err)
         rows.append(row)
     t_oracle = time.perf_counter() - t_oracle
+    # statistics.median's value, without its fractions and decimal imports
+    rels.sort()
+    mid = len(rels) // 2
 
     summary = {
         "oracle": oracle_name,
         "points": len(rows),
         "max_rel_err": max(rels) if rels else float("nan"),
-        "median_rel_err": statistics.median(rels) if rels else float("nan"),
+        "median_rel_err": (rels[mid] + rels[~mid]) / 2 if rels
+                          else float("nan"),
         "series_seconds": t_series,
         "oracle_seconds": t_oracle,
     }
@@ -242,6 +246,8 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_tables(args) -> dict:
+    from .symalg import coefficient_recursion, coefficients_to_jsonable
+
     if args.k > 20:
         raise CliError("tables rows are capped at 20")
     rows = coefficient_recursion(args.dimension, args.k)
@@ -250,6 +256,8 @@ def cmd_tables(args) -> dict:
 
 
 def cmd_triangle(args) -> dict:
+    from .symalg import counting_triangle
+
     if args.k > 20:
         raise CliError("triangle rows are capped at 20")
     tri = counting_triangle(args.k)

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from operator import mul, sub
 
 from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
-from .symalg import DBASE, DSLOPE, AtomKey, difference_series
 from .symbols import AffineModel, _checked_point, _vector, eval_symbol_xi
 
 GENERALIZED = "Generalized"
@@ -77,10 +76,15 @@ class BaselineSolution:
         return worst
 
 
-def eval_baseline_cf(baseline: BaselineSolution, x, u, t: float) -> complex:
+def _baseline_exponent(baseline: BaselineSolution, x, u, t: float) -> complex:
+    """phi0(t, u) + psi0(t, u) . x"""
     x = _vector("x", x, baseline.model.dimension)
     phi, psi = baseline.exponent(t, u)
-    return cmath.exp(complex(phi) + complex(sum(map(mul, psi, x))))
+    return complex(phi) + complex(sum(map(mul, psi, x)))
+
+
+def eval_baseline_cf(baseline: BaselineSolution, x, u, t: float) -> complex:
+    return cmath.exp(_baseline_exponent(baseline, x, u, t))
 
 
 def zero_baseline(dimension: int) -> BaselineSolution:
@@ -227,6 +231,8 @@ def correction_series(target: AffineModel, baseline: BaselineSolution,
     which makes the nilpotency statement (target = baseline implies d_k = 0
     for k >= 1) structural rather than numeric.
     """
+    from .symalg import DBASE, DSLOPE, AtomKey, difference_series
+
     _check_compatible(target, baseline)
     d = target.dimension
     zero = (0,) * d
@@ -273,5 +279,5 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     jet, jet0 = [_flow_jet(m, iu, truncation)
                  for m in (target, baseline.model)]
     difference = [list(map(sub, row, row0)) for row, row0 in zip(jet, jet0)]
-    return _series_result(eval_baseline_cf(baseline, x, u, t),
+    return _series_result(_baseline_exponent(baseline, x, u, t),
                           _exp_jet(difference, x), t, GENERALIZED)

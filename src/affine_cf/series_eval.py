@@ -93,11 +93,13 @@ class CFResult:
 ROUNDING_FLOOR = 4 * sys.float_info.epsilon
 
 
-def _tail_estimate(contributions, value) -> float:
+def _tail_estimate(contributions, value, exponent=0.0) -> float:
     """|last term| inflated by 1/(1-r), r the last observed term ratio
-    clipped to [0, 0.9]; at least ROUNDING_FLOOR * |value| (1 + sum |terms|),
-    the rounding of the summed terms."""
-    floor = ROUNDING_FLOOR * abs(value) * (1.0 + sum(map(abs, contributions)))
+    clipped to [0, 0.9]; at least ROUNDING_FLOOR * |value| (1 + |exponent|
+    + sum |terms|), the rounding of the summed terms and of a prefactor
+    exp(exponent)."""
+    floor = ROUNDING_FLOOR * abs(value) * (
+        1.0 + abs(exponent) + sum(map(abs, contributions)))
     if not contributions:
         return floor
     last = abs(contributions[-1])
@@ -112,18 +114,19 @@ def _tail_estimate(contributions, value) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _series_result(prefactor, coefficients, t: float, mode: str) -> CFResult:
-    """prefactor (1 + sum_k c_k t^k) with c_1 .. c_K = coefficients, summed
-    from the highest order down (small terms first)."""
+def _series_result(exponent, coefficients, t: float, mode: str) -> CFResult:
+    """exp(exponent) (1 + sum_k c_k t^k) with c_1 .. c_K = coefficients,
+    summed from the highest order down (small terms first).  The tail
+    counts the prefactor's rounding, eps |exponent| |value|."""
     truncation = len(coefficients)
     contributions = [coefficients[k - 1] * t ** k
                      for k in range(1, truncation + 1)]
     series = 0.0 + 0.0j
     for c in reversed(contributions):
         series += c
-    value = prefactor * (1.0 + series)
+    value = cmath.exp(exponent) * (1.0 + series)
     return CFResult(value, contributions, truncation,
-                    _tail_estimate(contributions, value), mode)
+                    _tail_estimate(contributions, value, exponent), mode)
 
 
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
@@ -133,7 +136,7 @@ def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFRe
         raise ValueError("truncation order must be >= 1")
     x, u = _checked_point(x, u, t, model.dimension)
     dk = _exp_jet(_flow_jet(model, [1j * v for v in u], truncation), x)
-    return _series_result(cmath.exp(1j * sum(map(mul, u, x))), dk, t, LOCAL)
+    return _series_result(1j * sum(map(mul, u, x)), dk, t, LOCAL)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +149,9 @@ def _jet_plan(pattern: tuple, truncation: int):
     """Integer data of the flow jet for a live-eps pattern in graded order
     (eps = 0 first, every eps - e_j of a live eps live too): per eps the
     position of its parent eps - e_j, j its first nonzero axis, the axis j,
-    the degree |eps| and 1 / eps!; and per order k < K the number of eps of
-    degree <= k, a prefix of the pattern."""
+    the degree |eps| and 1 / eps!; the number of eps of degree <= 1; and
+    per order k < K the number of eps of degree <= k, a prefix of the
+    pattern, and the number of those of degree >= 2."""
     index = {eps: p for p, eps in enumerate(pattern)}
     axes = tuple(next((j for j, e in enumerate(eps) if e), 0)
                  for eps in pattern)
@@ -156,8 +160,10 @@ def _jet_plan(pattern: tuple, truncation: int):
     degrees = tuple(sum(eps) for eps in pattern)
     inv_factorial = tuple(1.0 / math.prod(map(math.factorial, eps))
                           for eps in pattern)
+    linear = bisect_right(degrees, 1)
     ends = tuple(bisect_right(degrees, k) for k in range(truncation))
-    return parents, axes, degrees, inv_factorial, ends
+    products = tuple(max(n - linear, 0) for n in ends)
+    return parents, axes, degrees, inv_factorial, linear, ends, products
 
 
 def _flow_jet(model: AffineModel, xi, truncation: int) -> list:
@@ -167,34 +173,38 @@ def _flow_jet(model: AffineModel, xi, truncation: int) -> list:
 
     phi' = sigma(psi) and psi_l' = sigma_l(psi) expanded at xi give
     (k+1) [h^(k+1)](phi, delta_l) = sum_eps T[eps] / eps! [h^k] delta^eps,
-    T row 0 for phi and row l for delta_l, each padded with zeros to the
-    pattern.  delta starts at order 1, so [h^k] delta^eps vanishes for
-    |eps| > k: order k reads the prefix of the graded pattern up to degree
-    k, and [h^k] delta^eps is the truncated product of the parent power
-    delta^(eps - e_j) and delta_j.
+    T row 0 for phi and row l for delta_l, zero beyond the row's end.
+    delta starts at order 1, so [h^k] delta^eps vanishes for |eps| > k:
+    order k reads the prefix of the graded pattern up to degree k, and for
+    |eps| >= 2 [h^k] delta^eps is the truncated product of the parent power
+    delta^(eps - e_j) and delta_j.  A first-degree power is its own jet,
+    delta^(e_j) = delta_j, so it is the row itself: the products it would
+    take against the unit series add only exact zeros, and every entry is
+    bit for bit the full products' (up to the sign of an exact zero).
     Returns (1 + d) lists of K + 1 complex entries, row 0 phi and row
     1 + l delta_l, entry k the coefficient of h^k (entry 0 zero)."""
     pattern, components = component_rows(model, xi, max(truncation - 1, 0))
-    parents, axes, degrees, inv_factorial, ends = \
+    parents, axes, degrees, inv_factorial, linear, ends, products = \
         _jet_plan(pattern, truncation)
-    rows = [[v * w for v, w in zip(row, inv_factorial)]
-            + [0j] * (len(pattern) - len(row)) for row in components]
+    rows = [[v * w for v, w in zip(row, inv_factorial)] for row in components]
     jet = [[0j] * (truncation + 1) for _ in rows]
-    # powers[p][k] = [h^k] delta^eps for the eps at position p
-    powers = [[0j] * truncation for _ in pattern]
-    powers[0][0] = 1.0 + 0j
-    links = [(powers[p], powers[parent], jet[1 + j], degree)
-             for p, parent, j, degree in zip(range(1, len(pattern)),
-                                             parents[1:], axes[1:],
-                                             degrees[1:])]
-    for k, n in enumerate(ends):
+    # powers[p][k] = [h^k] delta^eps for the eps at position p: the unit
+    # series at eps = 0 and the row delta_j itself at eps = e_j, so only the
+    # powers of degree >= 2 are products
+    powers = [[1.0 + 0j] + [0j] * (truncation - 1)]
+    powers += [jet[1 + j] for j in axes[1:linear]]
+    powers += [[0j] * truncation for _ in pattern[linear:]]
+    links = [(powers[p], powers[parents[p]], jet[1 + axes[p]], degrees[p] - 2)
+             for p in range(linear, len(pattern))]
+    pairs = list(zip(jet, rows))
+    for k, (n, m) in enumerate(zip(ends, products)):
         # sum_{i=1..k-|eps|+1} delta_j[i] parent[k - i]
-        for power, parent, axis, degree in links[:n - 1]:
-            power[k] = sum(map(mul, axis[1:k - degree + 2],
-                               parent[degree - 1:k][::-1]))
+        for power, parent, axis, stop in links[:m]:
+            power[k] = sum(map(mul, axis[1:k - stop],
+                               parent[k - 1:stop:-1]))
         column = [power[k] for power in powers[:n]]
-        for coefficients, row in zip(jet, rows):
-            coefficients[k + 1] = sum(map(mul, row[:n], column)) / (k + 1)
+        for coefficients, row in pairs:
+            coefficients[k + 1] = sum(map(mul, row, column)) / (k + 1)
     return jet
 
 
@@ -246,17 +256,16 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     # Semiflow: at xi = psi(s, iu) the flow jet of the rows at xi gives
     # phi(h, xi) and psi(h, xi) - xi, so only phi and xi are carried from
     # step to step.
+    # The step puts the last term at the rounding floor, but is at least a
+    # twentieth of the jet's root-test radius |jet_K|^(-1/K): below K = 12
+    # the last term sits at 20^-K instead, so low orders take few steps.
+    reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
     xi, phi, s, rel_tail, steps = [1j * v for v in u], 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
         if not all(abs(z) <= BLOWUP_LIMIT for z in xi):
             raise MomentExplosionError(s)
         jet = _flow_jet(model, xi, truncation)
-        # The step puts the last term at the rounding floor, but is at least
-        # a twentieth of the jet's root-test radius |jet_K|^(-1/K): below
-        # K = 12 the last term sits at 20^-K instead, so low orders take few
-        # steps.
         last = max(abs(row[-1]) for row in jet)
-        reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
         h = t - s if last == 0.0 else \
             min(t - s, reach * last ** (-1.0 / truncation))
         hk = [h ** k for k in range(truncation + 1)]

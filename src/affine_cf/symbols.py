@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .multiindex import flattened_indices
-from .symalg import BASE, SLOPE, AtomKey
 
 NO_COMPENSATION = "none"
 UNIT_BALL = "unit_ball"
@@ -590,7 +589,10 @@ class SymbolTable:
 
     def atom_values(self) -> dict:
         """AtomKey -> complex map consumed by SymPoly evaluation: every key
-        up to ``max_order``, exact zeros where the table holds none."""
+        up to ``max_order``, exact zeros where the table holds none.  The
+        exact engine is imported here, off every numeric path."""
+        from .symalg import BASE, SLOPE, AtomKey
+
         keys = flattened_indices(self.dimension, self.max_order + 1)
         vals = {}
         for eps in keys:

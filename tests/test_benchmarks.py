@@ -30,12 +30,14 @@ def run_script(name: str, *args) -> str:
     ("grid", "cir-K16"),
     ("grid", "bm_jumps-K16"),
     ("eval_globalized", "cir-t1"),
+    ("semiflow", "cir-t1"),
     ("eval_generalized", "cir-vasicek"),
 ])
 def test_bench_oracle_one_point(what, case):
     result = json.loads(run_script("bench_oracle.py", "--one", what, case, "1"))
-    keys = {"cpu_s", "rss_mb"} | ({"table_s", "jet_s"} if what == "grid"
-                                  else set())
+    keys = {"cpu_s", "rss_mb"} | (
+        {"table_s", "jet_s"} if what in ("grid", "semiflow") else set()) | (
+        {"steps"} if what == "semiflow" else set())
     assert set(result) == keys
     assert all(isinstance(v, float) for v in result.values())
 

@@ -65,9 +65,27 @@ print(json.dumps({{"code": code, "numpy": "numpy" in sys.modules}}))
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def cli_run(command, model, *args):
-    return CLI_RUN.format(argv=[command, "--model", str(MODELS / model),
-                                "--k", "4", *args])
+def cli_argv(command, model, *args):
+    return [command, "--model", str(MODELS / model), "--k", "4", *args]
+
+
+# the numeric commands, each in a fresh process
+NUMERIC_ARGV = {
+    "eval-local": cli_argv("eval", "cir.json", "--mode", "local"),
+    "eval-global": cli_argv("eval", "vasicek.json", "--mode", "global",
+                            "--t", "3.0"),
+    "eval-zero": cli_argv("eval", "cir.json", "--mode", "generalized",
+                          "--baseline", "zero"),
+    "eval-vasicek": cli_argv("eval", "vasicek.json", "--mode", "generalized",
+                             "--baseline", "vasicek"),
+    "eval-heston": cli_argv("eval", "heston.json", "--mode", "generalized",
+                            "--baseline", "heston", "--u", "1.0;0.0",
+                            "--x", "0.0;0.04"),
+    "compare-cir": cli_argv("compare", "cir.json", "--u=-2:2:3"),
+    "compare-heston": cli_argv("compare", "heston.json", "--u", "1.0;0.0",
+                               "--x", "0.0;0.04"),
+    "compare-bm_jumps": cli_argv("compare", "bm_jumps.json"),
+}
 
 
 @pytest.mark.parametrize("code", [
@@ -88,22 +106,39 @@ def cli_run(command, model, *args):
     CLI_RUN.format(argv=["tables", "--k", "4", "--dimension", "2"]),
     CLI_RUN.format(argv=["--version"]),
     CLI_RUN.format(argv=["--help"]),
-    cli_run("eval", "cir.json", "--mode", "local"),
-    cli_run("eval", "vasicek.json", "--mode", "global", "--t", "3.0"),
-    cli_run("eval", "cir.json", "--mode", "generalized", "--baseline", "zero"),
-    cli_run("eval", "vasicek.json", "--mode", "generalized",
-            "--baseline", "vasicek"),
-    cli_run("eval", "heston.json", "--mode", "generalized",
-            "--baseline", "heston", "--u", "1.0;0.0", "--x", "0.0;0.04"),
-    cli_run("compare", "cir.json", "--u=-2:2:3"),
-    cli_run("compare", "heston.json", "--u", "1.0;0.0", "--x", "0.0;0.04"),
-    cli_run("compare", "bm_jumps.json"),
+    *[CLI_RUN.format(argv=argv) for argv in NUMERIC_ARGV.values()],
 ], ids=["symalg", "kernels", "numeric-modules", "triangle", "tables",
-        "version", "help", "eval-local", "eval-global", "eval-zero",
-        "eval-vasicek", "eval-heston", "compare-cir", "compare-heston",
-        "compare-bm_jumps"])
+        "version", "help", *NUMERIC_ARGV])
 def test_library_paths_load_no_numpy(code):
     assert fresh(code) == {"code": 0, "numpy": False}
+
+
+EXACT_RUN = """
+import contextlib, io, json, sys
+from affine_cf import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main({argv!r})
+print(json.dumps({{"code": code,
+                  "symalg": "affine_cf.symalg" in sys.modules,
+                  "fractions": "fractions" in sys.modules}}))
+"""
+
+
+@pytest.mark.parametrize("argv", NUMERIC_ARGV.values(), ids=NUMERIC_ARGV)
+def test_numeric_commands_load_no_exact_engine(argv):
+    # the exact engine (and its Fraction arithmetic) serves only the
+    # paper's exact claims
+    assert fresh(EXACT_RUN.format(argv=argv)) == {
+        "code": 0, "symalg": False, "fractions": False}
+
+
+@pytest.mark.parametrize("argv", [["triangle", "--k", "4"],
+                                  ["tables", "--k", "3", "--dimension", "1"]],
+                         ids=["triangle", "tables"])
+def test_exact_commands_load_the_exact_engine(argv):
+    """The probe above can tell: the exact commands load symalg."""
+    assert fresh(EXACT_RUN.format(argv=argv)) == {
+        "code": 0, "symalg": True, "fractions": True}
 
 
 USER_JUMP_EVAL = """

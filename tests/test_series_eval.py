@@ -1,6 +1,7 @@
 """The time transform, and local/globalized series evaluation."""
 import cmath
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -378,6 +379,125 @@ class TestEvalGlobalized:
         assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
+# Every _flow_jet entry of six cases, recorded as repr strings with the
+# jet that ran every Cauchy product (degree-1 powers included), at the xi of
+# PINNED_POINTS; row 0 phi, row 1 + l delta_l.
+PINNED_POINTS = {
+    "cir": (cir, [-0.3 + 1.2j]),
+    "heston": (heston, [-0.1 + 1.25j, -0.3 + 0.2j]),
+    "expj": (exponential_jumps, [-0.4 + 1.7j]),
+    "ubg": (unit_ball_gaussian, [-0.2 + 1.1j, 0.1 - 0.6j]),
+}
+PINNED_JETS = {
+    ("cir", 16): [
+        ["0j", "(-0.012+0.048j)", "(0.00246-0.012287999999999999j)",
+         "(-0.000223232+0.002136512j)",
+         "(-2.1221672e-05-0.00028622847999999995j)",
+         "(1.2632185241600002e-05+3.15057366016e-05j)",
+         "(-2.9590549169066663e-06-2.8487401035093334e-06j)",
+         "(5.116201378010453e-07+1.748709516603489e-07j)",
+         "(-7.32788176268253e-08+5.2486843154276015e-09j)",
+         "(8.920528005567884e-09-4.439810328584243e-09j)",
+         "(-8.862186212507666e-10+1.0309869163323352e-09j)",
+         "(5.679692447542716e-11-1.794538537863033e-10j)",
+         "(2.497975830254508e-12+2.6235647191842396e-11j)",
+         "(-1.762253985742479e-12-3.2672843921317266e-12j)",
+         "(4.098805851813866e-13+3.287870631251467e-13j)",
+         "(-7.195105901846402e-14-2.032681072738226e-14j)",
+         "(1.0606012530149795e-14-1.3365950676414546e-15j)"],
+        ["0j", "(0.123-0.6144j)", "(-0.0167424+0.1602384j)",
+         "(-0.0021221672-0.028622847999999996j)",
+         "(0.0015790231552000001+0.0039382170752j)",
+         "(-0.000443858237536-0.0004273110155264j)",
+         "(8.953352411518293e-05+3.060241654056106e-05j)",
+         "(-1.4655763525365059e-05+1.0497368630855203e-06j)",
+         "(2.0071188012527743e-06-9.989573239314546e-07j)",
+         "(-2.2155465531269166e-07+2.577467290830838e-07j)",
+         "(1.5619154230742467e-08-4.934980979123341e-08j)",
+         "(7.493927490763524e-10+7.870694157552719e-09j)",
+         "(-5.727325453663057e-10-1.0618674274428112e-09j)",
+         "(1.434582048134853e-10+1.1507547209380135e-10j)",
+         "(-2.698164713192401e-11-7.622554022768348e-12j)",
+         "(4.242405012059918e-12-5.346380270565818e-13j)",
+         "(-5.640197437379419e-13+3.273385741917719e-13j)"],
+    ],
+    ("cir", 1): [
+        ["0j", "(-0.012+0.048j)"],
+        ["0j", "(0.123-0.6144j)"],
+    ],
+    ("cir", 2): [
+        ["0j", "(-0.012+0.048j)", "(0.00246-0.012287999999999999j)"],
+        ["0j", "(0.123-0.6144j)", "(-0.0167424+0.1602384j)"],
+    ],
+    ("heston", 8): [
+        ["0j", "(-0.012+0.008j)",
+         "(-0.005556000000000001-0.006949000000000001j)",
+         "(0.0022227685000000006+0.003941212j)",
+         "(-0.0006024980561250002-0.0015907765595625004j)",
+         "(0.00011383394251359379+0.0004833972649642501j)",
+         "(-1.7072929916879155e-05-0.00011224310725663072j)",
+         "(4.382867694427534e-06+1.908246370665138e-05j)",
+         "(-2.264622674654306e-06-1.834254620952874e-06j)"],
+        ["0j", "0j", "0j", "0j", "0j", "0j", "0j", "0j", "0j"],
+        ["0j", "(-0.27780000000000005-0.34745000000000004j)",
+         "(0.16670763750000003+0.29559090000000005j)",
+         "(-0.06024980561250002-0.15907765595625004j)",
+         "(0.014229242814199223+0.06042465812053126j)",
+         "(-0.0025609394875318733-0.01683646608849461j)",
+         "(0.0007670018465248185+0.003339431148663991j)",
+         "(-0.00045292453493086117-0.0003668509241905748j)",
+         "(0.00023438497088780353-3.7046152938321455e-05j)"],
+    ],
+    ("expj", 10): [
+        ["0j", "(-0.2741470588235294+0.1581764705882353j)",
+         "(0.0858724525098651-0.039906804166284296j)",
+         "(-0.019911693508642216+0.016230276168611734j)",
+         "(0.0021290786712397894-0.006575308298600061j)",
+         "(0.0007828117917155968+0.0018113560718917006j)",
+         "(-0.000529088073844265-0.00023227452783260288j)",
+         "(0.00015817886350609698-5.673988688853869e-05j)",
+         "(-2.1415759586579973e-05+4.34238603895369e-05j)",
+         "(-4.342500671465302e-06-1.3174666235678749e-05j)",
+         "(3.5316294122197684e-06+1.7941850180308028e-06j)"],
+        ["0j", "(-0.14451326053042118-0.7629578783151326j)",
+         "(0.16935658182867142+0.14749507435161177j)",
+         "(-0.06290535586850479+0.004641313687795818j)",
+         "(0.011541117253549699-0.013652165901030498j)",
+         "(0.00047558779282699923+0.0050139232633685j)",
+         "(-0.001105412593727069-0.0008878885613372891j)",
+         "(0.000396287416452294-4.935090629132329e-05j)",
+         "(-6.772777835134549e-05+8.986054550016683e-05j)",
+         "(-4.905229124538757e-06-3.133553053265824e-05j)",
+         "(7.306196745560502e-06+5.1547365627134874e-06j)"],
+    ],
+    ("ubg", 8): [
+        ["0j", "(-0.21140832562132447+0.1605227969403125j)",
+         "(0.10415065416408328-0.12478530428559104j)",
+         "(-0.015094641166958522+0.07856908912996198j)",
+         "(-0.02118109781864581-0.03174068308394367j)",
+         "(0.019969281969457388+0.0023450516847115348j)",
+         "(-0.008121226919335763+0.006901002917876855j)",
+         "(0.0002529429378064764-0.005311101922558723j)",
+         "(0.0018522493017902567+0.0017643390511242944j)"],
+        ["0j", "(-0.4189418711754924-0.622436226573032j)",
+         "(0.4418992314075006+0.061711406116065085j)",
+         "(-0.18558882576144786+0.13115059142201368j)",
+         "(0.011643453638573055-0.10041159077065467j)",
+         "(0.03397925478979676+0.03071432502376293j)",
+         "(-0.02158000977081696+0.004892741124440567j)",
+         "(0.00439372585054192-0.009856116152213119j)",
+         "(0.002499533390500462+0.004562379651129137j)"],
+        ["0j", "(-0.09+0.53j)", "(0.010552906441225376-0.2166218113286516j)",
+         "(0.0122676295439641+0.052602136180554204j)",
+         "(-0.006786555814229914-0.005926609046046643j)",
+         "(0.001182986886763649-0.0011785065489665636j)",
+         "(0.0004283057763741871+0.0006493978477754812j)",
+         "(-0.00035111643150623244+4.956517000174266e-06j)",
+         "(8.564426088856934e-05-0.00012363514714017925j)"],
+    ],
+}
+
+
 class TestFlowJet:
     @pytest.mark.parametrize("model,x,xi,K", [
         (cir(), [0.04], [-0.3 + 1.2j], 12),
@@ -405,6 +525,16 @@ class TestFlowJet:
         values = eval_symbol_table_xi(model, x, xi, K - 1).atom_values()
         exact = [p.eval(values) for p in d_series(len(x), K)[1:]]
         assert np.allclose(series[1:], exact, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("case", list(PINNED_JETS),
+                             ids=[f"{name}-K{K}" for name, K in PINNED_JETS])
+    def test_pinned_coefficients(self, case):
+        # the skipped products are exact zeros: every entry is bit for bit
+        # the one the full products gave
+        name, K = case
+        model, xi = PINNED_POINTS[name]
+        jet = series_eval._flow_jet(model(), xi, K)
+        assert jet == [[complex(v) for v in row] for row in PINNED_JETS[case]]
 
     def test_jet_plans_are_integer_keyed(self):
         series_eval._jet_plan.cache_clear()
@@ -485,3 +615,25 @@ class TestTailCoversSeededPoints:
                 res = evaluate(heston(), [x, v], [u, 0.0], t, K)
                 assert abs(res.value - heston_cf(HESTON, x, v, u, t)) \
                     <= res.tail_estimate
+
+
+class TestTailCoversThePrefactor:
+    """Far from x = 0 the prefactor exp(iux) (local) or exp(phi0 + psi0 . x)
+    (generalized) rounds at eps |exponent| relative, above the rounding of
+    the summed terms: the tail must count it."""
+
+    @pytest.mark.parametrize("evaluate,K", [
+        (eval_local, 32),
+        (lambda model, x, u, t, K: eval_generalized(model, zero_baseline(1),
+                                                    x, u, t, K), 16),
+    ], ids=["local", "generalized"])
+    def test_err_within_tail(self, evaluate, K):
+        rng = np.random.default_rng(4343)
+        for _ in range(300):
+            x, t = rng.uniform(1.0, 100.0), rng.uniform(0.005, 0.05)
+            u = rng.uniform(-5.0, 5.0)
+            res = evaluate(cir(), [x], [u], t, K)
+            ref = cir_cf(CIR, x, u, t)
+            # the oracle rounds its own exponent at the same scale
+            oracle = sys.float_info.epsilon * abs(cmath.log(ref)) * abs(ref)
+            assert abs(res.value - ref) <= res.tail_estimate + oracle
