@@ -28,7 +28,11 @@ the derivative rows and the rest (each step's flow jet and its update),
 with the steps per point;
 ``eval_generalized`` per point at K = 16 on CIR around the Vasicek process
 of its drift and on Heston with b21 = 2, s = 0.5 around the Heston
-baseline (two flow jets per point, the target's and the baseline's).  The median CPU time and the median peak RSS
+baseline (two flow jets per point, the target's and the baseline's);
+``baseline``, the warm cost of building each registered baseline from a
+model (``gensym.BASELINE_REGISTRY``: ``zero`` and ``vasicek`` on CIR,
+``heston`` on Heston, 20 builds after one untimed build), which is the
+cost of its residual check.  The median CPU time and the median peak RSS
 (``ru_maxrss``) of the fresh processes are printed.  Timings are
 reported, never asserted; the host's speed can swing by 20% between runs.
 """
@@ -73,6 +77,9 @@ GLOBALIZED = {"cir-t1": ("cir", 1.0), "cir-t5": ("cir", 5.0),
               "expj-t2": ("expj", 2.0), "ubg-t2": ("ubg", 2.0)}
 # eval_generalized case (K = 16) -> model case, whose points it reads
 GENERALIZED = {"cir-vasicek": "cir", "heston-b21": "heston"}
+# registered baseline -> the model case it is built from
+BASELINES = {"zero": "cir", "vasicek": "cir", "heston": "heston"}
+BASELINE_REPEATS = 20  # warm builds per process
 
 
 def _diffusion(d: int):
@@ -190,15 +197,19 @@ def _split_timers(series_eval) -> dict:
 def measure(what: str, case: str, n: int) -> dict:
     """CPU seconds per point (riccati_cf, eval_local, eval_globalized,
     eval_generalized, and the warm semiflow with its table and jet shares
-    and steps) or per warm grid (grid, with the table and jet shares),
+    and steps), per warm grid (grid, with the table and jet shares) or per
+    warm baseline build (baseline),
     measured inside the fresh interpreter, and its peak RSS in MB; model
     building is untimed."""
     from affine_cf import series_eval
-    from affine_cf.gensym import eval_generalized
+    from affine_cf.gensym import BASELINE_REGISTRY, eval_generalized
     from affine_cf.oracle import riccati_cf
     from affine_cf.series_eval import eval_globalized, eval_local
 
-    if what == "eval_generalized":
+    if what == "baseline":
+        build, case = BASELINE_REGISTRY[case], BASELINES[case]
+        model = _model(case)
+    elif what == "eval_generalized":
         model, baseline = _generalized(case)
         case = GENERALIZED[case]
     else:
@@ -226,6 +237,11 @@ def measure(what: str, case: str, n: int) -> dict:
         start = time.process_time()
         for i in range(n):
             series_eval.eval_globalized(model, x, us[i % len(us)], horizon, 16)
+    elif what == "baseline":
+        build(model)
+        start = time.process_time()
+        for _ in range(n):
+            build(model)
     elif what == "riccati_cf":
         start = time.process_time()
         for i in range(n):
@@ -283,6 +299,7 @@ def main() -> None:
     jobs += [("eval_globalized", case, args.points) for case in GLOBALIZED]
     jobs += [("semiflow", case, args.points) for case in GLOBALIZED]
     jobs += [("eval_generalized", case, args.points) for case in GENERALIZED]
+    jobs += [("baseline", case, BASELINE_REPEATS) for case in BASELINES]
     print(f"{'what':<16} {'case':<12} {'n':>3} {'ms each (median)':>17} "
           f"{'rss MB':>7}  all runs (ms)  [grid, semiflow: median table / "
           f"jet ms, steps per point]")

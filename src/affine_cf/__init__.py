@@ -25,7 +25,6 @@ _EXPORTS = {
         "correction_series",
         "eval_baseline_cf",
         "eval_generalized",
-        "expression_baseline",
         "heston_baseline",
         "vasicek_baseline",
         "zero_baseline",

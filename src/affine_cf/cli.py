@@ -105,16 +105,12 @@ def _fmt(x: float) -> str:
 
 
 def _resolve_baseline(name: str, model: AffineModel):
-    from .gensym import heston_baseline, vasicek_baseline, zero_baseline
-    from .oracle import heston_params, vasicek_params
+    from .gensym import BASELINE_REGISTRY
 
-    if name not in BASELINES:
-        raise CliError(f"unknown baseline {name!r}; available: {sorted(BASELINES)}")
-    if name == "zero":
-        return zero_baseline(model.dimension)
-    if name == "vasicek":
-        return vasicek_baseline(vasicek_params(model))
-    return heston_baseline(heston_params(model))
+    if name not in BASELINE_REGISTRY:
+        raise CliError(f"unknown baseline {name!r}; "
+                       f"available: {sorted(BASELINE_REGISTRY)}")
+    return BASELINE_REGISTRY[name](model)
 
 
 def _grid_rows(args, model: AffineModel):

@@ -32,6 +32,9 @@ def run_script(name: str, *args) -> str:
     ("eval_globalized", "cir-t1"),
     ("semiflow", "cir-t1"),
     ("eval_generalized", "cir-vasicek"),
+    ("baseline", "zero"),
+    ("baseline", "vasicek"),
+    ("baseline", "heston"),
 ])
 def test_bench_oracle_one_point(what, case):
     result = json.loads(run_script("bench_oracle.py", "--one", what, case, "1"))

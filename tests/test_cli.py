@@ -155,6 +155,22 @@ class TestCompare:
         assert row["abs_err"] <= row["tail"]
         assert row["rel_err"] <= 1e-12
 
+    def test_generalized_unit_ball_model_around_zero(self, capsys, tmp_path):
+        # the zero baseline carries no jumps, so a unit-ball target's
+        # compensated jumps need no matching convention in the baseline
+        spec = json.loads((MODELS / "bm_jumps.json").read_text())
+        path = tmp_path / "bm_jumps_unit_ball.json"
+        path.write_text(json.dumps({**spec, "truncation": "unit_ball"}))
+        code, out, _ = run(capsys, "compare", "--model", str(path),
+                           "--mode", "generalized", "--baseline", "zero",
+                           "--t", "0.2:0.8:2", "--u", "0.5:3:3",
+                           "--x", "0.1", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 6
+        assert all(row["reason"] == "" for row in rows)
+        assert all(row["abs_err"] <= row["tail"] for row in rows)
+
     def test_baseline_missing_the_initial_condition_fails_the_row(
             self, capsys):
         # the Heston baseline reads only u1, so u2 = 0.5 is refused
