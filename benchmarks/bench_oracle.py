@@ -5,10 +5,13 @@ Run:  python3 benchmarks/bench_oracle.py [--points 2] [--repeats 3]
 
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
-default integrator (2000 steps, plus the 4000-step run of the step-halving
-estimate, building its unrolled RK4 loop once per point) on CIR, Heston,
-``models/bm_jumps.json`` and the 3-d cross-term diffusion (``diff3``,
-so that the loop is timed beyond d = 2); ``eval_local``
+default integrator (the step-halving ladder from 125/250 steps up to the
+2000/4000-step cap, building its unrolled RK4 loop once per point and
+compiling it once per process) on CIR, Heston, ``models/bm_jumps.json``
+and the 3-d cross-term diffusion (``diff3``, so that the loop is timed
+beyond d = 2) at their points' horizons, and on CIR and Heston at the
+``affine-cf compare`` benchmark's horizon t = 0.1 and at t = 5, with the
+step count of the fine run it returned per point; ``eval_local``
 per point on CIR at K = 16, on Heston at K = 8 and 16, on 3-, 4- and
 5-d diffusions at K = 16, 16 and 12 and on a 3-d model with full-covariance
 Gaussian jumps at K = 16 (``jump3``: every eps up to K - 1 is live,
@@ -61,7 +64,11 @@ CASES = {
     "ubg": ([0.3, -0.2], [[1.1, -0.6], [0.5, 0.2]], 0.5),
     "jump3": ([0.2, 0.1, -0.3], [[0.7, -1.1, 0.4], [1.5, 0.3, -0.8]], 0.3),
 }
-RICCATI = ("cir", "heston", "bm_jumps", "diff3")
+# riccati_cf case -> (model case, horizon; None: the model case's own t)
+RICCATI = {"cir": ("cir", None), "heston": ("heston", None),
+           "bm_jumps": ("bm_jumps", None), "diff3": ("diff3", None),
+           "cir-t0.1": ("cir", 0.1), "cir-t5": ("cir", 5.0),
+           "heston-t0.1": ("heston", 0.1), "heston-t5": ("heston", 5.0)}
 # eval_local case -> (model case, K); eval_globalized case -> (model case, t)
 LOCAL = {"cir-K16": ("cir", 16), "heston-K8": ("heston", 8),
          "heston-K16": ("heston", 16), "diff3-K16": ("diff3", 16),
@@ -195,12 +202,12 @@ def _split_timers(series_eval) -> dict:
 
 
 def measure(what: str, case: str, n: int) -> dict:
-    """CPU seconds per point (riccati_cf, eval_local, eval_globalized,
-    eval_generalized, and the warm semiflow with its table and jet shares
-    and steps), per warm grid (grid, with the table and jet shares) or per
-    warm baseline build (baseline),
-    measured inside the fresh interpreter, and its peak RSS in MB; model
-    building is untimed."""
+    """CPU seconds per point (riccati_cf with the steps of its fine run,
+    eval_local, eval_globalized, eval_generalized, and the warm semiflow
+    with its table and jet shares and steps), per warm grid (grid, with the
+    table and jet shares) or per warm baseline build (baseline), measured
+    inside the fresh interpreter, and its peak RSS in MB; model building is
+    untimed."""
     from affine_cf import series_eval
     from affine_cf.gensym import BASELINE_REGISTRY, eval_generalized
     from affine_cf.oracle import riccati_cf
@@ -217,6 +224,8 @@ def measure(what: str, case: str, n: int) -> dict:
             case, horizon = GLOBALIZED[case]
         elif what in ("eval_local", "grid"):
             case, order = (LOCAL if what == "eval_local" else GRID)[case]
+        elif what == "riccati_cf":
+            case, horizon = RICCATI[case]
         model = _model(case)
     x, us, t = CASES[case]
     split = {}
@@ -243,9 +252,11 @@ def measure(what: str, case: str, n: int) -> dict:
         for _ in range(n):
             build(model)
     elif what == "riccati_cf":
+        t = t if horizon is None else horizon
         start = time.process_time()
-        for i in range(n):
-            riccati_cf(model, x, us[i % len(us)], t)
+        steps = sum(riccati_cf(model, x, us[i % len(us)], t).steps
+                    for i in range(n))
+        split = {"steps": steps}
     elif what == "eval_local":
         start = time.process_time()
         for i in range(n):
@@ -259,7 +270,7 @@ def measure(what: str, case: str, n: int) -> dict:
         for i in range(n):
             eval_globalized(model, x, us[i % len(us)], horizon, 16)
     cpu_s = (time.process_time() - start) / n
-    if split:
+    if "table_s" in split:
         split["jet_s"] = cpu_s * n - split["table_s"]
         if what == "grid":
             del split["steps"]
@@ -302,7 +313,7 @@ def main() -> None:
     jobs += [("baseline", case, BASELINE_REPEATS) for case in BASELINES]
     print(f"{'what':<16} {'case':<12} {'n':>3} {'ms each (median)':>17} "
           f"{'rss MB':>7}  all runs (ms)  [grid, semiflow: median table / "
-          f"jet ms, steps per point]")
+          f"jet ms; semiflow, riccati_cf: steps per point]")
     for what, case, n in jobs:
         runs = [fresh(what, case, n) for _ in range(args.repeats)]
         times = [r["cpu_s"] * 1e3 for r in runs]

@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul, sub
 
-from .oracle import (heston_exponent, heston_model, heston_params,
-                     vasicek_exponent, vasicek_model, vasicek_params)
-from .series_eval import (ROUNDING_FLOOR, CFResult, _exp_jet, _flow_jet,
-                          _series_result)
+from .oracle import (ROUNDING_FLOOR, heston_exponent, heston_model,
+                     heston_params, vasicek_exponent, vasicek_model,
+                     vasicek_params)
+from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
 from .symbols import AffineModel, _checked_point, _vector
 
 GENERALIZED = "Generalized"

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .oracle import BLOWUP_LIMIT, MomentExplosionError
+from .oracle import BLOWUP_LIMIT, ROUNDING_FLOOR, MomentExplosionError
 from .symbols import AffineModel, _checked_point, component_rows
 
 LOCAL = "Local"
@@ -86,11 +85,6 @@ class CFResult:
     tail_estimate: float
     mode: str
     warnings: list = field(default_factory=list)
-
-
-# Relative rounding error of a summed value, a few ulps: no tail estimate
-# is below it.
-ROUNDING_FLOOR = 4 * sys.float_info.epsilon
 
 
 def _tail_estimate(contributions, value, exponent=0.0) -> float:

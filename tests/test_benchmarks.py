@@ -26,6 +26,7 @@ def run_script(name: str, *args) -> str:
 @pytest.mark.parametrize("what,case", [
     ("riccati_cf", "cir"),
     ("riccati_cf", "bm_jumps"),
+    ("riccati_cf", "cir-t5"),
     ("eval_local", "cir-K16"),
     ("grid", "cir-K16"),
     ("grid", "bm_jumps-K16"),
@@ -40,7 +41,7 @@ def test_bench_oracle_one_point(what, case):
     result = json.loads(run_script("bench_oracle.py", "--one", what, case, "1"))
     keys = {"cpu_s", "rss_mb"} | (
         {"table_s", "jet_s"} if what in ("grid", "semiflow") else set()) | (
-        {"steps"} if what == "semiflow" else set())
+        {"steps"} if what in ("semiflow", "riccati_cf") else set())
     assert set(result) == keys
     assert all(isinstance(v, float) for v in result.values())
 

@@ -1,18 +1,22 @@
 """Independent oracles: Riccati RK4 vs the closed forms, and their contracts."""
 import cmath
 import math
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from affine_cf import oracle
 from affine_cf.oracle import (
     BLOWUP_LIMIT,
+    ROUNDING_FLOOR,
     CIRParams,
     HestonParams,
     IntegratorConfig,
     MomentExplosionError,
     VasicekParams,
+    _compiled,
     _rk4_program,
     cir_cf,
     cir_model,
@@ -75,39 +79,64 @@ class TestRiccati:
         b = riccati_cf(model, [0.1], [-1.3], 0.7).value
         assert abs(a - b.conjugate()) <= 1e-12
 
+    @pytest.mark.parametrize("steps", [2.5, 2000.0, True])
+    def test_non_integer_steps_refused(self, steps):
+        with pytest.raises(ValueError, match="steps must be an int"):
+            IntegratorConfig(steps=steps)
+
 
 def _bm_jumps():
     return load_model(MODEL_DIR / "bm_jumps.json")
 
 
-class TestPinnedValues:
-    """Values of the integrator recorded from the per-component numpy
-    right-hand side it replaced, which the compiled scalar symbol reproduces
-    bit for bit."""
+def _exponent(res, x):
+    """phi + psi . x of a Riccati result."""
+    return res.phi + sum(p * v for p, v in zip(res.psi, x))
 
-    # (model, x, u, t, value, step_error) at the default 2000/4000 steps
+
+class TestPinnedValues:
+    """Values of the integrator.  ``cir-t5`` needs the cap, whose two runs
+    reproduce the per-component numpy right-hand side the scalar loop
+    replaced bit for bit; the other cases stop on a lower rung."""
+
+    # (model, x, u, t, value, step_error, steps of the fine run returned,
+    #  closed form) at the default ladder, capped at 2000/4000 steps
     RICCATI = {
         "cir": (cir, [0.04], [1.3], 0.5,
-                0.997388138300966 + 0.06341539249656683j,
-                2.7755575615628914e-16),
+                0.997388138300966 + 0.06341539249656677j,
+                4.163336342344337e-17, 500,
+                lambda: cir_cf(CIR, 0.04, 1.3, 0.5)),
         "heston": (heston, [0.0, 0.04], [1.0, 0.0], 1.0,
-                   0.9834658305817257 + 0.0011444693283891082j,
-                   1.110299254973338e-16),
+                   0.9834658305817258 + 0.0011444693283891095j,
+                   3.491130995403324e-17, 2000,
+                   lambda: heston_cf(HESTON, 0.0, 0.04, 1.0, 1.0)),
         "bm_jumps": (_bm_jumps, [0.1], [1.5], 0.8,
-                     0.6275170486628553 + 0.28346474866201443j,
-                     1.9941487743625487e-14),
+                     0.6275170486628628 + 0.28346474866203647j,
+                     8.671119018262734e-16, 250,
+                     lambda: levy_khintchine_cf(_bm_jumps(), [0.1], [1.5],
+                                                0.8)),
         "cir-t5": (cir, [0.04], [2.0], 5.0,
                    0.9825256417245474 + 0.1516461464303234j,
-                   5.4672143489065705e-16),
+                   5.4672143489065705e-16, 4000,
+                   lambda: cir_cf(CIR, 0.04, 2.0, 5.0)),
     }
 
     @pytest.mark.parametrize("case", sorted(RICCATI))
     def test_riccati_value_and_step_error(self, case):
-        model_fn, x, u, t, value, step_error = self.RICCATI[case]
+        model_fn, x, u, t, value, step_error, steps, _ = self.RICCATI[case]
         res = riccati_cf(model_fn(), x, u, t)
         assert abs(res.value - value) <= 1e-15 * abs(value)
         assert abs(res.step_error - step_error) <= 1e-15 * step_error
         assert isinstance(res.psi, tuple) and len(res.psi) == len(u)
+        assert res.steps == steps
+
+    @pytest.mark.parametrize("case", sorted(RICCATI))
+    def test_riccati_within_the_rounding_floor_of_the_closed_form(self, case):
+        model_fn, x, u, t, _, _, _, closed_form = self.RICCATI[case]
+        res = riccati_cf(model_fn(), x, u, t)
+        ref = closed_form()
+        assert abs(res.value - ref) <= ROUNDING_FLOOR * abs(ref) * (
+            1.0 + abs(_exponent(res, x)))
 
     def test_blow_up_time(self):
         model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0],
@@ -193,6 +222,34 @@ class TestGeneratedLoop:
             riccati_cf(model, [0.0, 0.0], [1.0, 0.5], 1.0)
         assert info.value.t_blowup == ref.value.t_blowup
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_loop_is_the_textbook_integrator_bit_for_bit(self, case):
+        model_fn, _, u, t = self.CASES[case]
+        model = model_fn()
+        source, namespace = _rk4_program(model)
+        exec(source, namespace)
+        phi, psi = namespace["rk4"]([1j * v for v in u], t, 64)
+        ref_phi, ref_psi = textbook_rk4(model, u, t, 64)
+        assert phi == ref_phi
+        assert psi == list(ref_psi)
+
+    def test_one_compilation_per_source(self):
+        """Two models of one pattern share one compiled source, and a
+        result does not depend on whether the source was compiled before."""
+        first = cross_diffusion3()
+        scaled = AffineModel.from_arrays(
+            a0=np.asarray(first.a0) * 1.3, a_slope=first.a_slope,
+            b0=first.b0, b_slope=np.asarray(first.b_slope) * 0.7)
+        point = ([0.04, 0.1, 0.02], [1.0, -0.5, 0.3], 0.5)
+        _compiled.cache_clear()
+        cold = riccati_cf(scaled, *point)
+        assert _compiled.cache_info().misses == 1
+        riccati_cf(first, *point)
+        warm = riccati_cf(scaled, *point)
+        assert _compiled.cache_info().misses == 1
+        assert (warm.value, warm.phi, warm.psi, warm.step_error) == (
+            cold.value, cold.phi, cold.psi, cold.step_error)
+
     def test_no_model_number_reaches_the_source(self):
         """The source depends only on which coefficients are nonzero: two
         models of one pattern give one source, holding none of their
@@ -212,6 +269,86 @@ class TestGeneratedLoop:
                         assert repr(float(v)) not in source
         assert len([v for v in namespace.values()
                     if isinstance(v, float)]) > 10
+
+
+def fixed_pair(model, x, u, t, steps):
+    """(value, phi, psi, step_error) of two fixed runs of the generated loop,
+    at 2 * steps and at steps: the integrations of the ladder's cap."""
+    source, namespace = _rk4_program(model)
+    exec(source, namespace)
+    psi0 = [1j * v for v in u]
+    phi, psi = namespace["rk4"](psi0, t, 2 * steps)
+    phi_c, psi_c = namespace["rk4"](psi0, t, steps)
+    value = cmath.exp(phi + sum(p * v for p, v in zip(psi, x)))
+    coarse = cmath.exp(phi_c + sum(p * v for p, v in zip(psi_c, x)))
+    return value, phi, tuple(psi), abs(value - coarse)
+
+
+def sweep(case, n=15):
+    """n seeded (model, x, u, t, closed-form value) of one model, t log-
+    uniform in [0.01, 5], u uniform in [-6, 6]."""
+    rng = random.Random(f"riccati-ladder:{case}")
+    for _ in range(n):
+        t = 10.0 ** rng.uniform(-2.0, math.log10(5.0))
+        u = rng.uniform(-6.0, 6.0)
+        if case == "cir":
+            x = rng.uniform(0.0, 0.3)
+            yield cir(), [x], [u], t, cir_cf(CIR, x, u, t)
+        elif case == "heston":
+            x = [rng.uniform(-0.5, 0.5), rng.uniform(0.01, 0.1)]
+            yield heston(), x, [u, 0.0], t, heston_cf(HESTON, *x, u, t)
+        else:
+            model, x = _bm_jumps(), [rng.uniform(-0.5, 0.5)]
+            yield model, x, [u], t, levy_khintchine_cf(model, x, [u], t)
+
+
+class TestLadder:
+    """The step-halving ladder on a seeded sweep against the closed forms."""
+
+    # |value - closed form| <= BOUND floors, ROUNDING_FLOOR |ref| (1 + |phi
+    # + psi.x|): the rounding of a few hundred RK4 steps on the exponent
+    BOUND = 32
+
+    @pytest.mark.parametrize("case", ["bm_jumps", "cir", "heston"])
+    def test_sweep_within_the_bound_of_the_closed_forms(self, case,
+                                                        monkeypatch):
+        runs = []
+        program = oracle._rk4_program
+
+        def counted(model):
+            """The RK4 program, recording the step count of every run."""
+            source, namespace = program(model)
+            namespace["RUNS"] = runs
+            return source + ("_rk4 = rk4\n"
+                             "def rk4(psi0, t, steps):\n"
+                             "    RUNS.append(steps)\n"
+                             "    return _rk4(psi0, t, steps)\n"), namespace
+        monkeypatch.setattr(oracle, "_rk4_program", counted)
+        for model, x, u, t, ref in sweep(case):
+            runs.clear()
+            res = riccati_cf(model, x, u, t)
+            assert res.steps in (250, 500, 1000, 2000, 4000)
+            # at most the cap's 2000 + 4000 steps after the lowest rung's
+            assert sum(runs) <= 125 + 250 + 2000 + 4000
+            assert abs(res.value - ref) <= self.BOUND * ROUNDING_FLOOR * abs(
+                ref) * (1.0 + abs(_exponent(res, x)))
+            if res.steps == 4000:
+                assert (res.value, res.phi, res.psi, res.step_error) == \
+                    fixed_pair(model, x, u, t, 2000)
+
+    @pytest.mark.parametrize("point", [
+        (cir, [0.04], [2.0], 5.0),
+        (heston, [0.1, 0.04], [4.0, 0.0], 4.0),
+        (lambda: cir_model(CIRParams(b0=0.04, b1=-60.0, s=0.2)), [0.1],
+         [3.0], 1.0),
+    ], ids=["cir-t5", "heston-t4", "stiff-cir"])
+    def test_a_point_on_the_cap_is_the_two_fixed_runs(self, point):
+        model_fn, x, u, t = point
+        model = model_fn()
+        res = riccati_cf(model, x, u, t)
+        assert res.steps == 4000
+        assert (res.value, res.phi, res.psi, res.step_error) == fixed_pair(
+            model, x, u, t, 2000)
 
 
 class TestRefusals:
