@@ -5,11 +5,11 @@ Run:  python3 benchmarks/bench_oracle.py [--points 2] [--repeats 3]
 
 Each measurement runs in a new interpreter, as in a fresh
 ``affine-cf compare`` process.  ``riccati_cf`` is timed per point at the
-default integrator (the step-halving ladder from 125/250 steps up to the
-2000/4000-step cap, building its unrolled RK4 loop once per point and
-compiling it once per process) on CIR, Heston, ``models/bm_jumps.json``
-and the 3-d cross-term diffusion (``diff3``, so that the loop is timed
-beyond d = 2) at their points' horizons, and on CIR and Heston at the
+default integrator (step halving from a first rung of 125/250 steps to
+the 2000/4000-step cap, building its unrolled RK4 loop once per point) on
+CIR, Heston, ``models/bm_jumps.json`` and the 3-d cross-term diffusion
+(``diff3``, so that the loop is timed beyond d = 2) at their points'
+horizons, and on CIR and Heston at the
 ``affine-cf compare`` benchmark's horizon t = 0.1 and at t = 5, with the
 step count of the fine run it returned per point; ``eval_local``
 per point on CIR at K = 16, on Heston at K = 8 and 16, on 3-, 4- and

@@ -7,12 +7,12 @@ computation itself.  The integrator is classical RK4 on the generalized
 Riccati system phi' = sigma_0(psi), psi' = sigma_l(psi) (Duffie, Filipovic
 and Schachermayer 2003), run by one Python function built per call from the
 model's compiled components: phi and psi_1..psi_d are scalar locals and
-each stage is straight-line code, and each distinct source is compiled once
-per process.  Its error is controlled by step halving (Hairer, Norsett and
-Wanner 1993, II.4): the step count rises on a ladder of rungs only until the
-difference of a run and its halved-step run reaches the rounding floor, at
-most to the 2000/4000-step cap by default.  Like the series modes, both oracles
-refuse a negative t and a non-finite t, x or u with a ValueError.
+each stage is straight-line code.  Its error is controlled by step halving
+(Hairer, Norsett and Wanner 1993, II.4): a short first rung of FIRST_RUNG /
+2 FIRST_RUNG steps is returned when its two runs agree to the rounding
+floor, and any other point runs the 2000/4000-step cap by default.  Like the
+series modes, both oracles refuse a negative t and a non-finite t, x or u
+with a ValueError.
 """
 from __future__ import annotations
 
@@ -20,8 +20,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import mul
+from operator import index, mul
 
 from .symbols import AffineModel, _checked_point, _jump_symbol, eval_symbol
 
@@ -30,6 +29,11 @@ BLOWUP_LIMIT = 1e8
 # Relative rounding error of a summed value, a few ulps: no series tail
 # estimate is below it, and the Riccati step halving stops once it reaches it.
 ROUNDING_FLOOR = 4 * sys.float_info.epsilon
+
+# Coarse step count of the Riccati step halving's first rung, run before the
+# cap: 125 / 250 steps reach the floor at short horizons (t <= 0.15, |u| <= 3
+# on CIR and Heston).
+FIRST_RUNG = 125
 
 
 class MomentExplosionError(RuntimeError):
@@ -43,16 +47,22 @@ class MomentExplosionError(RuntimeError):
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Classical RK4 step halving: ``steps`` is the coarse step count of the
-    highest rung, the cap, whose fine run takes 2 * steps; the lower rungs
-    halve it while it stays even."""
+    cap, whose fine run takes 2 * steps.  A cap below 2 * FIRST_RUNG runs
+    without the first rung."""
 
     steps: int = 2000
 
     def __post_init__(self):
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
+        if isinstance(self.steps, bool):
             raise ValueError(f"steps must be an int, got {self.steps!r}")
-        if self.steps < 1:
+        try:
+            steps = index(self.steps)
+        except TypeError:
+            raise ValueError(
+                f"steps must be an int, got {self.steps!r}") from None
+        if steps < 1:
             raise ValueError("need at least one step")
+        object.__setattr__(self, "steps", steps)
 
 
 @dataclass
@@ -126,45 +136,26 @@ def _rk4_program(model: AffineModel) -> tuple:
     return "\n".join(lines) + "\n", namespace
 
 
-@lru_cache(maxsize=128)
-def _compiled(source: str):
-    """The code object of one generated RK4 source.  The source holds no
-    model numbers, so one compilation serves every model of its pattern."""
-    return compile(source, "<riccati-rk4>", "exec")
-
-
-def _rungs(steps: int) -> list:
-    """Coarse step counts of the halving ladder, lowest first: steps,
-    steps / 2, ... halved while the count is even."""
-    rungs = [steps]
-    while rungs[-1] % 2 == 0:
-        rungs.append(rungs[-1] // 2)
-    return rungs[::-1]
-
-
 def riccati_cf(model: AffineModel, x, u, t: float,
                config: IntegratorConfig = IntegratorConfig()) -> RiccatiResult:
     """CF via RK4 integration of the generalized Riccati system.
 
-    Step halving on a ladder of rungs (n, 2n), n = config.steps / 2^j
-    halved while even: the lowest rung's 2n-step run is returned when it
-    differs from its n-step run by at most ROUNDING_FLOOR |v| (1 + |phi +
-    psi.x|).  Otherwise the difference, scaled by RK4's (n / m)^4, picks the
-    lowest higher rung m predicted to meet that floor, or the cap
-    (config.steps, 2 config.steps), and that rung is returned.  A predicted
-    rung that misses the floor shows a difference that stopped falling at
-    fourth order, which is rounding, and more steps only add rounding.
+    Step halving: when config.steps is at least 2 FIRST_RUNG, the first
+    rung's 2 FIRST_RUNG-step run is returned if it differs from its
+    FIRST_RUNG-step run by at most ROUNDING_FLOOR |v| (1 + |phi + psi.x|).
+    Every other point runs the cap, 2 config.steps and config.steps steps,
+    and returns the first of them.
 
     Raises ValueError for a negative t, a non-finite t, x or u and an x or
     u whose length is not the model's dimension, and MomentExplosionError
     when |psi| passes BLOWUP_LIMIT at the start of a step of the cap's
-    runs; a blow-up on a lower rung sends the point to the cap."""
+    runs; a blow-up on the first rung sends the point to the cap."""
     x, u = _checked_point(x, u, t, model.dimension)
     if t == 0.0:
         return RiccatiResult(cmath.exp(1j * sum(map(mul, u, x))), 0.0 + 0.0j,
                              tuple(1j * v for v in u), 0.0, 0)
     source, namespace = _rk4_program(model)
-    exec(_compiled(source), namespace)
+    exec(compile(source, "<riccati-rk4>", "exec"), namespace)
     rk4 = namespace["rk4"]
     psi0 = [1j * v for v in u]
 
@@ -179,31 +170,19 @@ def riccati_cf(model: AffineModel, x, u, t: float,
         value, _, phi, psi, steps = fine
         return RiccatiResult(value, phi, psi, abs(value - coarse[0]), steps)
 
-    cap = config.steps
-    lowest, *higher = _rungs(cap)
-    coarse = None
-    try:
-        if higher:
-            coarse, fine = run(lowest), run(2 * lowest)
+    if 2 * FIRST_RUNG <= config.steps:
+        try:
+            coarse, fine = run(FIRST_RUNG), run(2 * FIRST_RUNG)
+        except MomentExplosionError:
+            pass
+        else:
             value, exponent = fine[:2]
-            diff = abs(value - coarse[0])
-            floor = ROUNDING_FLOOR * abs(value) * (1.0 + abs(exponent))
-            if diff <= floor:
+            if abs(value - coarse[0]) <= ROUNDING_FLOOR * abs(value) * (
+                    1.0 + abs(exponent)):
                 return result(fine, coarse)
-            m = next((m for m in higher if diff * (lowest / m) ** 4 <= floor),
-                     cap)
-            # a move of one rung reuses the fine run as the next coarse run
-            coarse = fine if m == 2 * lowest else None
-            if m < cap:
-                if coarse is None:
-                    coarse = run(m)
-                return result(run(2 * m), coarse)
-    except MomentExplosionError:
-        coarse = None
-    # the cap's fine run goes first, so that a blow-up raises with its
-    # t_blowup whichever rung met it
-    fine = run(2 * cap)
-    return result(fine, run(cap) if coarse is None else coarse)
+    # the fine run goes first, so that a blow-up raises with its t_blowup
+    fine = run(2 * config.steps)
+    return result(fine, run(config.steps))
 
 
 def slopes_vanish(model: AffineModel) -> bool:

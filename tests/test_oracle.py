@@ -16,7 +16,6 @@ from affine_cf.oracle import (
     IntegratorConfig,
     MomentExplosionError,
     VasicekParams,
-    _compiled,
     _rk4_program,
     cir_cf,
     cir_model,
@@ -84,6 +83,11 @@ class TestRiccati:
         with pytest.raises(ValueError, match="steps must be an int"):
             IntegratorConfig(steps=steps)
 
+    @pytest.mark.parametrize("steps", [500, np.int64(500)])
+    def test_integral_steps_accepted(self, steps):
+        config = IntegratorConfig(steps=steps)
+        assert config.steps == 500 and type(config.steps) is int
+
 
 def _bm_jumps():
     return load_model(MODEL_DIR / "bm_jumps.json")
@@ -95,20 +99,20 @@ def _exponent(res, x):
 
 
 class TestPinnedValues:
-    """Values of the integrator.  ``cir-t5`` needs the cap, whose two runs
-    reproduce the per-component numpy right-hand side the scalar loop
-    replaced bit for bit; the other cases stop on a lower rung."""
+    """Values of the integrator.  The cases on the cap reproduce the
+    per-component numpy right-hand side the scalar loop replaced bit for
+    bit; ``bm_jumps`` stops on the first rung."""
 
     # (model, x, u, t, value, step_error, steps of the fine run returned,
-    #  closed form) at the default ladder, capped at 2000/4000 steps
+    #  closed form) at the default first rung and 2000/4000-step cap
     RICCATI = {
         "cir": (cir, [0.04], [1.3], 0.5,
-                0.997388138300966 + 0.06341539249656677j,
-                4.163336342344337e-17, 500,
+                0.997388138300966 + 0.06341539249656683j,
+                2.7755575615628914e-16, 4000,
                 lambda: cir_cf(CIR, 0.04, 1.3, 0.5)),
         "heston": (heston, [0.0, 0.04], [1.0, 0.0], 1.0,
-                   0.9834658305817258 + 0.0011444693283891095j,
-                   3.491130995403324e-17, 2000,
+                   0.9834658305817257 + 0.0011444693283891082j,
+                   1.110299254973338e-16, 4000,
                    lambda: heston_cf(HESTON, 0.0, 0.04, 1.0, 1.0)),
         "bm_jumps": (_bm_jumps, [0.1], [1.5], 0.8,
                      0.6275170486628628 + 0.28346474866203647j,
@@ -233,23 +237,6 @@ class TestGeneratedLoop:
         assert phi == ref_phi
         assert psi == list(ref_psi)
 
-    def test_one_compilation_per_source(self):
-        """Two models of one pattern share one compiled source, and a
-        result does not depend on whether the source was compiled before."""
-        first = cross_diffusion3()
-        scaled = AffineModel.from_arrays(
-            a0=np.asarray(first.a0) * 1.3, a_slope=first.a_slope,
-            b0=first.b0, b_slope=np.asarray(first.b_slope) * 0.7)
-        point = ([0.04, 0.1, 0.02], [1.0, -0.5, 0.3], 0.5)
-        _compiled.cache_clear()
-        cold = riccati_cf(scaled, *point)
-        assert _compiled.cache_info().misses == 1
-        riccati_cf(first, *point)
-        warm = riccati_cf(scaled, *point)
-        assert _compiled.cache_info().misses == 1
-        assert (warm.value, warm.phi, warm.psi, warm.step_error) == (
-            cold.value, cold.phi, cold.psi, cold.step_error)
-
     def test_no_model_number_reaches_the_source(self):
         """The source depends only on which coefficients are nonzero: two
         models of one pattern give one source, holding none of their
@@ -273,7 +260,7 @@ class TestGeneratedLoop:
 
 def fixed_pair(model, x, u, t, steps):
     """(value, phi, psi, step_error) of two fixed runs of the generated loop,
-    at 2 * steps and at steps: the integrations of the ladder's cap."""
+    at 2 * steps and at steps: the integrations of the cap."""
     source, namespace = _rk4_program(model)
     exec(source, namespace)
     psi0 = [1j * v for v in u]
@@ -302,11 +289,13 @@ def sweep(case, n=15):
             yield model, x, [u], t, levy_khintchine_cf(model, x, [u], t)
 
 
-class TestLadder:
-    """The step-halving ladder on a seeded sweep against the closed forms."""
+class TestStepHalving:
+    """The first rung and the cap on a seeded sweep against the closed
+    forms."""
 
     # |value - closed form| <= BOUND floors, ROUNDING_FLOOR |ref| (1 + |phi
-    # + psi.x|): the rounding of a few hundred RK4 steps on the exponent
+    # + psi.x|), on the first rung: the rounding of a few hundred RK4 steps
+    # on the exponent.  A point on the cap is the two fixed runs.
     BOUND = 32
 
     @pytest.mark.parametrize("case", ["bm_jumps", "cir", "heston"])
@@ -327,14 +316,19 @@ class TestLadder:
         for model, x, u, t, ref in sweep(case):
             runs.clear()
             res = riccati_cf(model, x, u, t)
-            assert res.steps in (250, 500, 1000, 2000, 4000)
-            # at most the cap's 2000 + 4000 steps after the lowest rung's
-            assert sum(runs) <= 125 + 250 + 2000 + 4000
-            assert abs(res.value - ref) <= self.BOUND * ROUNDING_FLOOR * abs(
-                ref) * (1.0 + abs(_exponent(res, x)))
-            if res.steps == 4000:
+            if res.steps == 250:
+                assert runs == [125, 250]
+                assert abs(res.value - ref) <= self.BOUND * ROUNDING_FLOOR * \
+                    abs(ref) * (1.0 + abs(_exponent(res, x)))
+            else:
+                assert res.steps == 4000 and runs == [125, 250, 4000, 2000]
                 assert (res.value, res.phi, res.psi, res.step_error) == \
                     fixed_pair(model, x, u, t, 2000)
+
+    def test_a_cap_below_two_first_rungs_runs_alone(self):
+        res = riccati_cf(cir(), [0.04], [1.0], 0.1, IntegratorConfig(steps=200))
+        assert res.steps == 400
+        assert riccati_cf(cir(), [0.04], [1.0], 0.1).steps == 250
 
     @pytest.mark.parametrize("point", [
         (cir, [0.04], [2.0], 5.0),
