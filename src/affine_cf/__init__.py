@@ -33,8 +33,6 @@ _EXPORTS = {
     "oracle": (
         "CIRParams",
         "HestonParams",
-        "IntegratorConfig",
-        "MomentExplosionError",
         "RiccatiResult",
         "VasicekParams",
         "cir_cf",
@@ -72,6 +70,7 @@ _EXPORTS = {
         "AffineModel",
         "ExponentialJumps",
         "GaussianJumps",
+        "MomentExplosionError",
         "NoJumps",
         "SymbolTable",
         "UserJump",

@@ -25,11 +25,11 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul, sub
 
-from .oracle import (ROUNDING_FLOOR, heston_exponent, heston_model,
-                     heston_params, vasicek_exponent, vasicek_model,
-                     vasicek_params)
-from .series_eval import CFResult, _exp_jet, _flow_jet, _series_result
-from .symbols import AffineModel, _checked_point, _vector
+from .oracle import (heston_exponent, heston_model, heston_params,
+                     vasicek_exponent, vasicek_model, vasicek_params)
+from .series_eval import (CFResult, _exp_jet, _flow_jet, _semiflow_step,
+                          _series_result)
+from .symbols import AffineModel, _checked_order, _checked_point, _vector
 
 GENERALIZED = "Generalized"
 
@@ -68,9 +68,7 @@ class BaselineSolution:
     exponent: object
 
     def __post_init__(self):
-        d, order = self.model.dimension, _CHECK_ORDER
-        # the step puts the jet's last term near the rounding floor
-        reach = ROUNDING_FLOOR ** (1.0 / order)
+        d = self.model.dimension
         worst = 0.0
         for t, u1 in _CHECK_POINTS:
             u = (u1,) + (0.0,) * (d - 1)
@@ -80,15 +78,13 @@ class BaselineSolution:
                                  f"{len(psi)} psi0 components, not {d}")
             if t == 0.0:
                 worst = max(worst, abs(phi) / (1.0 + sum(map(abs, psi))))
-            jet = _flow_jet(self.model, list(psi), order)
-            last = max(abs(row[-1]) for row in jet)
-            h = _CHECK_STEP if last == 0.0 else \
-                min(_CHECK_STEP, reach * last ** (-1.0 / order))
-            hk = [h ** k for k in range(order + 1)]
+            # the step puts the jet's last term near the rounding floor
+            h, _, increment = _semiflow_step(
+                _flow_jet(self.model, list(psi), _CHECK_ORDER), _CHECK_STEP)
             phi_h, psi_h = self.exponent(t + h, u)
             end = (phi_h, *psi_h)
-            residual = sum(abs(a + sum(map(mul, row, hk)) - b)
-                           for a, row, b in zip((phi, *psi), jet, end))
+            residual = sum(abs(a + da - b)
+                           for a, da, b in zip((phi, *psi), increment, end))
             worst = max(worst, residual / (1.0 + sum(map(abs, end))))
         if not worst <= _CHECK_TOL:
             raise ValueError(
@@ -205,12 +201,11 @@ def eval_generalized(target: AffineModel, baseline: BaselineSolution, x, u,
     exponential of the difference of the two jets
     (:func:`series_eval._exp_jet`), and the closed form is read only at t,
     for the prefactor.  A baseline that misses psi0(0, u) = iu (reading
-    only part of u) is refused, as are truncation < 1, t < 0, a
-    non-finite t, x or u and an x or u of another length than the model's
-    dimension.
+    only part of u) is refused, as are a truncation order that is no int
+    >= 1, t < 0, a non-finite t, x or u and an x or u of another length
+    than the model's dimension.
     """
-    if truncation < 1:
-        raise ValueError("truncation order must be >= 1")
+    truncation = _checked_order(truncation)
     x, u = _checked_point(x, u, t, target.dimension)
     _check_compatible(target, baseline)
     iu = [1j * v for v in u]

@@ -1,16 +1,19 @@
 """Independent reference implementations for validating series evaluations.
 
 The Riccati integrator and the closed forms below never touch the series
-machinery: they share only the symbol-component decomposition of the model
-and the check of the evaluation point, so a disagreement isolates the series
-computation itself.  The integrator is classical RK4 on the generalized
-Riccati system phi' = sigma_0(psi), psi' = sigma_l(psi) (Duffie, Filipovic
-and Schachermayer 2003), run by one Python function built per call from the
-model's compiled components: phi and psi_1..psi_d are scalar locals and
-each stage is straight-line code.  Its error is controlled by step halving
-(Hairer, Norsett and Wanner 1993, II.4): a short first rung of FIRST_RUNG /
-2 FIRST_RUNG steps is returned when its two runs agree to the rounding
-floor, and any other point runs the 2000/4000-step cap by default.  Like the
+machinery: they share only the symbol-component decomposition of the model,
+the check of the evaluation point and the constants both sides use (the
+rounding floor, the blow-up limit and MomentExplosionError, all in
+:mod:`symbols`), so a disagreement isolates the series computation itself.
+The series engine (:mod:`series_eval`) does not import this module.  The
+integrator is classical RK4 on the generalized Riccati system phi' =
+sigma_0(psi), psi' = sigma_l(psi) (Duffie, Filipovic and Schachermayer
+2003), run by one Python function built per call from the model's compiled
+components: phi and psi_1..psi_d are scalar locals and each stage is
+straight-line code.  Its error is controlled by step halving (Hairer,
+Norsett and Wanner 1993, II.4): a short first rung of FIRST_RUNG / 2
+FIRST_RUNG steps is returned when its two runs agree to the rounding floor,
+and any other point runs the cap of CAP_STEPS / 2 CAP_STEPS steps.  Like the
 series modes, both oracles refuse a negative t and a non-finite t, x or u
 with a ValueError.
 """
@@ -18,51 +21,20 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
-from operator import index, mul
+from operator import mul
 
-from .symbols import AffineModel, _checked_point, _jump_symbol, eval_symbol
-
-BLOWUP_LIMIT = 1e8
-
-# Relative rounding error of a summed value, a few ulps: no series tail
-# estimate is below it, and the Riccati step halving stops once it reaches it.
-ROUNDING_FLOOR = 4 * sys.float_info.epsilon
+from .symbols import (BLOWUP_LIMIT, ROUNDING_FLOOR, AffineModel,
+                      MomentExplosionError, _checked_point, _jump_symbol,
+                      eval_symbol)
 
 # Coarse step count of the Riccati step halving's first rung, run before the
 # cap: 125 / 250 steps reach the floor at short horizons (t <= 0.15, |u| <= 3
 # on CIR and Heston).
 FIRST_RUNG = 125
 
-
-class MomentExplosionError(RuntimeError):
-    """Riccati trajectory left the numerically representable region."""
-
-    def __init__(self, t_blowup: float):
-        super().__init__(f"Riccati trajectory blow-up near t = {t_blowup:.6g}")
-        self.t_blowup = t_blowup
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Classical RK4 step halving: ``steps`` is the coarse step count of the
-    cap, whose fine run takes 2 * steps.  A cap below 2 * FIRST_RUNG runs
-    without the first rung."""
-
-    steps: int = 2000
-
-    def __post_init__(self):
-        if isinstance(self.steps, bool):
-            raise ValueError(f"steps must be an int, got {self.steps!r}")
-        try:
-            steps = index(self.steps)
-        except TypeError:
-            raise ValueError(
-                f"steps must be an int, got {self.steps!r}") from None
-        if steps < 1:
-            raise ValueError("need at least one step")
-        object.__setattr__(self, "steps", steps)
+# Coarse step count of the cap, whose fine run takes 2 CAP_STEPS steps.
+CAP_STEPS = 2000
 
 
 @dataclass
@@ -136,15 +108,13 @@ def _rk4_program(model: AffineModel) -> tuple:
     return "\n".join(lines) + "\n", namespace
 
 
-def riccati_cf(model: AffineModel, x, u, t: float,
-               config: IntegratorConfig = IntegratorConfig()) -> RiccatiResult:
+def riccati_cf(model: AffineModel, x, u, t: float) -> RiccatiResult:
     """CF via RK4 integration of the generalized Riccati system.
 
-    Step halving: when config.steps is at least 2 FIRST_RUNG, the first
-    rung's 2 FIRST_RUNG-step run is returned if it differs from its
-    FIRST_RUNG-step run by at most ROUNDING_FLOOR |v| (1 + |phi + psi.x|).
-    Every other point runs the cap, 2 config.steps and config.steps steps,
-    and returns the first of them.
+    Step halving: the first rung's 2 FIRST_RUNG-step run is returned if it
+    differs from its FIRST_RUNG-step run by at most ROUNDING_FLOOR |v|
+    (1 + |phi + psi.x|).  Every other point runs the cap, 2 CAP_STEPS and
+    CAP_STEPS steps, and returns the first of them.
 
     Raises ValueError for a negative t, a non-finite t, x or u and an x or
     u whose length is not the model's dimension, and MomentExplosionError
@@ -170,19 +140,18 @@ def riccati_cf(model: AffineModel, x, u, t: float,
         value, _, phi, psi, steps = fine
         return RiccatiResult(value, phi, psi, abs(value - coarse[0]), steps)
 
-    if 2 * FIRST_RUNG <= config.steps:
-        try:
-            coarse, fine = run(FIRST_RUNG), run(2 * FIRST_RUNG)
-        except MomentExplosionError:
-            pass
-        else:
-            value, exponent = fine[:2]
-            if abs(value - coarse[0]) <= ROUNDING_FLOOR * abs(value) * (
-                    1.0 + abs(exponent)):
-                return result(fine, coarse)
+    try:
+        coarse, fine = run(FIRST_RUNG), run(2 * FIRST_RUNG)
+    except MomentExplosionError:
+        pass
+    else:
+        value, exponent = fine[:2]
+        if abs(value - coarse[0]) <= ROUNDING_FLOOR * abs(value) * (
+                1.0 + abs(exponent)):
+            return result(fine, coarse)
     # the fine run goes first, so that a blow-up raises with its t_blowup
-    fine = run(2 * config.steps)
-    return result(fine, run(config.steps))
+    fine = run(2 * CAP_STEPS)
+    return result(fine, run(CAP_STEPS))
 
 
 def slopes_vanish(model: AffineModel) -> bool:

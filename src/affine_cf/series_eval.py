@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .oracle import BLOWUP_LIMIT, ROUNDING_FLOOR, MomentExplosionError
-from .symbols import AffineModel, _checked_point, component_rows
+from .symbols import (BLOWUP_LIMIT, ROUNDING_FLOOR, AffineModel,
+                      MomentExplosionError, _checked_order, _checked_point,
+                      component_rows)
 
 LOCAL = "Local"
 GLOBALIZED = "Globalized"
@@ -126,8 +127,7 @@ def _series_result(exponent, coefficients, t: float, mode: str) -> CFResult:
 def eval_local(model: AffineModel, x, u, t: float, truncation: int = 16) -> CFResult:
     """exp(iux) (1 + sum_{k=1..K} d_k(x, iu) t^k), d_k read from the flow
     jet at iu as [h^k] exp(phi(h) + delta(h) . x) (:func:`_exp_jet`)."""
-    if truncation < 1:
-        raise ValueError("truncation order must be >= 1")
+    truncation = _checked_order(truncation)
     x, u = _checked_point(x, u, t, model.dimension)
     dk = _exp_jet(_flow_jet(model, [1j * v for v in u], truncation), x)
     return _series_result(1j * sum(map(mul, u, x)), dk, t, LOCAL)
@@ -224,6 +224,23 @@ def _exp_jet(jet, x) -> list:
     return b[1:]
 
 
+def _semiflow_step(jet, h_max: float) -> tuple:
+    """(h, [h^0 .. h^K], increments) of one semiflow step, at most h_max
+    long, on an order-K flow jet.  The step puts the jet's last term, the
+    largest |row_K| of its rows, at the rounding floor (h = h_max when it
+    vanishes), but is at least a twentieth of the jet's root-test radius
+    |row_K|^(-1/K): below K = 12 the last term sits at 20^-K instead, so
+    low orders take few steps.  The increments sum_k row_k h^k are those
+    of phi and of each xi_l."""
+    truncation = len(jet[0]) - 1
+    reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
+    last = max(abs(row[-1]) for row in jet)
+    h = h_max if last == 0.0 else \
+        min(h_max, reach * last ** (-1.0 / truncation))
+    hk = [h ** k for k in range(truncation + 1)]
+    return h, hk, [sum(map(mul, row, hk)) for row in jet]
+
+
 # ---------------------------------------------------------------------------
 # Globalized evaluation
 # ---------------------------------------------------------------------------
@@ -239,8 +256,7 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     terms of the exponent times the value, and the tail estimate is the sum
     of the per-step tails plus the rounding of the xi updates.
     """
-    if truncation < 1:
-        raise ValueError("truncation order must be >= 1")
+    truncation = _checked_order(truncation)
     x, u = _checked_point(x, u, t, model.dimension)
     if t == 0:
         value = cmath.exp(1j * sum(map(mul, u, x)))
@@ -250,20 +266,12 @@ def eval_globalized(model: AffineModel, x, u, t: float,
     # Semiflow: at xi = psi(s, iu) the flow jet of the rows at xi gives
     # phi(h, xi) and psi(h, xi) - xi, so only phi and xi are carried from
     # step to step.
-    # The step puts the last term at the rounding floor, but is at least a
-    # twentieth of the jet's root-test radius |jet_K|^(-1/K): below K = 12
-    # the last term sits at 20^-K instead, so low orders take few steps.
-    reach = max(ROUNDING_FLOOR ** (1.0 / truncation), 0.05)
     xi, phi, s, rel_tail, steps = [1j * v for v in u], 0.0 + 0.0j, 0.0, 0.0, 0
     while s < t:
         if not all(abs(z) <= BLOWUP_LIMIT for z in xi):
             raise MomentExplosionError(s)
         jet = _flow_jet(model, xi, truncation)
-        last = max(abs(row[-1]) for row in jet)
-        h = t - s if last == 0.0 else \
-            min(t - s, reach * last ** (-1.0 / truncation))
-        hk = [h ** k for k in range(truncation + 1)]
-        increment = [sum(map(mul, row, hk)) for row in jet]
+        h, hk, increment = _semiflow_step(jet, t - s)
         terms = list(map(mul, _exponent(jet, x)[1:], hk[1:]))
         phi += increment[0]
         xi = [z + dz for z, dz in zip(xi, increment[1:])]

@@ -477,32 +477,20 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
 
 
 def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
-    """Map a plain-series monomial to its exponent-pair key.
+    """Map a plain-series monomial to its exponent-pair key, in the layout
+    of :func:`coefficient_recursion`'s keys: beta a tuple of d-tuples, and
+    at d = 1 a tuple of ints.
 
     Raises ValueError for atoms outside the base/slope vocabulary or with
     derivative order >= k (no pair image exists).
     """
-    if d == 1:
-        alpha = [0] * k
-        beta = [0] * k
-        for a, e in mono:
-            j = a.deriv[0]
-            if j >= k:
-                raise ValueError(f"derivative order {j} has no slot at order {k}")
-            if a.kind == BASE:
-                alpha[j] += e
-            elif a.kind == SLOPE:
-                beta[j] += e
-            else:
-                raise ValueError(f"atom kind {a.kind!r} has no pair image")
-        return (tuple(alpha), tuple(beta))
     n = len(flattened_indices(d, k))
     alpha = [0] * n
     beta = [(0,) * d] * n
     for a, e in mono:
-        if sum(a.deriv) >= k:
-            raise ValueError(f"derivative {a.deriv} has no slot at order {k}")
         pos = flattened_position(d, a.deriv)
+        if pos >= n:  # the layout is graded: |deriv| >= k
+            raise ValueError(f"derivative {a.deriv} has no slot at order {k}")
         if a.kind == BASE:
             alpha[pos] += e
         elif a.kind == SLOPE:
@@ -511,6 +499,8 @@ def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
             beta[pos] = tuple(row)
         else:
             raise ValueError(f"atom kind {a.kind!r} has no pair image")
+    if d == 1:
+        beta = [b for (b,) in beta]
     return (tuple(alpha), tuple(beta))
 
 

@@ -22,6 +22,7 @@ import json
 import math
 import numbers
 import operator
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +34,23 @@ UNIT_BALL = "unit_ball"
 _TRUNCATIONS = (NO_COMPENSATION, UNIT_BALL)
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+
+# |psi| beyond which a Riccati trajectory or the semiflow's xi is taken to
+# have blown up (MomentExplosionError).
+BLOWUP_LIMIT = 1e8
+
+# Relative rounding error of a summed value, a few ulps: no series tail
+# estimate is below it, and the Riccati step halving stops once it reaches it.
+ROUNDING_FLOOR = 4 * sys.float_info.epsilon
+
+
+class MomentExplosionError(RuntimeError):
+    """A trajectory of psi, the Riccati oracle's or the semiflow's xi, left
+    the numerically representable region."""
+
+    def __init__(self, t_blowup: float):
+        super().__init__(f"Riccati trajectory blow-up near t = {t_blowup:.6g}")
+        self.t_blowup = t_blowup
 
 
 def _norm_pdf(y: float) -> float:
@@ -510,6 +528,22 @@ def _checked_point(x, u, t: float, dimension: int):
     if not all(map(math.isfinite, x + u)):
         raise ValueError(f"x and u must be finite, got x = {x}, u = {u}")
     return x, u
+
+
+def _checked_order(truncation) -> int:
+    """The truncation order K as a Python int (a numpy int too); a bool,
+    anything else that is not an integer (2.5, 4.0, "8") and an order
+    below 1 are refused with a ValueError naming the truncation order."""
+    try:
+        order = operator.index(truncation)
+    except TypeError:
+        order = None
+    if order is None or isinstance(truncation, bool):
+        raise ValueError(f"truncation order must be an int, "
+                         f"got {truncation!r}")
+    if order < 1:
+        raise ValueError("truncation order must be >= 1")
+    return order
 
 
 def eval_symbol_xi(model: AffineModel, x, xi) -> complex:

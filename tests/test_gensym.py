@@ -3,6 +3,7 @@ import cmath
 import json
 import random
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from affine_cf.gensym import (
 from affine_cf.oracle import (HestonParams, VasicekParams, cir_cf, heston_cf,
                               heston_model, heston_params, riccati_cf,
                               vasicek_model)
-from affine_cf.series_eval import eval_local
+from affine_cf.series_eval import eval_globalized, eval_local
 from affine_cf.symalg import (BASE, DBASE, DSLOPE, SLOPE, AtomKey, SymPoly,
                               d_series, monomial)
 from affine_cf.symbols import (UNIT_BALL, AffineModel, GaussianJumps, NoJumps,
@@ -197,14 +198,41 @@ class TestEvalGeneralized:
             eval_generalized(heston(), heston_baseline(HESTON),
                              [0.0, 0.04], u, 0.2, 10)
 
-    @pytest.mark.parametrize("t,K,message", [(-0.2, 10, "t must be"),
-                                             (0.2, 0, "truncation order")],
-                             ids=["negative-t", "order-0"])
-    def test_negative_t_and_order_below_one_are_refused(self, t, K, message):
-        # as in eval_local and eval_globalized; K = 0 would return the bare
-        # baseline with a rounding-floor tail
+    # mode (the id's prefix; none for generalized) -> eval(t, K) on CIR
+    MODES = {
+        "": lambda t, K: eval_generalized(cir(), zero_baseline(1), [0.1],
+                                          [2.0], t, K),
+        "local-": lambda t, K: eval_local(cir(), [0.1], [2.0], t, K),
+        "globalized-": lambda t, K: eval_globalized(cir(), [0.1], [2.0], t,
+                                                    K),
+    }
+    # (t, K, message): the order is an int >= 1, not a float, a string or a
+    # bool, which range() or < would otherwise meet as a bare TypeError or
+    # take as K = 1
+    REFUSED = {
+        "negative-t": (-0.2, 10, "t must be >= 0"),
+        "order-0": (0.2, 0, "truncation order must be >= 1"),
+        "order-2.5": (0.2, 2.5, "truncation order must be an int, got 2.5"),
+        "order-4.0": (0.2, 4.0, "truncation order must be an int, got 4.0"),
+        "order-str": (0.2, "8", "truncation order must be an int, got '8'"),
+        "order-True": (0.2, True, "truncation order must be an int, got True"),
+    }
+
+    @pytest.mark.parametrize("mode,case", list(product(MODES, REFUSED)),
+                             ids=[m + c for m, c in product(MODES, REFUSED)])
+    def test_negative_t_and_order_below_one_are_refused(self, mode, case):
+        # K = 0 would return the bare baseline with a rounding-floor tail
+        t, K, message = self.REFUSED[case]
         with pytest.raises(ValueError, match=message):
-            eval_generalized(cir(), zero_baseline(1), [0.1], [2.0], t, K)
+            self.MODES[mode](t, K)
+
+    @pytest.mark.parametrize("mode", MODES,
+                             ids=lambda mode: mode[:-1] or "generalized")
+    def test_a_numpy_int_order_is_a_python_int(self, mode):
+        res = self.MODES[mode](0.2, np.int64(4))
+        assert res.truncation_order == 4
+        assert type(res.truncation_order) is int
+        assert res.value == self.MODES[mode](0.2, 4).value
 
     def test_target_equals_baseline_is_baseline_cf(self):
         x, u, t = [0.0, 0.04], [1.0, 0.0], 1.0

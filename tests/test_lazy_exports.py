@@ -113,6 +113,34 @@ def test_library_paths_load_no_numpy(code):
     assert fresh(code) == {"code": 0, "numpy": False}
 
 
+ENGINE_RUN = """
+import json, sys
+import affine_cf
+from affine_cf import series_eval, symbols
+from affine_cf.symbols import AffineModel
+
+model = AffineModel.from_arrays(a0=[[0.0]], a_slope=[[[0.04]]], b0=[0.02],
+                                b_slope=[[-0.5]], state_domain=[(0.0, None)])
+values = [series_eval.eval_local(model, [0.04], [1.0], 0.1, 8).value,
+          series_eval.eval_globalized(model, [0.04], [1.0], 2.0, 8).value]
+loaded = "affine_cf.oracle" in sys.modules
+from affine_cf import oracle
+names = ("ROUNDING_FLOOR", "BLOWUP_LIMIT", "MomentExplosionError")
+same = all(getattr(m, name) is getattr(symbols, name, None)
+           for m in (series_eval, oracle) for name in names)
+same = same and affine_cf.MomentExplosionError is symbols.MomentExplosionError
+print(json.dumps({"code": 0 if all(abs(v) <= 1.0 for v in values) else 1,
+                  "oracle": loaded, "same": same}))
+"""
+
+
+def test_the_series_engine_loads_no_oracle():
+    """Local and globalized mode run without the Riccati oracle that checks
+    them: the floor, the blow-up limit and MomentExplosionError they share
+    with it live in ``symbols``, one object under every module's name."""
+    assert fresh(ENGINE_RUN) == {"code": 0, "oracle": False, "same": True}
+
+
 EXACT_RUN = """
 import contextlib, io, json, sys
 from affine_cf import cli

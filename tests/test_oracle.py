@@ -13,7 +13,6 @@ from affine_cf.oracle import (
     ROUNDING_FLOOR,
     CIRParams,
     HestonParams,
-    IntegratorConfig,
     MomentExplosionError,
     VasicekParams,
     _rk4_program,
@@ -58,11 +57,9 @@ class TestRiccati:
 
     def test_step_halving_convergence_order(self):
         model = vasicek_model(VASICEK)
-        coarse = riccati_cf(model, [0.1], [1.0], 1.0,
-                            config=IntegratorConfig(steps=100))
-        fine = riccati_cf(model, [0.1], [1.0], 1.0,
-                          config=IntegratorConfig(steps=200))
-        ratio = coarse.step_error / fine.step_error
+        coarse = fixed_pair(model, [0.1], [1.0], 1.0, 100)[3]
+        fine = fixed_pair(model, [0.1], [1.0], 1.0, 200)[3]
+        ratio = coarse / fine
         assert 16 * 0.7 <= ratio <= 16 * 1.3
 
     def test_blow_up_detected(self):
@@ -77,16 +74,6 @@ class TestRiccati:
         a = riccati_cf(model, [0.1], [1.3], 0.7).value
         b = riccati_cf(model, [0.1], [-1.3], 0.7).value
         assert abs(a - b.conjugate()) <= 1e-12
-
-    @pytest.mark.parametrize("steps", [2.5, 2000.0, True])
-    def test_non_integer_steps_refused(self, steps):
-        with pytest.raises(ValueError, match="steps must be an int"):
-            IntegratorConfig(steps=steps)
-
-    @pytest.mark.parametrize("steps", [500, np.int64(500)])
-    def test_integral_steps_accepted(self, steps):
-        config = IntegratorConfig(steps=steps)
-        assert config.steps == 500 and type(config.steps) is int
 
 
 def _bm_jumps():
@@ -206,15 +193,16 @@ class TestGeneratedLoop:
         model_fn, x, u, t = self.CASES[case]
         model = model_fn()
         # the loop does not depend on the step count; 500 keeps this quick
-        res = riccati_cf(model, x, u, t, IntegratorConfig(steps=500))
+        res_value, res_phi, res_psi, res_step_error = fixed_pair(
+            model, x, u, t, 500)
         phi, psi = textbook_rk4(model, u, t, 1000)
         value = np.exp(phi + psi @ x)
         phi_c, psi_c = textbook_rk4(model, u, t, 500)
         step_error = abs(value - np.exp(phi_c + psi_c @ x))
-        assert abs(res.phi - phi) <= 1e-14 * abs(phi)
-        assert np.all(np.abs(res.psi - psi) <= 1e-14 * np.abs(psi))
-        assert abs(res.value - value) <= 1e-14 * abs(value)
-        assert abs(res.step_error - step_error) <= 1e-14 * abs(value)
+        assert abs(res_phi - phi) <= 1e-14 * abs(phi)
+        assert np.all(np.abs(res_psi - psi) <= 1e-14 * np.abs(psi))
+        assert abs(res_value - value) <= 1e-14 * abs(value)
+        assert abs(res_step_error - step_error) <= 1e-14 * abs(value)
 
     def test_blow_up_time_matches_the_textbook_integrator(self):
         model = AffineModel.from_arrays(
@@ -324,11 +312,6 @@ class TestStepHalving:
                 assert res.steps == 4000 and runs == [125, 250, 4000, 2000]
                 assert (res.value, res.phi, res.psi, res.step_error) == \
                     fixed_pair(model, x, u, t, 2000)
-
-    def test_a_cap_below_two_first_rungs_runs_alone(self):
-        res = riccati_cf(cir(), [0.04], [1.0], 0.1, IntegratorConfig(steps=200))
-        assert res.steps == 400
-        assert riccati_cf(cir(), [0.04], [1.0], 0.1).steps == 250
 
     @pytest.mark.parametrize("point", [
         (cir, [0.04], [2.0], 5.0),

@@ -13,6 +13,8 @@ from affine_cf import symalg
 from affine_cf.symalg import (
     AtomKey,
     BASE,
+    DBASE,
+    DSLOPE,
     SLOPE,
     SymPoly,
     cardinality_bound,
@@ -239,6 +241,23 @@ class TestIntegerRecursion:
             key = monomial_to_pair(mono, k, d)
             assert not report.ok
             assert report.mismatches == [(key, c + delta, c)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_monomial_to_pair_layout_and_refusals(self, d):
+        zero = (0,) * d
+        # beta holds d-tuples, plain ints at d = 1, as coefficient_recursion
+        slope = (2, 0) if d == 1 else ((0, 2), zero, zero)
+        assert monomial_to_pair(monomial([(AtomKey(SLOPE, d, zero), 2)]),
+                                2, d) == ((0,) * len(slope), slope)
+        # a derivative of order >= k has no slot at order k
+        past = (3,) if d == 1 else (1, 2)
+        with pytest.raises(ValueError, match="no slot at order 3"):
+            monomial_to_pair(monomial([(AtomKey(SLOPE, 1, past), 1)]), 3, d)
+        # the difference atoms of a generalized expansion have no pair image
+        for atom in (AtomKey(DBASE, 0, zero), AtomKey(DSLOPE, 1, zero)):
+            with pytest.raises(ValueError, match="no pair image"):
+                monomial_to_pair(monomial([(AtomKey(BASE, 0, zero), 1),
+                                           (atom, 1)]), 3, d)
 
 
 class TestSeriesStructure:
