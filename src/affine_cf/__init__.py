@@ -51,8 +51,6 @@ _EXPORTS = {
         "TimeTransform",
         "eval_globalized",
         "eval_local",
-        "time_forward",
-        "time_inverse",
     ),
     "symalg": (
         "AtomKey",
@@ -72,12 +70,8 @@ _EXPORTS = {
         "GaussianJumps",
         "MomentExplosionError",
         "NoJumps",
-        "SymbolTable",
         "UserJump",
         "eval_symbol",
-        "eval_symbol_table",
-        "eval_symbol_table_xi",
-        "eval_symbol_xi",
         "load_model",
         "model_from_json",
         "model_to_json",

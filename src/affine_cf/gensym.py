@@ -25,11 +25,12 @@ from dataclasses import dataclass
 from itertools import product
 from operator import mul, sub
 
+from .multiindex import _checked_order
 from .oracle import (heston_exponent, heston_model, heston_params,
                      vasicek_exponent, vasicek_model, vasicek_params)
 from .series_eval import (CFResult, _exp_jet, _flow_jet, _semiflow_step,
                           _series_result)
-from .symbols import AffineModel, _checked_order, _checked_point, _vector
+from .symbols import AffineModel, _checked_point, _vector
 
 GENERALIZED = "Generalized"
 

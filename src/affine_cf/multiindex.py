@@ -4,15 +4,34 @@ Multi-indices of a fixed dimension are ordered by total order, and graded
 reverse-lexicographic (grevlex) within each total order: the last entry
 descending, ties broken the same way on the entries before it.  The
 flattened layout concatenates the orders 0, 1, ..., k - 1; it is the slot
-order of the symbol tables and of :func:`symalg.coefficient_recursion`'s
-(alpha, beta) keys.
+order of the symbol's derivative rows and of
+:func:`symalg.coefficient_recursion`'s (alpha, beta) keys.
+:func:`_checked_order` is the one check of an order argument, for the
+exact engine and the numeric modes alike.
 """
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 
 MultiIndex = tuple[int, ...]
+
+
+def _checked_order(order, lowest: int = 1) -> int:
+    """A truncation order as a Python int (a numpy int too); a bool,
+    anything else that is not an integer (2.5, 4.0, "8") and an order
+    below ``lowest`` are refused with a ValueError naming the truncation
+    order."""
+    try:
+        value = operator.index(order)
+    except TypeError:
+        value = None
+    if value is None or isinstance(order, bool):
+        raise ValueError(f"truncation order must be an int, got {order!r}")
+    if value < lowest:
+        raise ValueError(f"truncation order must be >= {lowest}")
+    return value
 
 
 def _grevlex(total: int, parts: int):

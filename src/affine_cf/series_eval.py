@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
+from .multiindex import _checked_order
 from .symbols import (BLOWUP_LIMIT, ROUNDING_FLOOR, AffineModel,
-                      MomentExplosionError, _checked_order, _checked_point,
-                      component_rows)
+                      MomentExplosionError, _checked_point, component_rows)
 
 LOCAL = "Local"
 GLOBALIZED = "Globalized"
@@ -61,14 +61,6 @@ class TimeTransform:
         if t < 0:
             raise ValueError(f"t must be >= 0, got {t}")
         return (4.0 / math.pi) * (math.atan(math.exp(t / self.beta)) - math.pi / 4)
-
-
-def time_forward(tt: TimeTransform, tau: float) -> float:
-    return tt.forward(tau)
-
-
-def time_inverse(tt: TimeTransform, t: float) -> float:
-    return tt.inverse(t)
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial, prod
 
 from .multiindex import (
     MultiIndex,
+    _checked_order,
     enumerate_indices,
     flattened_indices,
     flattened_position,
@@ -309,8 +311,9 @@ def d_series(d: int, max_order: int) -> list[SymPoly]:
     holds one series per d, replaced whole when a longer one is asked for,
     so concurrent callers each see a complete series.
     """
-    if d < 1 or max_order < 0:
-        raise ValueError("need d >= 1 and max_order >= 0")
+    max_order = _checked_order(max_order, 0)
+    if d < 1:
+        raise ValueError("need d >= 1")
     series = _D_SERIES_CACHE.get(d)
     if series is None or len(series) <= max_order:
         series = _D_SERIES_CACHE[d] = _series(d, max_order, (BASE, SLOPE))
@@ -327,8 +330,9 @@ def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
     an atom of ``vanishing`` (AtomKeys that are identically zero) are
     dropped at every order, so a vanishing difference gives exact zeros.
     """
-    if d < 1 or max_order < 0:
-        raise ValueError("need d >= 1 and max_order >= 0")
+    max_order = _checked_order(max_order, 0)
+    if d < 1:
+        raise ValueError("need d >= 1")
     return _series(d, max_order, (DBASE, DSLOPE), vanishing)
 
 
@@ -462,8 +466,9 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     The recursion runs on the integers k! c, each (alpha, beta) packed
     into one int (:class:`_Layout`), and divides once per row.
     """
-    if d < 1 or max_order < 1:
-        raise ValueError("need d >= 1 and max_order >= 1")
+    max_order = _checked_order(max_order)
+    if d < 1:
+        raise ValueError("need d >= 1")
     lay = _Layout(d, max_order)
     row = {1: 1}  # alpha = (1,), beta = (0,) * d
     moves: dict = {}
@@ -476,6 +481,12 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _slots(d: int, k: int) -> dict:
+    """{eps: position} over the flattened layout of the orders below k."""
+    return {eps: pos for pos, eps in enumerate(flattened_indices(d, k))}
+
+
 def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
     """Map a plain-series monomial to its exponent-pair key, in the layout
     of :func:`coefficient_recursion`'s keys: beta a tuple of d-tuples, and
@@ -484,12 +495,12 @@ def monomial_to_pair(mono: Monomial, k: int, d: int) -> tuple:
     Raises ValueError for atoms outside the base/slope vocabulary or with
     derivative order >= k (no pair image exists).
     """
-    n = len(flattened_indices(d, k))
-    alpha = [0] * n
-    beta = [(0,) * d] * n
+    slots = _slots(d, k)
+    alpha = [0] * len(slots)
+    beta = [(0,) * d] * len(slots)
     for a, e in mono:
-        pos = flattened_position(d, a.deriv)
-        if pos >= n:  # the layout is graded: |deriv| >= k
+        pos = slots.get(a.deriv)
+        if pos is None:  # the layout is graded: |deriv| >= k
             raise ValueError(f"derivative {a.deriv} has no slot at order {k}")
         if a.kind == BASE:
             alpha[pos] += e
@@ -566,8 +577,7 @@ def counting_triangle(max_row: int) -> CountingTriangle:
     denominator) and divided once per pair.  Entries are integers by
     construction of the recursion.
     """
-    if max_row < 1:
-        raise ValueError("need max_row >= 1")
+    max_row = _checked_order(max_row)
     lay = _Layout(1, max_row)
     bases, slopes = _atom_halves(lay)
     rows = []
@@ -636,8 +646,7 @@ def compare_counting(max_row: int) -> CountingComparison:
 
 def cardinality_bound(k: int) -> tuple[int, int]:
     """(number of counted terms at order k, bound k!)."""
-    if k < 1:
-        raise ValueError("need k >= 1")
+    k = _checked_order(k)
     tri = counting_triangle(k)
     return tri.row_sums[k - 1], factorial(k)
 

@@ -17,7 +17,6 @@ holds without stray factors of i.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 import numbers
@@ -49,7 +48,8 @@ class MomentExplosionError(RuntimeError):
     the numerically representable region."""
 
     def __init__(self, t_blowup: float):
-        super().__init__(f"Riccati trajectory blow-up near t = {t_blowup:.6g}")
+        super().__init__(f"psi left |psi| <= {BLOWUP_LIMIT:g} "
+                         f"near t = {t_blowup:.6g}")
         self.t_blowup = t_blowup
 
 
@@ -530,37 +530,17 @@ def _checked_point(x, u, t: float, dimension: int):
     return x, u
 
 
-def _checked_order(truncation) -> int:
-    """The truncation order K as a Python int (a numpy int too); a bool,
-    anything else that is not an integer (2.5, 4.0, "8") and an order
-    below 1 are refused with a ValueError naming the truncation order."""
-    try:
-        order = operator.index(truncation)
-    except TypeError:
-        order = None
-    if order is None or isinstance(truncation, bool):
-        raise ValueError(f"truncation order must be an int, "
-                         f"got {truncation!r}")
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
-    return order
-
-
-def eval_symbol_xi(model: AffineModel, x, xi) -> complex:
-    """sigma(x, xi) at a complex vector xi."""
+def eval_symbol(model: AffineModel, x, u) -> complex:
+    """sigma(x, iu) for real frequency u: the order-0 entries of
+    :func:`component_rows`, row 0 + sum_l x_l row l."""
     d = model.dimension
+    u = _vector("u", u, d)
     x = _vector("x", x, d)
-    _, rows = component_rows(model, _vector("xi", xi, d, complex), 0)
+    _, rows = component_rows(model, [1j * v for v in u], 0)
     val = rows[0][0]
     for l in range(1, d + 1):
         val += x[l - 1] * rows[l][0]
     return val
-
-
-def eval_symbol(model: AffineModel, x, u) -> complex:
-    """sigma(x, iu) for real frequency u."""
-    return eval_symbol_xi(model, x,
-                          [1j * v for v in _vector("u", u, model.dimension)])
 
 
 def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
@@ -608,58 +588,6 @@ def component_rows(model: AffineModel, xi, max_order: int) -> tuple:
                 row.append(complex(val))
         rows.append(row)
     return pattern, rows
-
-
-@dataclass
-class SymbolTable:
-    """Derivative tables of the symbol at one (x, xi) point, at the live
-    entries of :func:`component_rows` only: ``slope[l-1][eps]`` holds
-    d^eps_xi sigma_l(xi) and ``base[eps]`` d^eps_xi sigma(x, xi)."""
-
-    dimension: int
-    max_order: int
-    base: dict
-    slope: list
-
-    def atom_values(self) -> dict:
-        """AtomKey -> complex map consumed by SymPoly evaluation: every key
-        up to ``max_order``, exact zeros where the table holds none.  The
-        exact engine is imported here, off every numeric path."""
-        from .symalg import BASE, SLOPE, AtomKey
-
-        keys = flattened_indices(self.dimension, self.max_order + 1)
-        vals = {}
-        for eps in keys:
-            vals[AtomKey(BASE, 0, eps)] = self.base.get(eps, 0j)
-        for l, tab in enumerate(self.slope, start=1):
-            for eps in keys:
-                vals[AtomKey(SLOPE, l, eps)] = tab.get(eps, 0j)
-        return vals
-
-
-def eval_symbol_table_xi(model: AffineModel, x, xi, max_order: int) -> SymbolTable:
-    """Derivative tables d^eps_xi sigma(x, xi), d^eps_xi sigma_l(xi) at a
-    complex vector xi, a view of :func:`component_rows`: the slope tables
-    are rows 1..d over their live prefixes of the pattern, and the base
-    table is row 0 + sum_l x_l row l over the whole pattern."""
-    d = model.dimension
-    x = _vector("x", x, d)
-    pattern, rows = component_rows(model, _vector("xi", xi, d, complex),
-                                   max_order)
-    base = {}
-    for eps, values in zip(pattern,
-                           itertools.zip_longest(*rows, fillvalue=0j)):
-        total = values[0]
-        for xl, v in zip(x, values[1:]):
-            total += xl * v
-        base[eps] = total
-    return SymbolTable(d, max_order, base,
-                       [dict(zip(pattern, row)) for row in rows[1:]])
-
-
-def eval_symbol_table(model: AffineModel, x, u, max_order: int) -> SymbolTable:
-    u = _vector("u", u, model.dimension)
-    return eval_symbol_table_xi(model, x, [1j * v for v in u], max_order)
 
 
 # ---------------------------------------------------------------------------

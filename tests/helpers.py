@@ -1,4 +1,5 @@
-"""Shared model builders and atom shortcuts for the test suite."""
+"""Shared model builders, atom shortcuts and atom values for the test
+suite."""
 from __future__ import annotations
 
 from fractions import Fraction
@@ -15,8 +16,9 @@ from affine_cf import (
     heston_model,
     vasicek_model,
 )
+from affine_cf.multiindex import flattened_indices
 from affine_cf.symalg import AtomKey, BASE, SLOPE, SymPoly, monomial
-from affine_cf.symbols import UNIT_BALL
+from affine_cf.symbols import UNIT_BALL, component_rows
 
 HALF = Fraction(1, 2)
 SIXTH = Fraction(1, 6)
@@ -74,6 +76,25 @@ def multivariate_d3(d: int = 2) -> SymPoly:
                              AtomKey(SLOPE, m, zero)])
             out.add_term(monomial(atoms.items()), SIXTH)
     return out
+
+
+def atom_values(model: AffineModel, x, xi, max_order: int) -> dict:
+    """AtomKey -> complex map for SymPoly evaluation at the point (x, xi),
+    read from ``symbols.component_rows``: the slope atoms of direction l are
+    row l, the base atoms row 0 + sum_l x_l row l, for every eps up to
+    ``max_order``, exact zeros where a row stops."""
+    x = [float(v) for v in x]
+    _, rows = component_rows(model, xi, max_order)
+    vals = {}
+    for p, eps in enumerate(flattened_indices(model.dimension, max_order + 1)):
+        entries = [row[p] if p < len(row) else 0j for row in rows]
+        total = entries[0]
+        for xl, v in zip(x, entries[1:]):
+            total += xl * v
+        vals[AtomKey(BASE, 0, eps)] = total
+        for l, v in enumerate(entries[1:], start=1):
+            vals[AtomKey(SLOPE, l, eps)] = v
+    return vals
 
 
 def poly(*terms) -> SymPoly:

@@ -26,11 +26,11 @@ from affine_cf.series_eval import eval_globalized, eval_local
 from affine_cf.symalg import (BASE, DBASE, DSLOPE, SLOPE, AtomKey, SymPoly,
                               d_series, monomial)
 from affine_cf.symbols import (UNIT_BALL, AffineModel, GaussianJumps, NoJumps,
-                               eval_symbol, eval_symbol_table_xi, load_model,
-                               model_from_json, model_to_json)
+                               eval_symbol, load_model, model_from_json,
+                               model_to_json)
 
-from helpers import (CIR, HESTON, VASICEK, bm_model, cir, gauss_jump_model,
-                     heston, vasicek)
+from helpers import (CIR, HESTON, VASICEK, atom_values, bm_model, cir,
+                     gauss_jump_model, heston, vasicek)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -365,13 +365,13 @@ class TestFlowJetMatchesExactSeries:
     """Corrections read from the two flow jets against the exact quotient
     of the target's and the baseline model's series at the same point:
     w_k = [t^k] D / D0, D = 1 + sum_k d_k t^k of the exact d_series read at
-    the atom values of the table at (x, iu)."""
+    the atom values at (x, iu)."""
 
     @staticmethod
     def _d_values(model, x, iu, K):
         """d_0 .. d_K and their magnitudes |d_k|, the exact polynomial read
         with absolute coefficients at the absolute atom values."""
-        vals = eval_symbol_table_xi(model, x, iu, K - 1).atom_values()
+        vals = atom_values(model, x, iu, K - 1)
         abs_vals = {a: abs(v) for a, v in vals.items()}
         polys = d_series(model.dimension, K)
         return ([p.eval(vals) for p in polys],

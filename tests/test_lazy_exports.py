@@ -1,4 +1,6 @@
-"""The package exports load on first use, and no library path loads numpy."""
+"""The package exports load on first use, no library path loads numpy, and
+the numeric layers import no exact engine."""
+import ast
 import importlib
 import json
 import os
@@ -150,6 +152,29 @@ print(json.dumps({{"code": code,
                   "symalg": "affine_cf.symalg" in sys.modules,
                   "fractions": "fractions" in sys.modules}}))
 """
+
+
+def imported_modules(path: Path) -> set:
+    """The module names a source file imports anywhere, function bodies
+    included: ``from .a import b`` and ``from . import a`` both name a."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module:
+                names.add(node.module)
+            else:
+                names.update(alias.name for alias in node.names)
+    return names
+
+
+@pytest.mark.parametrize("module", ["symbols", "series_eval", "oracle"])
+def test_the_numeric_layers_import_no_exact_engine(module):
+    # gensym.correction_series imports symalg on purpose, in its body
+    path = Path(affine_cf.__file__).resolve().parent / f"{module}.py"
+    assert not any(name.split(".")[-1] == "symalg"
+                   for name in imported_modules(path))
 
 
 @pytest.mark.parametrize("argv", NUMERIC_ARGV.values(), ids=NUMERIC_ARGV)

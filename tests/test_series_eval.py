@@ -18,42 +18,40 @@ from affine_cf.series_eval import (
     TimeTransform,
     eval_globalized,
     eval_local,
-    time_forward,
-    time_inverse,
 )
 from affine_cf.symalg import d_series
 from affine_cf.symbols import (AffineModel, GaussianJumps, NoJumps,
-                                eval_symbol, eval_symbol_table,
-                                eval_symbol_table_xi)
+                                component_rows, eval_symbol)
 
-from helpers import (CIR, HESTON, bm_model, cir, exponential_jumps,
-                     gauss_jump_model, heston, unit_ball_gaussian, vasicek)
+from helpers import (CIR, HESTON, atom_values, bm_model, cir,
+                     exponential_jumps, gauss_jump_model, heston,
+                     unit_ball_gaussian, vasicek)
 
 
 class TestTimeTransform:
     def test_tau0_maps_to_t0(self):
-        assert time_forward(TimeTransform(2.0), 0.0) == 0.0
+        assert TimeTransform(2.0).forward(0.0) == 0.0
 
     def test_t0_maps_to_tau0(self):
-        assert time_inverse(TimeTransform(2.0), 0.0) == pytest.approx(0.0)
+        assert TimeTransform(2.0).inverse(0.0) == pytest.approx(0.0)
 
     def test_beta1_half(self):
         tt = TimeTransform(1.0)
-        t = time_forward(tt, 0.5)
+        t = tt.forward(0.5)
         assert t == pytest.approx(math.log(math.tan(3 * math.pi / 8)))
-        assert time_inverse(tt, t) == pytest.approx(0.5, abs=1e-14)
+        assert tt.inverse(t) == pytest.approx(0.5, abs=1e-14)
 
     def test_round_trip_100_points(self):
         tt = TimeTransform(0.7)
         for tau in np.linspace(0.0, 0.99, 100):
-            assert abs(time_inverse(tt, time_forward(tt, tau)) - tau) <= 1e-13
+            assert abs(tt.inverse(tt.forward(tau)) - tau) <= 1e-13
 
     def test_domain_errors(self):
         tt = TimeTransform(1.0)
         with pytest.raises(ValueError):
-            time_forward(tt, 1.0)
+            tt.forward(1.0)
         with pytest.raises(ValueError):
-            time_inverse(tt, -0.1)
+            tt.inverse(-0.1)
         with pytest.raises(ValueError):
             TimeTransform(0.0)
 
@@ -188,7 +186,7 @@ class TestJumpsInThreeDimensions:
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
     def test_three_factor_matches_riccati(self, evaluate, K):
         # Gaussian jumps on the constant part make every eps up to K - 1
-        # live in the table at d = 3
+        # live in the derivative rows at d = 3
         x, u, t = [0.2, 0.1, -0.3], [0.7, -1.1, 0.4], 0.3
         res = evaluate(three_factor(), x, u, t, K)
         ref = riccati_cf(three_factor(), x, u, t).value
@@ -198,7 +196,7 @@ class TestJumpsInThreeDimensions:
 class TestJetDValues:
     def test_matches_the_exact_series(self):
         # d_k read from the flow jet against the exact atom-algebra series,
-        # read at the symbol table of the same point; the jump model is the
+        # read at the atom values of the same point; the jump model is the
         # models/bm_jumps.json example
         cases = [
             (cir(), np.array([0.04]), np.array([1.5]), 12),
@@ -218,12 +216,12 @@ class TestJetDValues:
         for model, x, u, K in cases:
             numeric = series_eval._exp_jet(
                 series_eval._flow_jet(model, 1j * u, K), x)
-            values = eval_symbol_table(model, x, u, K - 1).atom_values()
+            values = atom_values(model, x, 1j * u, K - 1)
             exact = [p.eval(values) for p in d_series(model.dimension, K)[1:]]
             assert np.allclose(numeric, exact, rtol=1e-13, atol=0.0)
 
     def test_jet_plans_are_integer_keyed_and_do_not_grow(self):
-        # the flow jet's plans are keyed on the tables' integer eps pattern
+        # the flow jet's plans are keyed on the rows' integer eps pattern
         # and an integer order: one plan per (pattern, K) however many
         # points are evaluated
         series_eval._jet_plan.cache_clear()
@@ -235,9 +233,9 @@ class TestJetDValues:
         plans = series_eval._jet_plan.cache_info()
         assert plans.currsize == plans.misses == len(grids)
         for model, x, K in grids:
-            table = eval_symbol_table(model, [0.0] * len(x),
-                                      [1.0] + [0.0] * (len(x) - 1), K - 1)
-            assert all(type(e) is int for eps in table.base for e in eps)
+            pattern, _ = component_rows(model, [1j] + [0j] * (len(x) - 1),
+                                        K - 1)
+            assert all(type(e) is int for eps in pattern for e in eps)
 
     @pytest.mark.parametrize("evaluate", [eval_local, eval_globalized])
     def test_order_16_matches_heston_closed_form(self, evaluate):
@@ -362,6 +360,15 @@ class TestEvalGlobalized:
         with pytest.raises(MomentExplosionError) as info:
             eval_globalized(model, [0.1], [1.0], 1.0, 16)
         assert abs(info.value.t_blowup - oracle_info.value.t_blowup) <= 0.05
+
+    def test_blow_up_message_names_no_riccati_system(self):
+        # the semiflow integrates no Riccati system, so its message holds
+        # for psi as both raisers carry it
+        model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0], b_slope=[[30.0]])
+        with pytest.raises(MomentExplosionError) as info:
+            eval_globalized(model, [0.1], [1.0], 1.0, 16)
+        assert "riccati" not in str(info.value).lower()
+        assert str(info.value).startswith("psi left |psi| <= 1e+08 near t = ")
 
     def test_unbounded_symbol_warning_attached(self):
         res = eval_globalized(vasicek(), [0.05], [1.0], 5.0, 16)
@@ -513,7 +520,8 @@ class TestFlowJet:
     def test_the_jet_is_the_local_series(self, model, x, xi, K):
         # exp(phi(h) + delta(h) . x) = 1 + sum_k d_k(x, xi) h^k: the jet
         # expanded through the exponential is the paper's series L^k 1 / k!,
-        # here the exact atom-algebra series read at the table of (x, xi)
+        # here the exact atom-algebra series read at the atom values of
+        # (x, xi)
         jet = series_eval._flow_jet(model, xi, K)
         assert len(jet) == 1 + len(x) and \
             all(len(row) == K + 1 for row in jet)
@@ -522,7 +530,7 @@ class TestFlowJet:
         for k in range(1, K + 1):
             series.append(sum(j * exponent[j] * series[k - j]
                               for j in range(1, k + 1)) / k)
-        values = eval_symbol_table_xi(model, x, xi, K - 1).atom_values()
+        values = atom_values(model, x, xi, K - 1)
         exact = [p.eval(values) for p in d_series(len(x), K)[1:]]
         assert np.allclose(series[1:], exact, rtol=1e-13, atol=0.0)
 

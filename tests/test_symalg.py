@@ -1,6 +1,7 @@
 """Exact series algebra: golden d_k, coefficient recursion, cross-checks,
 and the counting triangle."""
 import hashlib
+import re
 import sys
 import threading
 from fractions import Fraction
@@ -23,6 +24,7 @@ from affine_cf.symalg import (
     counting_triangle,
     cross_check,
     d_series,
+    difference_series,
     lambda_sum_cardinality,
     literal_counting_rows,
     monomial,
@@ -216,6 +218,34 @@ class TestIntegerRecursion:
     def test_orders_past_one_byte_per_slot_are_refused(self, build):
         with pytest.raises(ValueError, match="below 256"):
             build(1, 256)
+
+    # name -> (build at an order, the lowest order it takes); the numeric
+    # modes share the check (tests/test_gensym.py)
+    ORDER_BUILDS = {
+        "d_series": (lambda k: d_series(1, k), 0),
+        "difference_series": (lambda k: difference_series(1, k), 0),
+        "coefficient_recursion": (lambda k: coefficient_recursion(1, k), 1),
+        "counting_triangle": (counting_triangle, 1),
+        "cardinality_bound": (cardinality_bound, 1),
+    }
+
+    @pytest.mark.parametrize("order", [2.5, 4.0, "8", True],
+                             ids=["2.5", "4.0", "str", "True"])
+    @pytest.mark.parametrize("build", sorted(ORDER_BUILDS))
+    def test_orders_that_are_not_ints_are_refused(self, build, order):
+        # range() met 2.5 as a bare TypeError, and True was taken as 1
+        got = re.escape(repr(order))
+        with pytest.raises(ValueError,
+                           match=f"^truncation order must be an int, got {got}$"):
+            self.ORDER_BUILDS[build][0](order)
+
+    @pytest.mark.parametrize("build", sorted(ORDER_BUILDS))
+    def test_orders_below_the_lowest_are_refused(self, build):
+        run, lowest = self.ORDER_BUILDS[build]
+        with pytest.raises(ValueError,
+                           match=f"^truncation order must be >= {lowest}$"):
+            run(lowest - 1)
+        run(lowest)
 
     def test_weighted_row_sums_are_n_factorial(self):
         # every row the CLI's triangle command allows

@@ -1,4 +1,4 @@
-"""Symbol evaluation, derivative tables, and model I/O."""
+"""Symbol evaluation, derivative rows, and model I/O."""
 import cmath
 import itertools
 import json
@@ -25,16 +25,14 @@ from affine_cf.symbols import (
     UserJump,
     component_rows,
     eval_symbol,
-    eval_symbol_table,
-    eval_symbol_table_xi,
     load_model,
     model_from_json,
     model_to_json,
     save_model,
 )
 
-from helpers import (bm_model, cir, exponential_jumps, gauss_jump_model,
-                     heston, unit_ball_gaussian, vasicek)
+from helpers import (atom_values, bm_model, cir, exponential_jumps,
+                     gauss_jump_model, heston, unit_ball_gaussian, vasicek)
 
 
 def gauss_density(z, mean, var):
@@ -106,10 +104,9 @@ class TestEvalSymbol:
         for _ in range(20):
             x = rng.uniform(0.0, 1.0, 2)
             u = rng.uniform(-3, 3, 2)
-            table = eval_symbol_table(model, x, u, 0)
-            zero = (0, 0)
+            rows = component_rows(model, 1j * u, 0)[1]
             lhs = eval_symbol(model, x, u) - eval_symbol(model, [0, 0], u)
-            rhs = sum(x[l] * table.slope[l][zero] for l in range(2))
+            rhs = sum(x[l] * rows[l + 1][0] for l in range(2))
             assert abs(lhs - rhs) < 1e-12
 
 
@@ -167,85 +164,88 @@ class TestSymbolComponents:
 
     @pytest.mark.parametrize("source", COMPONENT_CASES)
     def test_orders_1_and_2_are_central_differences(self, source):
-        # d/dxi_j of the table entry at eps is the entry at eps + e_j, for
-        # the base table at x and for every slope table
+        # d/dxi_j of the row entry at eps is the entry at eps + e_j, for
+        # the constant part's row and for every slope's row
         model = component_case(source)
         d = model.dimension
         rng = np.random.default_rng(21)
         h = 1e-5
         for _ in range(5):
-            x = rng.uniform(0.0, 1.0, d)
             xi = rng.uniform(-1, 1, d) + 1j * rng.uniform(-3, 3, d)
-            table = eval_symbol_table_xi(model, x, xi, 2)
+            pattern, rows = component_rows(model, xi, 2)
             for j in range(d):
                 step = h * np.eye(d)[j]
-                up = eval_symbol_table_xi(model, x, xi + step, 1)
-                down = eval_symbol_table_xi(model, x, xi - step, 1)
-                for tab, tab_up, tab_down in zip(
-                        [table.base, *table.slope],
-                        [up.base, *up.slope], [down.base, *down.slope]):
-                    for eps in tab_up:
-                        fd = (tab_up[eps] - tab_down[eps]) / (2 * h)
+                keys, rows_up = component_rows(model, xi + step, 1)
+                _, rows_down = component_rows(model, xi - step, 1)
+                for row, row_up, row_down in zip(rows, rows_up, rows_down):
+                    tab = dict(zip(pattern, row))
+                    for eps, up, down in zip(keys, row_up, row_down):
+                        fd = (up - down) / (2 * h)
                         exact = tab[tuple(e + (i == j) for i, e in enumerate(eps))]
                         assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact)), \
                             (eps, j, xi)
 
     @pytest.mark.parametrize("model_fn", [cir, heston, vasicek])
     def test_jump_free_table_is_exactly_zero_above_order_2(self, model_fn):
-        # the tables hold only the live entries, every key to order 2; the
+        # the rows hold only the live entries, every key to order 2; the
         # atom values give every key to max_order, exact zeros above 2
         model = model_fn()
         d = model.dimension
-        table = eval_symbol_table(model, np.full(d, 0.3), np.full(d, 0.8), 6)
+        xi = 1j * np.full(d, 0.8)
+        pattern, rows = component_rows(model, xi, 6)
         keys = [eps for k in range(7) for eps in enumerate_indices(d, k)]
         live = [eps for eps in keys if sum(eps) <= 2]
-        for tab in (table.base, *table.slope):
-            assert list(tab) == live
-        values = table.atom_values()
+        assert list(pattern) == live
+        assert all(len(row) == len(live) for row in rows)
+        values = atom_values(model, np.full(d, 0.3), xi, 6)
         for l in range(d + 1):
             row = [(atom.deriv, v) for atom, v in values.items() if atom.l == l]
             assert [eps for eps, _ in row] == keys
             assert all(v == 0.0 for eps, v in row if sum(eps) > 2)
-        assert any(table.base[eps] != 0.0 for eps in live if sum(eps) == 2)
+        assert any(values[AtomKey(BASE, 0, eps)] != 0.0
+                   for eps in live if sum(eps) == 2)
 
     def test_jump_components_hold_every_order(self):
         # only the component with jumps carries entries above order 2
         model = component_case(MODEL_DIR / "bm_jumps.json")
-        table = eval_symbol_table(model, [0.3], [0.8], 6)
-        assert list(table.base) == [(k,) for k in range(7)]
-        assert list(table.slope[0]) == [(0,), (1,), (2,)]
-        assert table.atom_values()[AtomKey(BASE, 0, (5,))] == table.base[(5,)]
+        pattern, rows = component_rows(model, [0.8j], 6)
+        assert list(pattern) == [(k,) for k in range(7)]
+        assert [len(row) for row in rows] == [7, 3]
+        assert atom_values(model, [0.3], [0.8j], 6)[AtomKey(BASE, 0, (5,))] \
+            == rows[0][5]
 
 
 class TestSymbolTable:
+    """The derivative rows of ``component_rows`` at single points."""
+
     def test_bm_first_derivative_is_i(self):
         # sigma = xi^2/2 under xi = iu, so d_xi sigma at u=1 equals i
         model = bm_model(a0=1.0)
-        table = eval_symbol_table(model, [0.0], [1.0], 2)
-        assert table.base[(1,)] == pytest.approx(1j)
-        assert table.base[(2,)] == pytest.approx(1.0)
+        row = component_rows(model, [1j], 2)[1][0]
+        assert row[1] == pytest.approx(1j)
+        assert row[2] == pytest.approx(1.0)
 
     def test_slope_symbol_drift_only(self):
         model = AffineModel.from_arrays(b_slope=[[0.4, 0.0], [0.2, 0.0]],
                                         dimension=2)
         u = np.array([1.5, -0.5])
-        table = eval_symbol_table(model, [0.0, 0.0], u, 0)
+        rows = component_rows(model, 1j * u, 0)[1]
         expected = 1j * (0.4 * u[0] + 0.2 * u[1])
-        assert table.slope[0][(0, 0)] == pytest.approx(expected)
-        assert table.slope[1][(0, 0)] == pytest.approx(0.0)
+        assert rows[1][0] == pytest.approx(expected)
+        assert rows[2][0] == pytest.approx(0.0)
 
     def test_gaussian_third_moment_vs_quadrature(self):
         lam, m, var = 0.5, 0.1, 0.04
         model = gauss_jump_model(intensity=lam, mean=m, var=var)
         u = 0.9
-        table = eval_symbol_table(model, [0.0], [u], 3)
+        row = component_rows(model, [1j * u], 3)[1][0]
 
         def integrand(z):
             return z ** 3 * np.exp(1j * u * z) * lam * gauss_density(z, m, var)
 
         re, _ = integrate.quad(lambda z: integrand(z).real, -3, 3, limit=200)
         im, _ = integrate.quad(lambda z: integrand(z).imag, -3, 3, limit=200)
-        assert abs(table.base[(3,)] - (re + 1j * im)) < 1e-10
+        assert abs(row[3] - (re + 1j * im)) < 1e-10
 
     def test_gaussian_moment_order_20_closed_form(self):
         # J(n, xi) = lam mgf(xi) E[Y^n] with Y ~ N(m + var xi, var) by
@@ -290,20 +290,19 @@ class TestSymbolTable:
         x = np.full(d, 0.3)
         u = np.full(d, 0.8)
         h = 1e-5
-        table = eval_symbol_table(model, x, u, 2)
+        values = atom_values(model, x, 1j * u, 2)
         for j in range(d):
             e = np.zeros(d)
             e[j] = 1.0
             # d/d(xi_j) = -i d/d(u_j) under xi = iu
             fd = (eval_symbol(model, x, u + h * e)
                   - eval_symbol(model, x, u - h * e)) / (2 * h) * -1j
-            eps = tuple(int(v) for v in e)
-            exact = table.base[eps]
+            exact = values[AtomKey(BASE, 0, tuple(int(v) for v in e))]
             assert abs(fd - exact) <= 1e-7 * max(1.0, abs(exact))
 
     def test_jump_free_table_enumerates_to_order_two_only(self, monkeypatch):
-        # above order 2 only jumps give entries, so a jump-free table never
-        # enumerates the multi-indices of degree up to its order
+        # above order 2 only jumps give entries, so jump-free rows never
+        # enumerate the multi-indices of degree up to their order
         orders = []
         enumerate_to = symbols.flattened_indices
 
@@ -312,11 +311,11 @@ class TestSymbolTable:
             return enumerate_to(d, max_order)
 
         monkeypatch.setattr(symbols, "flattened_indices", recording)
-        table = eval_symbol_table(heston(), [0.0, 0.0], [1.0, 0.0], 15)
+        pattern, _ = component_rows(heston(), [1j, 0j], 15)
         assert max(orders) == 3
-        assert max(map(sum, table.base)) == 2
+        assert max(map(sum, pattern)) == 2
         orders.clear()
-        eval_symbol_table(gauss_jump_model(), [0.0], [1.0], 15)
+        component_rows(gauss_jump_model(), [1j], 15)
         assert max(orders) == 16
 
     def test_user_jump_capability_error(self):
@@ -325,7 +324,7 @@ class TestSymbolTable:
         model = AffineModel.from_arrays(a0=[[0.0]], b0=[0.0],
                                         jumps=(jump, NoJumps()))
         with pytest.raises(ValueError, match="order"):
-            eval_symbol_table(model, [0.0], [1.0], 3)
+            component_rows(model, [1j], 3)
 
 
 class TestCompiledOnce:
@@ -336,16 +335,16 @@ class TestCompiledOnce:
                             lambda model: compiled.append(model) or real(model))
         model, other = unit_ball_gaussian(), unit_ball_gaussian()
         for u in (0.5, 1.5):
-            eval_symbol_table(model, [0.2, 0.1], [u, 0.0], 4)
-        component_rows(model, [1j, 0j], 0)
+            component_rows(model, [1j * u, 0j], 4)
+        eval_symbol(model, [0.2, 0.1], [1.0, 0.0])
         assert len(compiled) == 1 and compiled[0] is model
-        eval_symbol_table(other, [0.2, 0.1], [0.5, 0.0], 4)
+        component_rows(other, [0.5j, 0j], 4)
         assert len(compiled) == 2 and compiled[1] is other
 
     def test_the_model_stays_equal_and_hashable(self):
         model = heston()
         before = hash(model)
-        eval_symbol_table(model, [0.1, 0.04], [1.0, 0.0], 4)
+        component_rows(model, [1j, 0j], 4)
         assert hash(model) == before and model == heston()
 
 
@@ -445,9 +444,6 @@ class TestDimensionCheck:
         "riccati_cf": lambda m, x, u: riccati_cf(m, x, u, 0.5),
         "levy_khintchine_cf": lambda m, x, u: levy_khintchine_cf(m, x, u, 0.5),
         "eval_symbol": eval_symbol,
-        "eval_symbol_table": lambda m, x, u: eval_symbol_table(m, x, u, 2),
-        "eval_symbol_table_xi": lambda m, x, u: eval_symbol_table_xi(
-            m, x, 1j * np.asarray(u), 2),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRIES))
@@ -476,7 +472,7 @@ class TestSemiellipticity:
 @settings(deadline=None, max_examples=40)
 def test_affinity_property_vasicek(x, u):
     model = vasicek()
-    table = eval_symbol_table(model, [x], [u], 0)
+    rows = component_rows(model, [1j * u], 0)[1]
     lhs = eval_symbol(model, [x], [u]) - eval_symbol(model, [0.0], [u])
-    rhs = x * table.slope[0][(0,)]
+    rhs = x * rows[1][0]
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(rhs))
