@@ -7,7 +7,8 @@ Each measurement runs in a new interpreter, so every cache starts cold, as
 in a fresh ``affine-cf tables`` or ``triangle`` process.  Per (d, K) it
 reports the CPU seconds of ``d_series``, ``coefficient_recursion`` and
 ``cross_check`` at every order 1..K (its inputs are built first, untimed),
-of ``counting_triangle`` for the requested rows, and of
+of ``counting_triangle`` for the requested rows (its closed form, which
+builds no series, so it reads near 0), and of
 ``gensym.correction_series`` for a perturbed Vasicek target around the
 Vasicek baseline at K=12 (models and imports built first, untimed).  The
 "size" column counts, per layer, the terms, the table entries, the orders

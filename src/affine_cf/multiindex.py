@@ -6,8 +6,8 @@ descending, ties broken the same way on the entries before it.  The
 flattened layout concatenates the orders 0, 1, ..., k - 1; it is the slot
 order of the symbol's derivative rows and of
 :func:`symalg.coefficient_recursion`'s (alpha, beta) keys.
-:func:`_checked_order` is the one check of an order argument, for the
-exact engine and the numeric modes alike.
+:func:`_checked_order` is the one check of an integer argument (an order,
+a dimension), for the exact engine and the numeric modes alike.
 """
 from __future__ import annotations
 
@@ -18,19 +18,19 @@ from functools import lru_cache
 MultiIndex = tuple[int, ...]
 
 
-def _checked_order(order, lowest: int = 1) -> int:
-    """A truncation order as a Python int (a numpy int too); a bool,
-    anything else that is not an integer (2.5, 4.0, "8") and an order
-    below ``lowest`` are refused with a ValueError naming the truncation
-    order."""
+def _checked_order(order, lowest: int = 1,
+                   name: str = "truncation order") -> int:
+    """An integer argument as a Python int (a numpy int too); a bool,
+    anything else that is not an integer (2.5, 4.0, "8") and a value
+    below ``lowest`` are refused with a ValueError naming ``name``."""
     try:
         value = operator.index(order)
     except TypeError:
         value = None
     if value is None or isinstance(order, bool):
-        raise ValueError(f"truncation order must be an int, got {order!r}")
+        raise ValueError(f"{name} must be an int, got {order!r}")
     if value < lowest:
-        raise ValueError(f"truncation order must be >= {lowest}")
+        raise ValueError(f"{name} must be >= {lowest}")
     return value
 
 
@@ -45,17 +45,14 @@ def _grevlex(total: int, parts: int):
             yield prefix + (last,)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # True and 4.0 miss 1's and 4's rows
 def enumerate_indices(d: int, k: int) -> tuple[MultiIndex, ...]:
     """The d-dimensional multi-indices of order exactly k, in grevlex order.
 
     There are C(k + d - 1, d - 1) of them (stars and bars).
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if k < 0:
-        raise ValueError(f"order must be >= 0, got {k}")
-    return tuple(_grevlex(k, d))
+    d = _checked_order(d, name="dimension")
+    return tuple(_grevlex(_checked_order(k, 0, "order"), d))
 
 
 @lru_cache(maxsize=None)

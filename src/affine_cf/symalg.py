@@ -20,10 +20,13 @@ N_{k+1} = sum_eps (d^eps sigma / eps!) d^eps_x N_k, run once, by
 with integer weights.  ``Fraction`` appears only at the boundary: each
 order is divided once into ``SymPoly`` terms over ``AtomKey`` atoms and
 ``{(alpha, beta): Fraction}`` rows, which must agree term for term
-(:func:`cross_check`).  The counting triangle groups the monomials of N_n
-by spatial order and reproduces the integer triangle with row sums
-R_n <= n!, without building d_n.  :func:`difference_series` reads the same
-N_k for a generalized expansion around a baseline.
+(:func:`cross_check`).  :func:`difference_series` reads the same N_k for
+a generalized expansion around a baseline.  Every call builds its series
+afresh; the module keeps no series between calls.
+
+The counting triangle groups the monomials of the univariate d_n by spatial
+order.  It needs no series: its rows are the unsigned Stirling numbers of
+the first kind (:func:`counting_triangle`).
 """
 from __future__ import annotations
 
@@ -253,13 +256,12 @@ def _n_series(lay: _Layout, vanishing=()):
         yield n_k
 
 
-def _atom_halves(lay: _Layout, zeroth: tuple = (BASE, SLOPE)) -> tuple:
+def _atom_halves(lay: _Layout, zeroth: tuple) -> tuple:
     """The (base, slope) decoders of packed monomials.  Each maps a half
-    to (its sorted (AtomKey, e) pairs, prod eps!^e, its factor count),
-    built once per distinct half from its live bytes.  The eps = 0 atoms
-    take the (base, slope) kinds ``zeroth``.  Every base kind sorts below
-    every slope kind, so a base half's pairs and a slope half's join in
-    AtomKey order."""
+    to (its sorted (AtomKey, e) pairs, prod eps!^e), built once per
+    distinct half from its live bytes.  The eps = 0 atoms take the (base,
+    slope) kinds ``zeroth``.  Every base kind sorts below every slope kind,
+    so a base half's pairs and a slope half's join in AtomKey order."""
     d = lay.d
     base_kind, slope_kind = zeroth
     zero = (0,) * d
@@ -273,7 +275,7 @@ def _atom_halves(lay: _Layout, zeroth: tuple = (BASE, SLOPE)) -> tuple:
             live = sorted((i for i, e in enumerate(raw) if e),
                           key=order.__getitem__)
             return (tuple((atoms[i], raw[i]) for i in live),
-                    prod(dens[i] ** raw[i] for i in live), sum(raw))
+                    prod(dens[i] ** raw[i] for i in live))
         return _Decoded(decode)
 
     return (decoder([AtomKey(base_kind if eps == zero else BASE, 0, eps)
@@ -293,31 +295,22 @@ def _series(d: int, max_order: int, zeroth: tuple, vanishing=()) -> list:
         kf = factorial(k)
         d_k = SymPoly()
         for key, c in n_k.items():
-            b, bden, _ = bases[key & lay.base_mask]
-            s, sden, _ = slopes[key >> lay.slope_at]
+            b, bden = bases[key & lay.base_mask]
+            s, sden = slopes[key >> lay.slope_at]
             d_k.terms[b + s] = Fraction(c, kf * bden * sden)
         series.append(d_k)
     return series
-
-
-_D_SERIES_CACHE: dict[int, list[SymPoly]] = {}
 
 
 def d_series(d: int, max_order: int) -> list[SymPoly]:
     """Series terms d_0 .. d_K in the atom algebra, exact rationals.
 
     d_0 = 1 and (k+1) d_{k+1} = L[d_k]; the integer form N_k = k! d_k of
-    :func:`_n_series` is run and each order is converted once.  The cache
-    holds one series per d, replaced whole when a longer one is asked for,
-    so concurrent callers each see a complete series.
+    :func:`_n_series` is run and each order is converted once.
     """
     max_order = _checked_order(max_order, 0)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    series = _D_SERIES_CACHE.get(d)
-    if series is None or len(series) <= max_order:
-        series = _D_SERIES_CACHE[d] = _series(d, max_order, (BASE, SLOPE))
-    return series[: max_order + 1]
+    return _series(_checked_order(d, name="dimension"), max_order,
+                   (BASE, SLOPE))
 
 
 def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
@@ -331,9 +324,8 @@ def difference_series(d: int, max_order: int, vanishing=()) -> list[SymPoly]:
     dropped at every order, so a vanishing difference gives exact zeros.
     """
     max_order = _checked_order(max_order, 0)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    return _series(d, max_order, (DBASE, DSLOPE), vanishing)
+    return _series(_checked_order(d, name="dimension"), max_order,
+                   (DBASE, DSLOPE), vanishing)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +459,7 @@ def coefficient_recursion(d: int, max_order: int) -> dict[int, dict]:
     into one int (:class:`_Layout`), and divides once per row.
     """
     max_order = _checked_order(max_order)
-    if d < 1:
-        raise ValueError("need d >= 1")
-    lay = _Layout(d, max_order)
+    lay = _Layout(_checked_order(d, name="dimension"), max_order)
     row = {1: 1}  # alpha = (1,), beta = (0,) * d
     moves: dict = {}
     splits: dict = {}
@@ -571,33 +561,23 @@ def counting_triangle(max_row: int) -> CountingTriangle:
 
     The entry for time order n and spatial order k is n! times the summed
     coefficients of d_n monomials with k base-symbol factors; every base
-    factor counts as spatial order 1, slope factors as 0.  It is read off
-    the packed integer form N_n = n! d_n of :func:`_n_series`: each
-    monomial adds N_n[m] / prod eps!^e, summed in integers per (k,
-    denominator) and divided once per pair.  Entries are integers by
-    construction of the recursion.
+    factor counts as spatial order 1, slope factors as 0.  Row n is thus
+    read off R_n(z) = n! d_n with every base atom set to z and every slope
+    atom to 1.  In d = 1, d/dx turns one base factor into a slope factor,
+    so d^j_x acts on R_n as d^j/dz^j, and the Leibniz recursion
+    (n+1) d_{n+1} = sum_j (d^j sigma / j!) d^j_x d_n becomes
+    R_{n+1}(z) = sum_j (z / j!) R_n^(j)(z) = z R_n(z + 1), by Taylor's
+    formula.  Hence R_n(z) = z (z + 1) ... (z + n - 1), or
+    R_{n+1}(z) = (z + n) R_n(z) with R_0 = 1: the entries are the
+    unsigned Stirling numbers of the first kind c(n, k), and row n sums to
+    R_n(1) = n!.
     """
     max_row = _checked_order(max_row)
-    lay = _Layout(1, max_row)
-    bases, slopes = _atom_halves(lay)
+    coeffs = [1]  # R_n's coefficients of z^0 .. z^n
     rows = []
-    for n, n_k in enumerate(_n_series(lay)):
-        if n == 0:
-            continue
-        sums: defaultdict = defaultdict(int)
-        for key, c in n_k.items():
-            _, den, k = bases[key & lay.base_mask]
-            sums[k, den * slopes[key >> lay.slope_at][1]] += c
-        buckets: dict[int, Fraction] = {}
-        for (k, den), c in sums.items():
-            buckets[k] = buckets.get(k, 0) + Fraction(c, den)
-        row = []
-        for k in range(n, 0, -1):
-            v = buckets.get(k, 0)
-            if v.denominator != 1:
-                raise ArithmeticError(f"non-integer triangle entry at ({n},{k})")
-            row.append(int(v))
-        rows.append(row)
+    for n in range(max_row):
+        coeffs = [a + n * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        rows.append(coeffs[:0:-1])
     return CountingTriangle(rows)
 
 
@@ -653,10 +633,8 @@ def cardinality_bound(k: int) -> tuple[int, int]:
 
 def lambda_sum_cardinality(j: int, k: int) -> int:
     """Number of k-slot tuples of nonnegative integers summing to j."""
-    if not 0 <= j:
-        raise ValueError("need j >= 0")
-    if k < 1:
-        raise ValueError("need k >= 1")
+    j = _checked_order(j, 0, "j")
+    k = _checked_order(k, 1, "k")
     return comb(j + k - 1, k - 1)
 
 

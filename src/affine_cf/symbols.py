@@ -162,8 +162,11 @@ class GaussianJumps:
         object.__setattr__(self, "intensity", _intensity(self.intensity))
         object.__setattr__(self, "mean", _floats("mean", self.mean, 1))
         object.__setattr__(self, "cov", _floats("cov", self.cov, 2))
-        c = self.cov
-        if _shape(c) != (len(c), len(c)) or not _symmetric(c):
+        n = len(self.mean)
+        if _shape(self.cov) != (n, n):
+            raise ValueError(f"cov must be {n} x {n} to match mean, "
+                             f"got shape {_shape(self.cov)}")
+        if not _symmetric(self.cov):
             raise ValueError("jump covariance must be symmetric")
 
     @property

@@ -1,5 +1,6 @@
-"""The package exports load on first use, no library path loads numpy, and
-the numeric layers import no exact engine."""
+"""The package exports load on first use, no library path loads numpy, the
+numeric layers import no exact engine, and the exact engine keeps no
+module-level containers."""
 import ast
 import importlib
 import json
@@ -175,6 +176,39 @@ def test_the_numeric_layers_import_no_exact_engine(module):
     path = Path(affine_cf.__file__).resolve().parent / f"{module}.py"
     assert not any(name.split(".")[-1] == "symalg"
                    for name in imported_modules(path))
+
+
+MUTABLE_CALLS = {"dict", "list", "set", "defaultdict"}
+
+
+def module_level_containers(path: Path) -> list:
+    """The names a source file binds, at module level, to a dict, list or
+    set: a display, a comprehension or a dict() / list() / set() /
+    defaultdict() call."""
+    found = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets, value = [node.target], node.value
+        else:
+            continue
+        func = getattr(value, "func", None)
+        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                              ast.ListComp, ast.SetComp)) or (
+                isinstance(value, ast.Call)
+                and getattr(func, "id", getattr(func, "attr", None))
+                in MUTABLE_CALLS):
+            found.extend(ast.unparse(t) for t in targets)
+    return found
+
+
+@pytest.mark.parametrize("module", ["symalg", "multiindex"])
+def test_the_exact_engine_keeps_no_module_state(module):
+    # a series or table held between calls would make a result depend on
+    # what an earlier caller asked for, or did to what it got back
+    path = Path(affine_cf.__file__).resolve().parent / f"{module}.py"
+    assert module_level_containers(path) == []
 
 
 @pytest.mark.parametrize("argv", NUMERIC_ARGV.values(), ids=NUMERIC_ARGV)

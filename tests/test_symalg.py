@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from affine_cf import symalg
+from affine_cf.multiindex import enumerate_indices
 from affine_cf.symalg import (
     AtomKey,
     BASE,
@@ -219,14 +219,33 @@ class TestIntegerRecursion:
         with pytest.raises(ValueError, match="below 256"):
             build(1, 256)
 
-    # name -> (build at an order, the lowest order it takes); the numeric
-    # modes share the check (tests/test_gensym.py)
+    # name -> (build at one integer argument, the lowest value it takes,
+    # the argument's name in the message); the numeric modes share the
+    # check (tests/test_gensym.py)
     ORDER_BUILDS = {
-        "d_series": (lambda k: d_series(1, k), 0),
-        "difference_series": (lambda k: difference_series(1, k), 0),
-        "coefficient_recursion": (lambda k: coefficient_recursion(1, k), 1),
-        "counting_triangle": (counting_triangle, 1),
-        "cardinality_bound": (cardinality_bound, 1),
+        "d_series": (lambda k: d_series(1, k), 0, "truncation order"),
+        "difference_series": (lambda k: difference_series(1, k), 0,
+                              "truncation order"),
+        "coefficient_recursion": (lambda k: coefficient_recursion(1, k), 1,
+                                  "truncation order"),
+        "counting_triangle": (counting_triangle, 1, "truncation order"),
+        "cardinality_bound": (cardinality_bound, 1, "truncation order"),
+        # a dimension of 1.5 recursed until RecursionError, 2.0 met a bare
+        # TypeError, and True was taken as d = 1
+        "d_series-dimension": (lambda d: d_series(d, 2), 1, "dimension"),
+        "difference_series-dimension": (lambda d: difference_series(d, 2), 1,
+                                        "dimension"),
+        "coefficient_recursion-dimension": (
+            lambda d: coefficient_recursion(d, 2), 1, "dimension"),
+        "enumerate_indices-dimension": (lambda d: enumerate_indices(d, 2), 1,
+                                        "dimension"),
+        # an order of 2.5 came back as the one index (2.5,)
+        "enumerate_indices-order": (lambda k: enumerate_indices(1, k), 0,
+                                    "order"),
+        "lambda_sum_cardinality-j": (lambda j: lambda_sum_cardinality(j, 2),
+                                     0, "j"),
+        "lambda_sum_cardinality-k": (lambda k: lambda_sum_cardinality(2, k),
+                                     1, "k"),
     }
 
     @pytest.mark.parametrize("order", [2.5, 4.0, "8", True],
@@ -234,16 +253,15 @@ class TestIntegerRecursion:
     @pytest.mark.parametrize("build", sorted(ORDER_BUILDS))
     def test_orders_that_are_not_ints_are_refused(self, build, order):
         # range() met 2.5 as a bare TypeError, and True was taken as 1
+        run, _, name = self.ORDER_BUILDS[build]
         got = re.escape(repr(order))
-        with pytest.raises(ValueError,
-                           match=f"^truncation order must be an int, got {got}$"):
-            self.ORDER_BUILDS[build][0](order)
+        with pytest.raises(ValueError, match=f"^{name} must be an int, got {got}$"):
+            run(order)
 
     @pytest.mark.parametrize("build", sorted(ORDER_BUILDS))
     def test_orders_below_the_lowest_are_refused(self, build):
-        run, lowest = self.ORDER_BUILDS[build]
-        with pytest.raises(ValueError,
-                           match=f"^truncation order must be >= {lowest}$"):
+        run, lowest, name = self.ORDER_BUILDS[build]
+        with pytest.raises(ValueError, match=f"^{name} must be >= {lowest}$"):
             run(lowest - 1)
         run(lowest)
 
@@ -345,10 +363,11 @@ class TestCountingTriangle:
 
     def test_rows_are_the_grouped_rational_series(self):
         # the definition: n! times the summed d_n coefficients of the
-        # monomials with k base factors, for k = n down to 1
-        polys = d_series(1, 12)
+        # monomials with k base factors, for k = n down to 1, against the
+        # closed form, for every row the CLI's triangle command allows
+        polys = d_series(1, 20)
         expected = []
-        for n in range(1, 13):
+        for n in range(1, 21):
             buckets = {}
             for mono, c in polys[n].terms.items():
                 k = monomial_base_count(mono)
@@ -395,10 +414,8 @@ class TestLambdaSumCardinality:
 
 
 class TestDSeriesCache:
-    def test_cold_cache_threads_get_the_serial_series(self, monkeypatch):
-        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
+    def test_cold_cache_threads_get_the_serial_series(self):
         expected = d_series(1, 12)
-        monkeypatch.setattr(symalg, "_D_SERIES_CACHE", {})
         results = [None] * 4
         errors = []
 
@@ -421,4 +438,15 @@ class TestDSeriesCache:
         assert not any(th.is_alive() for th in threads)
         assert errors == []
         assert all(r == expected for r in results)
-        assert len(symalg._D_SERIES_CACHE[1]) == 13
+
+    def test_a_callers_edit_does_not_reach_the_next_call(self):
+        # the series is built afresh on every call, so no caller shares
+        # the SymPoly objects another caller holds
+        first = d_series(1, 6)
+        untouched = [p.copy() for p in first]
+        mono = next(iter(first[4].terms))
+        first[4].terms[mono] += 1
+        first[2].terms.clear()
+        again = d_series(1, 6)
+        assert again == untouched
+        assert all(a is not b for a, b in zip(again, first))

@@ -425,8 +425,21 @@ class TestJumpSpecs:
          "^intensity must be finite"),
         (lambda: ExponentialJumps(math.inf, [3.0]),
          "^intensity must be finite"),
+        # a 1-d model read only cov[0][0] of a 2 x 2 cov
+        (lambda: GaussianJumps(1.0, [0.1], [[0.5, 0.3], [0.3, 0.5]]),
+         r"^cov must be 1 x 1 to match mean, got shape \(2, 2\)$"),
+        (lambda: model_from_json({
+            "dimension": 1, "a0": [[0.1]], "a_slope": [[[0.0]]], "b0": [0.0],
+            "b_slope": [[0.0]], "jumps": [
+                {"type": "gaussian", "intensity": 1.0, "mean": [0.1],
+                 "cov": [[0.5, 0.3], [0.3, 0.5]]}, {"type": "none"}]}),
+         r"^cov must be 1 x 1 to match mean, got shape \(2, 2\)$"),
+        # and a 2-entry mean with a 1 x 1 cov met a bare IndexError
+        (lambda: GaussianJumps(1.0, [0.1, 0.2], [[0.5]]),
+         r"^cov must be 2 x 2 to match mean, got shape \(1, 1\)$"),
     ], ids=["two-rates-in-1d", "one-rate-in-2d", "1d-gaussian-in-2d",
-            "nan-intensity", "inf-intensity"])
+            "nan-intensity", "inf-intensity", "2x2-cov-of-1d-mean",
+            "2x2-cov-of-1d-mean-json", "1x1-cov-of-2d-mean"])
     def test_refused(self, build, message):
         with pytest.raises(ValueError, match=message):
             build()
